@@ -4,7 +4,9 @@ The package computes simplicial homology over the integers, realizes
 classes by piecewise-affine chains and by polyhedral integral currents,
 and cross-verifies the theories with exact certificates: the bracket map
 sends chains to currents, and the cover zig-zag matches cycle currents by
-cycle chains up to explicit fillings.
+cycle chains up to explicit fillings.  Chains and currents share one
+weighted-simplex algebra (WeightedSimplices), so the cover split and the
+Čech solver take either.
 """
 
 from .errors import GeometryError, InputError, LocalityError, MhomError
@@ -14,6 +16,7 @@ from .chaincomplex import (ChainComplexZ, HomologyGroup, RelativePair,
                            homology, homology_data)
 from .complexes import (BallCover, LipschitzHomotopy, MetricComplex, PLMap,
                         mcshane_extension, refine_cover)
+from .weighted import WeightedSimplices
 from .chains import LipschitzChain, chain_from_vector, chain_to_vector
 from .currents import (PolyhedralCurrent, equicontinuity_gap,
                        integral_of_product)
@@ -22,10 +25,9 @@ from .bracket import (bracket, bracket_inverse_points,
                       pairing_nonsingular)
 from .cech import (FillResult, Nerve, Staircase, augment, augment_nerve,
                    cech_boundary, conforming, cone_fill_chain,
-                   cone_fill_current, cosheaf_split, degree_zero_cancel,
-                   degree_zero_fill, fill_zero_chain, nerve_boundary,
-                   reindex_components, solve_phi_pairs, solve_phi_single,
-                   split_current_by_cover, zigzag_cancel, zigzag_descend,
+                   cone_fill_current, degree_zero_cancel, degree_zero_fill,
+                   fill_zero_chain, nerve_boundary, reindex_components,
+                   solve_phi, split, zigzag_cancel, zigzag_descend,
                    zigzag_fill)
 from .spaces import (builtin_covers, builtin_spaces, load_cover, load_space,
                      pairing_forms, save_cover, save_space)
@@ -37,16 +39,16 @@ __all__ = [
     "HomologyGroup", "InputError", "LipschitzChain", "LipschitzHomotopy",
     "LocalityError", "MetricComplex", "MhomError", "Nerve", "PLMap",
     "PolyhedralCurrent", "RadicalSum", "RelativePair", "Staircase",
-    "all_homology", "augment", "augment_nerve", "bracket",
+    "WeightedSimplices", "all_homology", "augment", "augment_nerve", "bracket",
     "bracket_inverse_points", "brackets_of_generators", "builtin_covers",
     "builtin_spaces", "cech_boundary", "chain_from_vector",
     "chain_to_vector", "cone_fill_chain", "cone_fill_current", "conforming",
-    "connecting_homomorphism", "cosheaf_split", "degree_zero_cancel",
+    "connecting_homomorphism", "degree_zero_cancel",
     "degree_zero_fill", "dist2", "equicontinuity_gap", "fill_zero_chain",
     "homology", "homology_data", "integral_of_product", "load_cover",
     "load_space", "mcshane_extension", "nerve_boundary", "pairing_forms",
     "pairing_matrix", "pairing_nonsingular", "refine_cover",
-    "reindex_components", "save_cover", "save_space", "solve_phi_pairs",
-    "solve_phi_single", "split_current_by_cover", "sqrt_lower",
-    "sqrt_upper", "zigzag_cancel", "zigzag_descend", "zigzag_fill",
+    "reindex_components", "save_cover", "save_space", "solve_phi", "split",
+    "sqrt_lower", "sqrt_upper", "zigzag_cancel", "zigzag_descend",
+    "zigzag_fill",
 ]

@@ -1,24 +1,26 @@
 """Cover combinatorics and the comparison zig-zag.
 
-The engine decomposes cycles over a ball cover, solves preimage equations
-for the nerve boundary with support certificates, fills local cycles by
-cones to ball centers or by graph paths, and assembles the results into
-global comparisons: a polyhedral cycle current is matched by a piecewise-affine
-cycle chain up to a current boundary (fill), and a chain cycle whose
-current bounds is itself a chain boundary in the refinement limit
-(cancel).
+The engine works on chains and currents alike, through the tuple algebra
+they share.  One split refines a cycle until every term fits a ball of the
+cover and buckets the terms by ball; one solver inverts the nerve's
+index-deletion map at any arity by leading-index elimination, with
+support certificates.  Local cycles are filled by cones to ball centers or
+by graph paths, and the results assemble into global comparisons: a
+polyhedral cycle current is matched by a piecewise-affine cycle chain up
+to a current boundary (fill), and a chain cycle whose current bounds is
+itself a chain boundary in the refinement limit (cancel).
 """
 
-from fractions import Fraction
+import heapq
 from itertools import combinations
 
 from .bracket import bracket, bracket_inverse_points
 from .chains import LipschitzChain
 from .currents import PolyhedralCurrent
 from .errors import GeometryError, InputError, LocalityError
-from .geometry import point_in_simplex
+from .geometry import canonical_orientation, point_in_simplex
+from .weighted import MAX_SPLIT_ROUNDS
 
-MAX_SPLIT_ROUNDS = 8
 MAX_FILL_DEPTH = 5
 
 
@@ -85,18 +87,27 @@ def _by_ball(components):
             for k, v in components.items()}
 
 
+def _merge(first, second, sign):
+    """first[K] + sign * second[K] for every key of either, in sorted key
+    order; a key on one side only keeps that side's term."""
+    out = {}
+    for K in sorted(set(first) | set(second)):
+        val = first.get(K)
+        if K in second:
+            if sign > 0:
+                val = second[K] if val is None else val + second[K]
+            else:
+                val = -second[K] if val is None else val - second[K]
+        out[K] = val
+    return out
+
+
 def augment(components):
     """Sum of the single-ball components (the global object)."""
     total = None
     for A in sorted(components):
         total = components[A] if total is None else total + components[A]
     return total
-
-
-def total_weight(obj):
-    """Sum of coefficients of a degree-zero chain or current."""
-    src = obj.terms if isinstance(obj, LipschitzChain) else obj.pieces
-    return sum(src.values())
 
 
 def augment_nerve(components):
@@ -108,7 +119,7 @@ def augment_nerve(components):
     out = {}
     for key, val in components.items():
         tup = key if isinstance(key, tuple) else (key,)
-        w = total_weight(val)
+        w = sum(val.terms.values())
         if w:
             out[tup] = out.get(tup, 0) + w
     return {t: w for t, w in out.items() if w}
@@ -118,19 +129,6 @@ def nerve_boundary(z):
     """Simplicial boundary of an integer chain on the nerve."""
     out = cech_boundary(z)
     return {t: w for t, w in out.items() if w}
-
-
-def _sorted_with_sign(seq):
-    """Sort a tuple of distinct indices, tracking the permutation sign."""
-    items = list(seq)
-    sign = 1
-    for i in range(1, len(items)):
-        j = i
-        while j > 0 and items[j - 1] > items[j]:
-            items[j - 1], items[j] = items[j], items[j - 1]
-            sign = -sign
-            j -= 1
-    return tuple(items), sign
 
 
 def reindex_components(components, index_map):
@@ -148,233 +146,114 @@ def reindex_components(components, index_map):
         image = tuple(index_map[i] for i in tup)
         if len(set(image)) < len(image):
             continue
-        target, sign = _sorted_with_sign(image)
+        target, sign = canonical_orientation(image)
         okey = target if isinstance(key, tuple) else target[0]
         term = val if sign > 0 else -val
         out[okey] = out[okey] + term if okey in out else term
     return out
 
 
-# ---- support-certified decomposition strategies ----
-
-class _ChainOps:
-    kind = "chain"
-
-    @staticmethod
-    def is_zero(x):
-        return x.is_zero()
-
-    @staticmethod
-    def decompose(x, allowed, cover, context=""):
-        """Split a chain into parts termwise inside single allowed balls."""
-        work = x
-        for _ in range(MAX_SPLIT_ROUNDS + 1):
-            buckets = {}
-            stuck = None
-            for tup, c in work.terms.items():
-                home = None
-                for b in allowed:
-                    if cover.simplex_inside(b, tup):
-                        home = b
-                        break
-                if home is None:
-                    stuck = tup
-                    break
-                buckets.setdefault(home, {})[tup] = \
-                    buckets.get(home, {}).get(tup, 0) + c
-            if stuck is None:
-                return {
-                    b: LipschitzChain(work.complex, work.degree, t, work.level,
-                                      check_carrier=False)
-                    for b, t in buckets.items()
-                }
-            if work.degree == 0:
-                raise GeometryError(
-                    f"point {stuck[0]} lies in no admissible ball {context}")
-            work = work.subdivide()
-        raise GeometryError(f"terms never fit admissible balls {context}")
-
-
-class _CurrentOps:
-    kind = "current"
-
-    @staticmethod
-    def is_zero(x):
-        if x.is_zero_representation():
-            return True
-        return x.is_zero()
-
-    @staticmethod
-    def decompose(x, allowed, cover, context=""):
-        work = x.reduce()
-        for _ in range(MAX_SPLIT_ROUNDS + 1):
-            buckets = {}
-            stuck = None
-            for tup, w in work.pieces.items():
-                home = None
-                for b in allowed:
-                    if cover.simplex_inside(b, tup):
-                        home = b
-                        break
-                if home is None:
-                    stuck = tup
-                    break
-                buckets.setdefault(home, {})[tup] = \
-                    buckets.get(home, {}).get(tup, 0) + w
-            if stuck is None:
-                return {
-                    b: PolyhedralCurrent(work.ambient_dim, work.degree, t)
-                    for b, t in buckets.items()
-                }
-            if work.degree == 0:
-                raise GeometryError(
-                    f"point {stuck[0]} lies in no admissible ball {context}")
-            work = work.subdivide()
-        raise GeometryError(f"pieces never fit admissible balls {context}")
-
+# ---- support-certified splitting and elimination ----
 
 def conforming(T, complex_) -> bool:
-    """True when every piece sits inside a single complex simplex.
+    """True when every term sits inside a single complex simplex.
 
     Pieces may legally straddle flat cells as currents, but the zig-zag
     cone fills need the conforming representation.
     """
     return all(complex_.find_containing_simplex(tup) is not None
-               for tup in T.pieces)
+               for tup in T.terms)
 
 
-def split_current_by_cover(T, cover, max_rounds=MAX_SPLIT_ROUNDS):
-    """Refine until every piece fits one ball, then bucket the pieces."""
-    work = T
-    for _ in range(max_rounds + 1):
-        buckets = {}
-        ok = True
-        for tup, w in work.pieces.items():
-            i = cover.first_ball_containing(tup)
-            if i is None:
-                ok = False
-                break
-            buckets.setdefault(i, {})[tup] = buckets.get(i, {}).get(tup, 0) + w
-        if ok:
-            return {i: PolyhedralCurrent(work.ambient_dim, work.degree, t)
-                    for i, t in buckets.items()}
-        work = work.subdivide()
-    raise GeometryError("current pieces never fit inside single cover balls")
+def split(x, cover, balls=None, context=""):
+    """Refine until every term fits one of the balls, then bucket the terms.
 
-
-def cosheaf_split(T, cover, first, rest=None):
-    """T = S + S' with S inside ball `first` and S' inside the other balls.
-
-    Works by refinement and assignment with strict containment
-    certificates; every returned piece is checked termwise.
+    Each term goes to the first of the balls (all of the cover's, in order,
+    by default) whose open ball holds it strictly.  A round stops at the
+    first term with no home and refines the whole chain or current.
+    Returns a dict ball index -> part; the parts sum to a refinement of x.
     """
-    if rest is None:
-        rest = [i for i in range(len(cover)) if i != first]
-    work = T
+    if balls is None:
+        balls = range(len(cover))
+    work = x
     for _ in range(MAX_SPLIT_ROUNDS + 1):
-        s_pieces = {}
-        r_pieces = {}
-        ok = True
-        for tup, w in work.pieces.items():
-            if cover.simplex_inside(first, tup):
-                s_pieces[tup] = s_pieces.get(tup, 0) + w
-            elif any(cover.simplex_inside(b, tup) for b in rest):
-                r_pieces[tup] = r_pieces.get(tup, 0) + w
-            else:
-                ok = False
+        buckets = {}
+        for tup, w in work.terms.items():
+            home = next((b for b in balls if cover.simplex_inside(b, tup)),
+                        None)
+            if home is None:
                 break
-        if ok:
-            return (PolyhedralCurrent(work.ambient_dim, work.degree, s_pieces),
-                    PolyhedralCurrent(work.ambient_dim, work.degree, r_pieces))
+            buckets.setdefault(home, {})[tup] = w
+        else:
+            return {b: work.like(work.degree, t) for b, t in buckets.items()}
+        if work.degree == 0:
+            raise GeometryError(
+                f"point {tup[0]} lies in no admissible ball {context}")
         work = work.subdivide()
-    raise GeometryError("support never split across the requested balls")
+    raise GeometryError(f"terms never fit admissible balls {context}")
 
 
-# ---- boundary preimage solvers ----
+def _vanishes(x):
+    """Zero test that skips reduction when no term is left."""
+    return not x.terms or x.is_zero()
 
-def solve_phi_single(Y, nerve, ops, context=""):
-    """W on pairs with (boundary W)_A = Y_A, by leading-index elimination.
 
-    Requires the components of Y to sum to zero (as chains exactly, as
-    currents after reduction).  Every produced component is supported in
-    its pairwise intersection by construction.
+def solve_phi(Y, nerve, context=""):
+    """W one nerve arity up with cech_boundary(W) = Y, by elimination.
+
+    Y maps sorted ball-index tuples of one arity p (bare ball indices when
+    p = 1) to chains or currents of one degree; it must lie in the image,
+    so for p = 1 the components sum to zero (as chains exactly, as
+    currents after reduction).  Keys are visited in sorted order,
+    including those elimination creates.  A nonzero residual at K is
+    reduced and split over the balls g > K[-1] with K + (g,) in the nerve;
+    the part in ball g becomes, up to sign, the component at K + (g,), and
+    the other faces of that tuple take up its boundary.  Those faces are
+    larger than K, so a residual is final when it is visited.  Every part
+    is certified inside all the balls of K.
     """
     cover = nerve.cover
-    n = len(cover)
-    residual = dict(Y)
+    residual = {(K if isinstance(K, tuple) else (K,)): R
+                for K, R in Y.items()}
+    todo = sorted(residual)
+    queued = set(todo)
     W = {}
-    for A in range(n):
-        R = residual.get(A)
-        if R is None or ops.is_zero(R):
+    while todo:
+        K = heapq.heappop(todo)
+        R = residual[K]
+        if _vanishes(R):
             continue
-        allowed = [b for b in range(A + 1, n) if nerve.has((A, b))]
+        allowed = [g for g in range(K[-1] + 1, len(cover))
+                   if nerve.has(K + (g,))]
         if not allowed:
             raise GeometryError(
-                f"component {A} has a nonzero residual but no later overlap "
+                f"{K} has a nonzero residual but no overlap one arity up "
                 f"{context}")
-        parts = ops.decompose(R, allowed, cover,
-                              context=f"(descending component {A}) {context}")
-        for b, part in parts.items():
-            # supported in both balls: decompose certified the second index
-            _assert_inside(part, cover, A)
-            key = (A, b)
-            W[key] = W[key] + (-part) if key in W else -part
-            residual[b] = residual.get(b)
-            residual[b] = part if residual[b] is None else residual[b] + part
-        residual[A] = None
-    for A, R in residual.items():
-        if R is not None and not ops.is_zero(R):
-            raise GeometryError(f"elimination left a nonzero residual {context}")
-    return W
-
-
-def solve_phi_pairs(R, nerve, ops, context=""):
-    """W on triples with (boundary W) matching R on pairs.
-
-    Leading-pair elimination; pairs whose residual vanishes need no triple,
-    which is exactly what happens when triple intersections are empty.
-    """
-    cover = nerve.cover
-    n = len(cover)
-    residual = {tuple(sorted(k)): v for k, v in R.items()}
-    W = {}
-    for pair in sorted(residual):
-        val = residual[pair]
-        if val is None or ops.is_zero(val):
-            continue
-        a, b = pair
-        allowed = [g for g in range(b + 1, n) if nerve.has((a, b, g))]
-        if not allowed:
-            raise GeometryError(
-                f"pair {pair} has a nonzero residual but no triple overlap "
-                f"{context}")
-        parts = ops.decompose(val, allowed, cover,
-                              context=f"(descending pair {pair}) {context}")
+        parts = split(R.reduce(), cover, allowed,
+                      context=f"(descending {K}) {context}")
+        p = len(K)
         for g, part in parts.items():
-            _assert_inside(part, cover, a)
-            _assert_inside(part, cover, b)
-            key = (a, b, g)
-            W[key] = W[key] + part if key in W else part
-            ag = (a, g)
-            bg = (b, g)
-            residual[ag] = part if residual.get(ag) is None \
-                else residual[ag] + part
-            residual[bg] = -part if residual.get(bg) is None \
-                else residual[bg] + (-part)
-        residual[pair] = None
-    for pair, val in residual.items():
-        if val is not None and not ops.is_zero(val):
+            for i in K:
+                if not part.supported_in_ball(cover, i):
+                    raise GeometryError(
+                        f"support certificate failed: a term leaves ball {i}")
+            # deleting index j of B = K + (g,) has sign (-1)^j; j = p gives K
+            B = K + (g,)
+            term = -part if p % 2 else part
+            W[B] = W[B] + term if B in W else term
+            for j in reversed(range(p)):
+                F = B[:j] + B[j + 1:]
+                face = part if (j + p) % 2 else -part
+                residual[F] = residual[F] + face if F in residual else face
+                if F not in queued:
+                    queued.add(F)
+                    heapq.heappush(todo, F)
+        del residual[K]
+    for K, R in residual.items():
+        if not _vanishes(R):
             raise GeometryError(
-                f"pair elimination left a nonzero residual at {pair} {context}")
+                f"elimination left a nonzero residual at {K} {context}")
     return W
-
-
-def _assert_inside(obj, cover, i):
-    src = obj.terms if isinstance(obj, LipschitzChain) else obj.pieces
-    for tup in src:
-        if not cover.simplex_inside(i, tup):
-            raise GeometryError(
-                f"support certificate failed: a term leaves ball {i}")
 
 
 # ---- local fills ----
@@ -475,25 +354,25 @@ def fill_zero_chain(complex_, chain, membership, start_depth=2,
     raise LocalityError(f"zero-chain fill failed {context}: {last_err}")
 
 
-def cone_fill_chain(z, apex, complex_, context=""):
-    """Cone a cycle chain to a point, certifying every coned term."""
-    if not z.boundary().is_zero():
-        raise InputError(f"cone fill needs an exact cycle {context}")
-    for tup in z.terms:
+def _certify_cone(x, apex, complex_, context):
+    for tup in x.terms:
         if complex_.find_containing_simplex(tup + (tuple(apex),)) is None:
             raise GeometryError(
                 f"cone certificate failed {context}: no simplex holds "
                 f"{tup} and the apex")
+
+
+def cone_fill_chain(z, apex, complex_, context=""):
+    """Cone a cycle chain to a point, certifying every coned term."""
+    if not z.boundary().is_zero():
+        raise InputError(f"cone fill needs an exact cycle {context}")
+    _certify_cone(z, apex, complex_, context)
     return z.cone(apex, check_carrier=False)
 
 
 def cone_fill_current(R, apex, complex_, context=""):
     """Cone a cycle current to a point, certifying every coned piece."""
-    for tup in R.pieces:
-        if complex_.find_containing_simplex(tup + (tuple(apex),)) is None:
-            raise GeometryError(
-                f"cone certificate failed {context}: no simplex holds "
-                f"{tup} and the apex")
+    _certify_cone(R, apex, complex_, context)
     return R.cone(apex)
 
 
@@ -519,55 +398,39 @@ def zigzag_descend(c, cover, nerve=None, verify=True):
     vertical boundary is then lifted through the index-deletion map one
     column to the right, down to degree-zero coefficients, whose total
     multiplicities form an integer cycle on the nerve.  Implemented for
-    degrees 0..2 (the preimage solvers reach nerve arity three).
+    degrees 0..2.
     """
     m = c.degree
     if m > 2:
         raise InputError("descent implemented for degrees 0, 1 and 2")
     if nerve is None:
         nerve = Nerve(cover, max_arity=m + 1)
-    if isinstance(c, LipschitzChain):
-        ops = _ChainOps
-        layer0 = c.split_by_cover(cover)
-    else:
-        ops = _CurrentOps
-        if not conforming(c, cover.complex):
-            raise InputError(
-                "descent needs a conforming representation: every piece "
-                "inside a single complex simplex")
-        layer0 = split_current_by_cover(c, cover)
-    if m >= 1 and not ops.is_zero(c.boundary()):
+    if isinstance(c, PolyhedralCurrent) and not conforming(c, cover.complex):
+        raise InputError(
+            "descent needs a conforming representation: every piece "
+            "inside a single complex simplex")
+    layer0 = split(c, cover)
+    if m >= 1 and not _vanishes(c.boundary()):
         raise InputError("descent expects a cycle")
 
     layers = {(0, m): layer0}
-    if m >= 1:
-        Y = {A: comp.boundary() for A, comp in layer0.items()}
-        layers[(1, m - 1)] = solve_phi_single(Y, nerve, ops,
-                                              context="(descent)")
-    if m >= 2:
-        R = {pair: comp.boundary()
-             for pair, comp in layers[(1, m - 1)].items()}
-        layers[(2, m - 2)] = solve_phi_pairs(R, nerve, ops,
-                                             context="(descent)")
+    for p in range(1, m + 1):
+        Y = {K: comp.boundary()
+             for K, comp in layers[(p - 1, m - p + 1)].items()}
+        layers[(p, m - p)] = solve_phi(Y, nerve, context="(descent)")
 
     if verify:
         back = augment(layer0)
-        same = (back == c) if isinstance(c, LipschitzChain) \
-            else (back is not None and back.equals(c))
-        if not same:
+        if back is None or not back.equals(c):
             raise GeometryError("descent components do not sum back")
         for p in range(1, m + 1):
-            img = _by_ball(cech_boundary(layers[(p, m - p)])) if p == 1 \
-                else cech_boundary(layers[(p, m - p)])
+            img = cech_boundary(layers[(p, m - p)])
+            if p == 1:
+                img = _by_ball(img)
             want = {k: comp.boundary()
                     for k, comp in layers[(p - 1, m - p + 1)].items()}
-            for k in set(img) | set(want):
-                gap = img.get(k, None)
-                if gap is None:
-                    gap = -want[k]
-                elif k in want:
-                    gap = gap - want[k]
-                if not ops.is_zero(gap):
+            for k, gap in _merge(img, want, -1).items():
+                if not _vanishes(gap):
                     raise GeometryError(
                         f"descent step {p} mismatched at {k!r}")
 
@@ -606,9 +469,9 @@ def zigzag_fill(T, cover, nerve=None, verify=True):
     if nerve is None:
         nerve = Nerve(cover, max_arity=2)
 
-    T01 = split_current_by_cover(T, cover)
+    T01 = split(T, cover)
     Y = {A: comp.boundary() for A, comp in T01.items()}
-    T10 = solve_phi_single(Y, nerve, _CurrentOps, context="(fill)")
+    T10 = solve_phi(Y, nerve, context="(fill)")
     c10 = {P: bracket_inverse_points(cur, complex_) for P, cur in T10.items()}
 
     rhs = _by_ball(cech_boundary(c10))
@@ -623,13 +486,9 @@ def zigzag_fill(T, cover, nerve=None, verify=True):
             context=f"(fill, ball {A})")
 
     S_parts = {}
-    for A in sorted(set(T01) | set(c01)):
-        ch = c01.get(A)
-        cu = T01.get(A)
-        R = bracket(ch) if ch is not None else None
-        if cu is not None:
-            R = (-cu) if R is None else R - cu
-        if R is None or R.is_zero_representation():
+    defects = _merge({A: bracket(ch) for A, ch in c01.items()}, T01, -1)
+    for A, R in defects.items():
+        if R.is_zero_representation():
             continue
         S_parts[A] = cone_fill_current(R, cover.centers[A], complex_,
                                        context=f"(fill, ball {A})")
@@ -671,43 +530,23 @@ def zigzag_cancel(z, S, cover, nerve=None, verify=True):
     if verify and not S.boundary().equals(bracket(z)):
         raise InputError("cancel needs boundary(S) = [z]")
 
-    c01 = z.split_by_cover(cover)
+    c01 = split(z, cover)
     Yc = {A: comp.boundary() for A, comp in c01.items()}
-    c10 = solve_phi_single(Yc, nerve, _ChainOps, context="(cancel, chain)")
+    c10 = solve_phi(Yc, nerve, context="(cancel, chain)")
 
-    T02 = split_current_by_cover(S, cover)
-    Yt = {}
-    for A in sorted(set(T02) | set(c01)):
-        val = None
-        if A in T02:
-            val = T02[A].boundary()
-        if A in c01:
-            bc = bracket(c01[A])
-            val = -bc if val is None else val - bc
-        if val is not None:
-            Yt[A] = val
-    T11 = solve_phi_single(Yt, nerve, _CurrentOps, context="(cancel, current)")
+    T02 = split(S, cover)
+    Yt = _merge({A: x.boundary() for A, x in T02.items()},
+                {A: bracket(x) for A, x in c01.items()}, -1)
+    T11 = solve_phi(Yt, nerve, context="(cancel, current)")
 
-    Rp = {}
-    for P in sorted(set(T11) | set(c10)):
-        val = None
-        if P in T11:
-            val = T11[P].boundary()
-        if P in c10:
-            bc = bracket(c10[P])
-            val = bc if val is None else val + bc
-        if val is not None:
-            Rp[P] = val
-    T20 = solve_phi_pairs(Rp, nerve, _CurrentOps, context="(cancel, triples)")
+    Rp = _merge({P: x.boundary() for P, x in T11.items()},
+                {P: bracket(x) for P, x in c10.items()}, 1)
+    T20 = solve_phi(Rp, nerve, context="(cancel, triples)")
     c20 = {B: bracket_inverse_points(cur, complex_) for B, cur in T20.items()}
 
-    rhs_pairs = cech_boundary(c20) if c20 else {}
     c11 = {}
-    for P in sorted(set(c10) | set(rhs_pairs)):
-        val = rhs_pairs.get(P)
-        if P in c10:
-            val = (-c10[P]) if val is None else val - c10[P]
-        if val is None or val.is_zero():
+    for P, val in _merge(cech_boundary(c20), c10, -1).items():
+        if val.is_zero():
             continue
         a, b = P
         c11[P] = fill_zero_chain(
@@ -715,13 +554,9 @@ def zigzag_cancel(z, S, cover, nerve=None, verify=True):
             lambda p, a=a, b=b: cover.contains(a, p) and cover.contains(b, p),
             context=f"(cancel, pair {P})")
 
-    rhs_balls = _by_ball(cech_boundary(c11)) if c11 else {}
     c02 = {}
-    for A in sorted(set(c01) | set(rhs_balls)):
-        val = rhs_balls.get(A)
-        if A in c01:
-            val = c01[A] if val is None else val + c01[A]
-        if val is None or val.is_zero():
+    for A, val in _merge(_by_ball(cech_boundary(c11)), c01, 1).items():
+        if val.is_zero():
             continue
         c02[A] = cone_fill_chain(val, cover.centers[A], complex_,
                                  context=f"(cancel, ball {A})")

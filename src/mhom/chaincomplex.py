@@ -243,10 +243,6 @@ class RelativePair:
         return out
 
 
-def relative_complex(C: ChainComplexZ, sub) -> ChainComplexZ:
-    return RelativePair(C, sub).quotient_complex
-
-
 def connecting_homomorphism(pair: RelativePair, k: int):
     """Snake-lemma map H_k(C/A) -> H_{k-1}(A) on combined generators.
 

@@ -2,59 +2,45 @@
 
 A chain of degree k is a finite integer combination of affine k-simplices,
 each recorded as an ordered (k+1)-tuple of rational points whose convex hull
-is certified to lie inside the carrier.  Chains carry a subdivision level:
+is certified to lie inside the carrier.  The tuple algebra lives in
+WeightedSimplices; a chain adds the carrier checks and a subdivision level:
 two chains are considered the same element when they agree after refining
 both to a common level, so addition first aligns levels by subdividing the
 coarser operand.
 """
 
-from fractions import Fraction
-
 from .errors import GeometryError, InputError
-from .geometry import barycentric_subdivide
-from .rational import vec
-
-MAX_SPLIT_ROUNDS = 8
+from .geometry import canonical_orientation
+from .weighted import WeightedSimplices
 
 
-def _point(p):
-    return tuple(Fraction(x) for x in p)
-
-
-def _tuple(tup):
-    return tuple(_point(p) for p in tup)
-
-
-class LipschitzChain:
+class LipschitzChain(WeightedSimplices):
     """Integer combination of affine simplices inside a fixed carrier."""
 
-    __slots__ = ("complex", "degree", "level", "terms")
+    __slots__ = ("complex", "level")
 
     def __init__(self, complex_, degree, terms=None, level=0, check_carrier=True):
-        if degree < 0:
-            raise InputError("chain degree must be nonnegative")
         self.complex = complex_
-        self.degree = degree
         self.level = level
-        self.terms = {}
-        if terms:
-            for tup, coeff in dict(terms).items():
-                c = int(coeff)
-                if c == 0:
-                    continue
-                tup = _tuple(tup)
-                if len(tup) != degree + 1:
-                    raise InputError(
-                        f"a degree-{degree} chain needs {degree + 1} points per simplex")
-                if any(len(p) != complex_.ambient_dim for p in tup):
-                    raise InputError("point dimension does not match the carrier")
-                self.terms[tup] = self.terms.get(tup, 0) + c
-            self.terms = {t: c for t, c in self.terms.items() if c}
+        super().__init__(degree, terms)
         if check_carrier:
-            for tup in self.terms:
-                if complex_.find_containing_simplex(tup) is None:
-                    raise GeometryError(
-                        f"simplex with vertices {tup} leaves the carrier")
+            self.check_carrier()
+
+    @property
+    def ambient_dim(self):
+        return self.complex.ambient_dim
+
+    def like(self, degree, terms):
+        return LipschitzChain(self.complex, degree, terms, self.level,
+                              check_carrier=False)
+
+    def check_carrier(self):
+        """Raise unless every term lies inside one simplex of the carrier."""
+        for tup in self.terms:
+            if self.complex.find_containing_simplex(tup) is None:
+                raise GeometryError(
+                    f"simplex with vertices {tup} leaves the carrier")
+        return self
 
     @staticmethod
     def zero(complex_, degree, level=0):
@@ -63,25 +49,13 @@ class LipschitzChain:
     @staticmethod
     def from_simplices(complex_, items, level=0):
         """items: iterable of (coefficient, point tuple)."""
-        terms = {}
-        degree = None
-        for coeff, tup in items:
-            tup = _tuple(tup)
-            if degree is None:
-                degree = len(tup) - 1
-            elif len(tup) - 1 != degree:
-                raise InputError("mixed degrees in one chain")
-            terms[tup] = terms.get(tup, 0) + int(coeff)
+        terms, degree = WeightedSimplices._gather(items)
         if degree is None:
             raise InputError("cannot infer degree from an empty list; use zero()")
         return LipschitzChain(complex_, degree, terms, level)
 
-    def is_zero(self):
-        return not self.terms
-
     def copy(self):
-        return LipschitzChain(self.complex, self.degree, dict(self.terms),
-                              self.level, check_carrier=False)
+        return self.like(self.degree, dict(self.terms))
 
     def _compatible(self, other):
         if self.complex is not other.complex or self.degree != other.degree:
@@ -97,58 +71,17 @@ class LipschitzChain:
             b = b.subdivide()
         return a, b
 
-    def __add__(self, other):
-        a, b = self.align(other)
-        terms = dict(a.terms)
-        for tup, c in b.terms.items():
-            terms[tup] = terms.get(tup, 0) + c
-        terms = {t: c for t, c in terms.items() if c}
-        return LipschitzChain(a.complex, a.degree, terms, a.level, check_carrier=False)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, n):
-        n = int(n)
-        terms = {t: n * c for t, c in self.terms.items() if n * c}
-        return LipschitzChain(self.complex, self.degree, terms, self.level,
-                              check_carrier=False)
-
     def __eq__(self, other):
         if not isinstance(other, LipschitzChain):
             return NotImplemented
         a, b = self.align(other)
         return a.terms == b.terms
 
-    def boundary(self):
-        """Alternating sum of facets of every term."""
-        if self.degree == 0:
-            return LipschitzChain(self.complex, 0, {}, self.level, check_carrier=False)
-        terms = {}
-        for tup, c in self.terms.items():
-            for i in range(len(tup)):
-                face = tup[:i] + tup[i + 1:]
-                s = c if i % 2 == 0 else -c
-                terms[face] = terms.get(face, 0) + s
-        terms = {t: c for t, c in terms.items() if c}
-        return LipschitzChain(self.complex, self.degree - 1, terms, self.level,
-                              check_carrier=False)
-
     def subdivide(self, times=1):
         """Barycentric refinement; raises the level tag with each round."""
-        chain = self
-        for _ in range(times):
-            terms = {}
-            for tup, c in chain.terms.items():
-                for sign, piece in barycentric_subdivide(tup):
-                    terms[piece] = terms.get(piece, 0) + sign * c
-            terms = {t: cc for t, cc in terms.items() if cc}
-            chain = LipschitzChain(chain.complex, chain.degree, terms,
-                                   chain.level + 1, check_carrier=False)
-        return chain
+        out = super().subdivide(times)
+        out.level = self.level + times
+        return out
 
     def canonical(self):
         """Vertex-sorted form with orientation signs.
@@ -161,9 +94,7 @@ class LipschitzChain:
         for tup, c in self.terms.items():
             if len(set(tup)) < len(tup):
                 continue
-            order = sorted(range(len(tup)), key=lambda i: tup[i])
-            sign = _permutation_sign(order)
-            key = tuple(tup[i] for i in order)
+            key, sign = canonical_orientation(tup)
             out[key] = out.get(key, 0) + sign * c
         return {t: c for t, c in out.items() if c}
 
@@ -189,119 +120,32 @@ class LipschitzChain:
         """
         if plmap.target_dim != self.complex.ambient_dim:
             raise InputError("pushforward needs a self-map of the carrier")
-        chain = self
-        for _ in range(MAX_SPLIT_ROUNDS + 1):
-            if all(plmap.affine_on(tup) for tup in chain.terms):
-                terms = {}
-                for tup, c in chain.terms.items():
-                    image = tuple(_point(plmap(p)) for p in tup)
-                    terms[image] = terms.get(image, 0) + c
-                terms = {t: c for t, c in terms.items() if c}
-                return LipschitzChain(chain.complex, chain.degree, terms, chain.level)
-            chain = chain.subdivide()
-        raise GeometryError("map never became affine on the refined terms")
+        return self.refine_until_affine([plmap]).vertex_images(plmap)
 
     def cone(self, vertex, check_carrier=True):
-        """Cone on a fixed point: prepend it to every term.
-
-        b(cone z) = z - cone(b z), so coning fills cycles whenever each
-        coned tuple stays inside the carrier.
-        """
-        v = _point(vertex)
-        terms = {}
-        for tup, c in self.terms.items():
-            key = (v,) + tup
-            terms[key] = terms.get(key, 0) + c
-        terms = {t: c for t, c in terms.items() if c}
-        return LipschitzChain(self.complex, self.degree + 1, terms, self.level,
-                              check_carrier=check_carrier)
+        """Cone on a fixed point, each coned term certified on request."""
+        out = super().cone(vertex)
+        return out.check_carrier() if check_carrier else out
 
     def prism(self, h0, h1, check_carrier=True):
         """Staircase between two vertexwise images of this chain.
 
-        h0 and h1 are callables on points.  With P this operator,
-        b(P z) + P(b z) = h1(z) - h0(z) holds exactly at chain level; for
-        the images to agree with pushforwards the maps must be affine on the
-        terms, which callers arrange by refining first.
+        h0 and h1 are callables on points.  For the images to agree with
+        pushforwards the maps must be affine on the terms, which callers
+        arrange by refining first.
         """
-        terms = {}
-        for tup, c in self.terms.items():
-            bottom = [_point(h0(p)) for p in tup]
-            top = [_point(h1(p)) for p in tup]
-            for i in range(len(tup)):
-                stair = tuple(bottom[:i + 1]) + tuple(top[i:])
-                s = c if i % 2 == 0 else -c
-                terms[stair] = terms.get(stair, 0) + s
-        terms = {t: cc for t, cc in terms.items() if cc}
-        return LipschitzChain(self.complex, self.degree + 1, terms, self.level,
+        return LipschitzChain(self.complex, self.degree + 1,
+                              self._staircase(h0, h1), self.level,
                               check_carrier=check_carrier)
 
     def vertex_images(self, fn):
         """Replace every vertex by fn(vertex), keeping coefficients."""
-        terms = {}
-        for tup, c in self.terms.items():
-            image = tuple(_point(fn(p)) for p in tup)
-            terms[image] = terms.get(image, 0) + c
-        terms = {t: c for t, c in terms.items() if c}
-        return LipschitzChain(self.complex, self.degree, terms, self.level)
-
-    def supported_in_ball(self, cover, i):
-        return all(cover.simplex_inside(i, tup) for tup in self.terms)
-
-    def split_by_cover(self, cover, max_rounds=MAX_SPLIT_ROUNDS):
-        """Refine until every term fits in one cover ball, then bucket them.
-
-        Returns a dict ball index -> subchain; the buckets sum to a
-        refinement of this chain.
-        """
-        chain = self
-        for _ in range(max_rounds + 1):
-            buckets = {}
-            ok = True
-            for tup, c in chain.terms.items():
-                i = cover.first_ball_containing(tup)
-                if i is None:
-                    ok = False
-                    break
-                buckets.setdefault(i, {})[tup] = buckets.get(i, {}).get(tup, 0) + c
-            if ok:
-                return {
-                    i: LipschitzChain(chain.complex, chain.degree, t, chain.level,
-                                      check_carrier=False)
-                    for i, t in buckets.items()
-                }
-            chain = chain.subdivide()
-        raise GeometryError("terms never fit inside single cover balls")
-
-    def vertex_set(self):
-        out = set()
-        for tup in self.terms:
-            out.update(tup)
-        return out
-
-    def __len__(self):
-        return len(self.terms)
+        return LipschitzChain(self.complex, self.degree, self._images(fn),
+                              self.level)
 
     def __repr__(self):
         return (f"LipschitzChain(degree={self.degree}, level={self.level}, "
                 f"terms={len(self.terms)})")
-
-
-def _permutation_sign(order):
-    seen = [False] * len(order)
-    sign = 1
-    for i in range(len(order)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = order[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def chain_from_vector(complex_, degree, vector):

@@ -27,7 +27,9 @@ from .chains import LipschitzChain, chain_from_vector, chain_to_vector
 from .complexes import PLMap, mcshane_extension
 from .currents import PolyhedralCurrent
 from .errors import GeometryError, InputError, MhomError
+from .geometry import det_fraction
 from .intlinalg import IntMatrix, invert_unimodular, smith_normal_form
+from .rational import dist2
 
 THEORIES = ("singular", "lipschitz", "current")
 SUITES = ("snf", "stokes", "green", "prism", "mass", "degree0", "mcshane",
@@ -133,32 +135,13 @@ def _pairing_certificate(space_name, complex_):
     forms = spaces.pairing_forms(space_name, complex_)
     M = pairing_matrix(gens, forms)
     W = [[2 * x for x in row] for row in M]
-    det = _det_fraction(W)
+    det = det_fraction(W)
     return {
         "matrix": [[_frac_str(x) for x in row] for row in W],
         "determinant": _frac_str(det),
         "nonsingular": det != 0,
         "unimodular": abs(det) == 1,
     }
-
-
-def _det_fraction(rows):
-    n = len(rows)
-    A = [[Fraction(x) for x in r] for r in rows]
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if A[r][c]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            A[c], A[piv] = A[piv], A[c]
-            det = -det
-        det *= A[c][c]
-        for r in range(c + 1, n):
-            f = A[r][c] / A[c][c]
-            for j in range(c, n):
-                A[r][j] -= f * A[c][j]
-    return det
 
 
 # ---- compare ----
@@ -389,8 +372,8 @@ def _suite_prism(args, rng):
             ok2 = cone.boundary().equals(cyc)
             base = [p for tup in cyc.pieces for p in tup] + [apex]
             spt = [p for tup in cone.pieces for p in tup]
-            dbase = max((_d2(p, q) for p in base for q in base), default=0)
-            dspt = max((_d2(p, q) for p in spt for q in spt), default=0)
+            dbase = max((dist2(p, q) for p in base for q in base), default=0)
+            dspt = max((dist2(p, q) for p in spt for q in spt), default=0)
             ok2 = ok2 and dspt <= dbase
             checks.append({"check": f"cone[{i}]:deg{k - 1}",
                            "status": "pass" if ok2 else "fail"})
@@ -449,15 +432,11 @@ def _suite_mcshane(args, rng):
         for p in pts:
             for q in pts:
                 df = ext.scalar(p) - ext.scalar(q)
-                if df * df > L * L * _d2(p, q):
+                if df * df > L * L * dist2(p, q):
                     ok = False
         checks.append({"check": f"mcshane[{i}]",
                        "status": "pass" if ok else "fail"})
     return checks
-
-
-def _d2(p, q):
-    return sum((a - b) ** 2 for a, b in zip(p, q))
 
 
 def _overlap_kernel(complex_, cover, nerve, deg, index=0, depth=3):
@@ -493,7 +472,7 @@ def _suite_cosheaf(args, rng):
     for i in range(args.budget):
         deg = i % 2
         ch = _random_chain(complex_, deg, rng)
-        parts = ch.split_by_cover(cover)
+        parts = cech.split(ch, cover)
         total = cech.augment(parts)
         ok = total is None and ch.is_zero() or \
             total is not None and (total - ch).is_zero()
@@ -502,7 +481,7 @@ def _suite_cosheaf(args, rng):
 
         cur = bracket(ch)
         if not cur.is_zero_representation():
-            cparts = cech.split_current_by_cover(cur, cover)
+            cparts = cech.split(cur, cover)
             ok = cech.augment(cparts).equals(cur)
             checks.append({"check": f"eps-current[{i}]:deg{deg}",
                            "status": "pass" if ok else "fail"})
@@ -533,7 +512,7 @@ def _suite_cosheaf(args, rng):
         ker = {A: k for A, k in ker.items() if not k.is_zero()}
         if not ker:
             continue
-        W = cech.solve_phi_single(ker, nerve, cech._ChainOps)
+        W = cech.solve_phi(ker, nerve)
         img = cech._by_ball(cech.cech_boundary(W))
         zero = LipschitzChain.zero(complex_, deg)
         ok = all((img.get(A, zero) - ker.get(A, zero)).is_zero()

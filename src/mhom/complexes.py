@@ -22,7 +22,7 @@ from .geometry import (
 )
 from .intlinalg import IntMatrix
 from .chaincomplex import ChainComplexZ, RelativePair
-from .rational import dist2, dot, frac, sqrt_lower, sqrt_upper, vsub
+from .rational import dist2, dot, frac, sqrt_upper, vsub
 
 
 class MetricComplex:
@@ -94,9 +94,6 @@ class MetricComplex:
 
     def distance2(self, p, q) -> Fraction:
         return dist2(p, q)
-
-    def distance(self, p, q) -> float:
-        return float(sqrt_lower(dist2(p, q), 60))
 
     def contains_point(self, p) -> bool:
         return any(point_in_simplex(p, self.points_of(t)) for t in self.top_simplices())
@@ -311,32 +308,6 @@ class PLMap:
             best = max(best, val)
         return best
 
-    def lipschitz_constant(self, cells=None) -> float:
-        """Operator-norm Lipschitz constant (float, via dense eigenvalues).
-
-        For a globally affine map this is the spectral norm of the matrix;
-        for cellwise data, the maximum over cells of the norm of the
-        differential restricted to the cell's tangent space.
-        """
-        import numpy as np
-        from scipy.linalg import eigh
-
-        if self.matrix is not None:
-            A = np.array([[float(x) for x in row] for row in self.matrix])
-            if A.size == 0:
-                return 0.0
-            return float(np.linalg.norm(A, 2))
-        best = 0.0
-        for cell, vals in zip(self.cells, self.cell_values):
-            G, H = self._cell_differential_gram(cell, vals)
-            if not G:
-                continue
-            Gn = np.array([[float(x) for x in row] for row in G])
-            Hn = np.array([[float(x) for x in row] for row in H])
-            w = eigh(Hn, Gn, eigvals_only=True)
-            best = max(best, float(max(w)) ** 0.5)
-        return best
-
     def lipschitz_at_most(self, L) -> bool:
         """Exact check Lip <= L via positive semidefiniteness of
         L^2 G_source - G_target on every cell."""
@@ -380,10 +351,6 @@ def _psd(M) -> bool:
         for j in range(k + 1, n):
             A[k][j] = Fraction(0)
     return True
-
-
-def lipschitz_constant(m: PLMap) -> float:
-    return m.lipschitz_constant()
 
 
 # -- McShane extension -----------------------------------------------------
@@ -555,6 +522,7 @@ class BallCover:
             self.centers.append(c)
             self.radii.append(r)
             self.descriptions.append(desc)
+        self._near = None
 
     def __len__(self):
         return len(self.centers)
@@ -582,29 +550,32 @@ class BallCover:
                 missed.append(tup)
         return missed
 
-    def witness_point(self, indices, depth: int = 2):
-        """A point of the carrier inside every listed ball, or None."""
-        for p in self.complex.sample_vertices(depth):
-            if all(self.contains(i, p) for i in indices):
-                return p
-        return None
-
-    def intersection_contains(self, indices, p):
-        return all(self.contains(i, p) for i in indices)
+    def _near_tops(self):
+        """For each ball, the set of top simplices (by position in
+        top_simplices()) closer to its center than its radius; computed
+        once per cover."""
+        if self._near is None:
+            tops = [self.complex.points_of(s)
+                    for s in self.complex.top_simplices()]
+            self._near = [
+                {j for j, tup in enumerate(tops)
+                 if point_simplex_dist2(c, tup) < r ** 2}
+                for c, r in zip(self.centers, self.radii)]
+        return self._near
 
     def intersection_empty_certificate(self, indices) -> bool:
         """Exact proof that the listed balls share no carrier point.
 
         Certifies emptiness when every top simplex keeps its whole distance
-        to some listed center at least that ball's radius.  A False return
-        is inconclusive on its own.
+        to some listed center at least that ball's radius, that is, when no
+        top simplex is near every listed ball.  A False return is
+        inconclusive on its own.
         """
-        for s in self.complex.top_simplices():
-            tup = self.complex.points_of(s)
-            if not any(point_simplex_dist2(self.centers[i], tup) >= self.radii[i] ** 2
-                       for i in indices):
-                return False
-        return True
+        near = self._near_tops()
+        common = set(range(len(self.complex.top_simplices())))
+        for i in indices:
+            common &= near[i]
+        return not common
 
     def refinement_map(self, coarser: "BallCover"):
         """lambda: for each ball here, a coarser ball containing it.
@@ -624,31 +595,6 @@ class BallCover:
                     f"no coarser ball contains the ball at {c} with radius {r}")
             lam.append(target)
         return lam
-
-
-def vertex_star_cover(complex_: MetricComplex, depth: int,
-                      radius_factor=Fraction(9, 8)) -> BallCover:
-    """Cover by balls at the depth-subdivision vertices.
-
-    The common radius is radius_factor times the largest piece diameter at
-    that depth, so every piece fits inside the ball of each of its own
-    vertices.  Coverage is verified one level deeper; failure raises.
-    """
-    if radius_factor <= 1:
-        raise InputError("radius_factor must exceed 1")
-    pieces = complex_.subdivided_tops(depth)
-    centers = complex_.sample_vertices(depth)
-    maxdiam2 = Fraction(0)
-    for _, tup in pieces:
-        for a, b in combinations(tup, 2):
-            maxdiam2 = max(maxdiam2, dist2(a, b))
-    r = sqrt_upper(maxdiam2, 20) * frac(radius_factor)
-    cover = BallCover(complex_, [{"center": c, "radius": r} for c in centers])
-    missed = cover.verify_covers(depth + 1)
-    if missed:
-        raise GeometryError(
-            f"cover verification failed: {len(missed)} pieces uncovered at depth {depth + 1}")
-    return cover
 
 
 def refine_cover(coarse: BallCover, factor=Fraction(1, 2), depth: int = 2):

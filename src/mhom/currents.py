@@ -1,9 +1,10 @@
 """Polyhedral integral currents in rational ambient space.
 
 A current of degree k is an integer combination of oriented k-simplices,
-each an ordered (k+1)-tuple of rational points.  A tuple denotes the affine
-image of the standard simplex, so its action on an affine k-form f dpi_1
-^ ... ^ dpi_k is weight * det(Dpi) * integral of f, all exact.
+each an ordered (k+1)-tuple of rational points; the tuple algebra lives in
+WeightedSimplices.  A tuple denotes the affine image of the standard
+simplex, so its action on an affine k-form f dpi_1 ^ ... ^ dpi_k is
+weight * det(Dpi) * integral of f, all exact.
 
 reduce() computes a canonical representative: pieces are merged per affine
 k-flat through a common refinement, multiplicities are recovered at witness
@@ -13,64 +14,42 @@ reduces to nothing.
 """
 
 from fractions import Fraction
+from math import factorial
 
 from .errors import GeometryError, InputError
-from .geometry import (barycentric_subdivide, cut_simplex_by_values,
-                       canonical_orientation, centroid, det_fraction,
-                       edge_matrix, gram_det, integrate_affine,
-                       integrate_affine_product, solve_fraction_system)
-from .rational import RadicalSum, dot, frac, vadd, vscale, vsub
+from .geometry import (cut_simplex_by_values, canonical_orientation,
+                       centroid, det_fraction, edge_matrix, gram_det,
+                       integrate_affine, integrate_affine_product,
+                       solve_fraction_system)
+from .rational import RadicalSum, dot, frac, vsub
+from .weighted import WeightedSimplices
 
-MAX_REFINE_ROUNDS = 8
 MAX_FRAGMENTS = 50000
 
 
-def _point(p):
-    return tuple(Fraction(x) for x in p)
-
-
-def _factorial(k):
-    f = 1
-    for i in range(2, k + 1):
-        f *= i
-    return f
-
-
-class PolyhedralCurrent:
+class PolyhedralCurrent(WeightedSimplices):
     """Integer-weighted oriented rational simplices of one degree."""
 
-    __slots__ = ("ambient_dim", "degree", "pieces")
+    __slots__ = ("ambient_dim",)
 
     def __init__(self, ambient_dim, degree, pieces=None):
-        if degree < 0:
-            raise InputError("current degree must be nonnegative")
         self.ambient_dim = int(ambient_dim)
-        self.degree = int(degree)
-        self.pieces = {}
-        if pieces:
-            for tup, w in dict(pieces).items():
-                w = int(w)
-                if w == 0:
-                    continue
-                tup = tuple(_point(p) for p in tup)
-                if len(tup) != degree + 1:
-                    raise InputError(
-                        f"a degree-{degree} piece needs {degree + 1} vertices")
-                if any(len(p) != self.ambient_dim for p in tup):
-                    raise InputError("vertex dimension mismatch")
-                self.pieces[tup] = self.pieces.get(tup, 0) + w
-            self.pieces = {t: w for t, w in self.pieces.items() if w}
+        super().__init__(degree, pieces)
+
+    @property
+    def pieces(self):
+        return self.terms
+
+    def like(self, degree, terms):
+        return PolyhedralCurrent(self.ambient_dim, degree, terms)
 
     @staticmethod
     def from_tuples(ambient_dim, items, degree=None):
-        pieces = {}
-        for w, tup in items:
-            tup = tuple(_point(p) for p in tup)
-            pieces[tup] = pieces.get(tup, 0) + int(w)
+        pieces, first = WeightedSimplices._gather(items)
         if degree is None:
-            if not pieces:
+            if first is None:
                 raise InputError("cannot infer degree; pass degree=")
-            degree = len(next(iter(pieces))) - 1
+            degree = first
         return PolyhedralCurrent(ambient_dim, degree, pieces)
 
     @staticmethod
@@ -78,58 +57,7 @@ class PolyhedralCurrent:
         return PolyhedralCurrent(ambient_dim, degree, {})
 
     def is_zero_representation(self):
-        return not self.pieces
-
-    def __add__(self, other):
-        if self.ambient_dim != other.ambient_dim or self.degree != other.degree:
-            raise InputError("currents of different type")
-        pieces = dict(self.pieces)
-        for t, w in other.pieces.items():
-            pieces[t] = pieces.get(t, 0) + w
-        pieces = {t: w for t, w in pieces.items() if w}
-        return PolyhedralCurrent(self.ambient_dim, self.degree, pieces)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, n):
-        n = int(n)
-        return PolyhedralCurrent(self.ambient_dim, self.degree,
-                                 {t: n * w for t, w in self.pieces.items() if n * w})
-
-    def boundary(self):
-        if self.degree == 0:
-            return PolyhedralCurrent(self.ambient_dim, 0, {})
-        pieces = {}
-        for tup, w in self.pieces.items():
-            for i in range(len(tup)):
-                face = tup[:i] + tup[i + 1:]
-                s = w if i % 2 == 0 else -w
-                pieces[face] = pieces.get(face, 0) + s
-        return PolyhedralCurrent(self.ambient_dim, self.degree - 1, pieces)
-
-    def subdivide(self, times=1):
-        """Barycentric refinement of every piece; the current is unchanged."""
-        cur = self
-        for _ in range(times):
-            pieces = {}
-            for tup, w in cur.pieces.items():
-                for sign, sub in barycentric_subdivide(tup):
-                    pieces[sub] = pieces.get(sub, 0) + sign * w
-            cur = PolyhedralCurrent(cur.ambient_dim, cur.degree, pieces)
-        return cur
-
-    def refine_until_affine(self, maps):
-        """Subdivide until every map in maps is affine on every piece."""
-        cur = self
-        for _ in range(MAX_REFINE_ROUNDS + 1):
-            if all(m.affine_on(tup) for tup in cur.pieces for m in maps):
-                return cur
-            cur = cur.subdivide()
-        raise GeometryError("maps never became affine on the refined pieces")
+        return not self.terms
 
     def evaluate(self, f, pis):
         """Action on (f, pi_1, ..., pi_k) with piecewise-affine scalar data.
@@ -144,7 +72,7 @@ class PolyhedralCurrent:
         cur = self.refine_until_affine([f] + pis)
         total = Fraction(0)
         k = self.degree
-        for tup, w in cur.pieces.items():
+        for tup, w in cur.terms.items():
             fvals = [f.scalar(p) for p in tup]
             if k == 0:
                 total += w * fvals[0]
@@ -159,10 +87,9 @@ class PolyhedralCurrent:
     def mass(self, canonical=True):
         """Total mass as an exact radical sum."""
         cur = self.reduce() if canonical else self
-        k = self.degree
-        fk = _factorial(k)
+        fk = factorial(self.degree)
         out = RadicalSum()
-        for tup, w in cur.pieces.items():
+        for tup, w in cur.terms.items():
             g = gram_det(tup)
             if g:
                 out = out + RadicalSum.sqrt_of(g).scale(Fraction(abs(w), fk))
@@ -174,17 +101,14 @@ class PolyhedralCurrent:
 
     def support_pieces(self):
         """Pieces of the canonical representative (closed support carrier)."""
-        return list(self.reduce().pieces.keys())
+        return list(self.reduce().terms.keys())
 
     def pushforward(self, plmap):
         """Image current under a piecewise-affine map, by vertex images of
         refined pieces.  Degenerate images are kept; reduce() removes them."""
         cur = self.refine_until_affine([plmap])
-        pieces = {}
-        for tup, w in cur.pieces.items():
-            image = tuple(_point(plmap(p)) for p in tup)
-            pieces[image] = pieces.get(image, 0) + w
-        return PolyhedralCurrent(plmap.target_dim, self.degree, pieces)
+        return PolyhedralCurrent(plmap.target_dim, self.degree,
+                                 cur._images(plmap))
 
     def restrict_scalar(self, g, r):
         """Split along the level set {g = r}: returns (below, above).
@@ -197,7 +121,7 @@ class PolyhedralCurrent:
         cur = self.refine_until_affine([g])
         low = {}
         high = {}
-        for tup, w in cur.pieces.items():
+        for tup, w in cur.terms.items():
             vals = [g.scalar(p) for p in tup]
             for p, v in zip(tup, vals):
                 if v == r:
@@ -209,8 +133,7 @@ class PolyhedralCurrent:
                 low[t] = low.get(t, 0) + w
             for t in hi:
                 high[t] = high.get(t, 0) + w
-        return (PolyhedralCurrent(cur.ambient_dim, cur.degree, low),
-                PolyhedralCurrent(cur.ambient_dim, cur.degree, high))
+        return cur.like(cur.degree, low), cur.like(cur.degree, high)
 
     def product_interval(self):
         """Product with [0,1]: staircase triangulation in one more dimension.
@@ -218,47 +141,17 @@ class PolyhedralCurrent:
         Satisfies boundary(T x I) = T x {1} - T x {0} - (boundary T) x I
         exactly at the level of representations.
         """
-        pieces = {}
-        for tup, w in self.pieces.items():
-            bottom = [p + (Fraction(0),) for p in tup]
-            top = [p + (Fraction(1),) for p in tup]
-            for i in range(len(tup)):
-                stair = tuple(bottom[:i + 1]) + tuple(top[i:])
-                s = w if i % 2 == 0 else -w
-                pieces[stair] = pieces.get(stair, 0) + s
+        pieces = self._staircase(lambda p: p + (0,), lambda p: p + (1,))
         return PolyhedralCurrent(self.ambient_dim + 1, self.degree + 1, pieces)
 
     def embed_at_height(self, t):
         t = frac(t)
-        pieces = {tuple(p + (t,) for p in tup): w for tup, w in self.pieces.items()}
-        return PolyhedralCurrent(self.ambient_dim + 1, self.degree, pieces)
-
-    def cone(self, apex):
-        """Join to a point: apex prepended to every piece.
-
-        boundary(cone T) = T - cone(boundary T), so cones fill cycles.
-        """
-        v = _point(apex)
-        if len(v) != self.ambient_dim:
-            raise InputError("apex dimension mismatch")
-        pieces = {}
-        for tup, w in self.pieces.items():
-            key = (v,) + tup
-            pieces[key] = pieces.get(key, 0) + w
-        return PolyhedralCurrent(self.ambient_dim, self.degree + 1, pieces)
-
-    def vertex_set(self):
-        out = set()
-        for tup in self.pieces:
-            out.update(tup)
-        return out
-
-    def __len__(self):
-        return len(self.pieces)
+        return PolyhedralCurrent(self.ambient_dim + 1, self.degree,
+                                 self._images(lambda p: p + (t,)))
 
     def __repr__(self):
         return (f"PolyhedralCurrent(dim={self.ambient_dim}, degree={self.degree}, "
-                f"pieces={len(self.pieces)})")
+                f"pieces={len(self.terms)})")
 
     # ---- canonical form ----
 
@@ -272,7 +165,7 @@ class PolyhedralCurrent:
         """
         k = self.degree
         merged = {}
-        for tup, w in self.pieces.items():
+        for tup, w in self.terms.items():
             if k > 0 and gram_det(tup) == 0:
                 continue
             key, sign = canonical_orientation(tup)
@@ -293,12 +186,6 @@ class PolyhedralCurrent:
                 out[tup] = out.get(tup, 0) + w
         out = {t: w for t, w in out.items() if w}
         return PolyhedralCurrent(self.ambient_dim, k, out)
-
-    def equals(self, other):
-        return (self - other).reduce().is_zero_representation()
-
-    def is_zero(self):
-        return self.reduce().is_zero_representation()
 
 
 def _rref(rows):
@@ -521,7 +408,7 @@ def integral_of_product(current, u, v, nonzero_of=None, canonical=True):
     maps = [m for m in (u, v, nonzero_of) if m is not None]
     cur = cur.refine_until_affine(maps) if maps else cur
     total = RadicalSum()
-    for tup, w in cur.pieces.items():
+    for tup, w in cur.terms.items():
         frags = [tup]
         for m in maps:
             nxt = []

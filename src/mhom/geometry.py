@@ -8,6 +8,7 @@ order and permutation parity.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 
 from .rational import centroid, dist2, dot, frac, lerp, vsub
 
@@ -74,7 +75,7 @@ def gram_matrix(verts):
 
 
 def det_fraction(M) -> Fraction:
-    M = [row[:] for row in M]
+    M = [[frac(x) for x in row] for row in M]
     n = len(M)
     det = Fraction(1)
     for c in range(n):
@@ -102,17 +103,6 @@ def gram_det(verts) -> Fraction:
 def is_degenerate(verts) -> bool:
     """Affinely dependent vertex tuple (repeats included)."""
     return gram_det(verts) == 0
-
-
-def volume_squared(verts) -> Fraction:
-    """Squared k-volume of the simplex."""
-    k = len(verts) - 1
-    if k == 0:
-        return Fraction(1)
-    f = 1
-    for i in range(2, k + 1):
-        f *= i
-    return gram_det(verts) / (f * f)
 
 
 def simplex_boundary_terms(tup: Simplex):
@@ -226,22 +216,14 @@ def integrate_affine(tup: Simplex, vertex_values) -> Fraction:
     """Integral over the simplex of the affine function with the given
     vertex values, with respect to the parametrization by the standard
     simplex (volume 1/k! in parameter space)."""
-    k = len(tup) - 1
-    f = 1
-    for i in range(2, k + 1):
-        f *= i
     mean = sum(vertex_values, Fraction(0)) / len(vertex_values)
-    return mean / f
+    return mean / factorial(len(tup) - 1)
 
 
 def integrate_affine_product(tup: Simplex, u_vals, v_vals) -> Fraction:
     """Integral of a product of two affine functions over the standard
     parameter simplex: vol * (sum u_i v_i + (sum u_i)(sum v_i)) / ((k+1)(k+2))."""
-    k = len(tup) - 1
-    f = 1
-    for i in range(2, k + 1):
-        f *= i
     m = len(u_vals)
     s = sum((u * v for u, v in zip(u_vals, v_vals)), Fraction(0))
     s += sum(u_vals, Fraction(0)) * sum(v_vals, Fraction(0))
-    return s / (f * m * (m + 1))
+    return s / (factorial(len(tup) - 1) * m * (m + 1))

@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from sympy import factorint
-
 Vec = tuple  # tuple of Fraction
 
 
@@ -93,19 +91,10 @@ def sqrt_upper(q: Fraction, prec: int = 40) -> Fraction:
     return lo + Fraction(1, 1 << prec)
 
 
-def cmp_sqrt(a: Fraction, s: Fraction) -> int:
-    """Sign of a - sqrt(s) for rational a and s >= 0, exact."""
-    if s < 0:
-        raise ValueError("negative radicand")
-    if a < 0:
-        return -1 if s > 0 or a < 0 else 0
-    # both sides >= 0
-    lhs, rhs = a * a, s
-    return (lhs > rhs) - (lhs < rhs)
-
-
 def _square_split(n: int) -> tuple[int, int]:
     """n = s*s*m with m squarefree; returns (s, m).  n >= 1."""
+    from sympy import factorint  # slow to import, and only needed here
+
     s, m = 1, 1
     for p, e in factorint(n).items():
         s *= p ** (e // 2)

@@ -1,14 +1,15 @@
 """Bundled carrier spaces, covers, and their JSON serialization.
 
-Rational points are serialized as [numerator, denominator] pairs.  A space
-file holds ambient_dim, vertices, simplices and optional named
-subcomplexes; a cover file holds balls described either by an explicit
-center or by barycentric coordinates inside a named simplex.
+Bundled spaces and covers are built by the builders below, by name.  Any
+other space or cover loads from a JSON file: rational points are
+serialized as [numerator, denominator] pairs, a space file holds
+ambient_dim, vertices, simplices and optional named subcomplexes, and a
+cover file holds balls described either by an explicit center or by
+barycentric coordinates inside a named simplex.
 """
 
 import json
 from fractions import Fraction
-from importlib import resources
 from itertools import combinations
 
 from .complexes import BallCover, MetricComplex, PLMap
@@ -21,7 +22,7 @@ __all__ = [
     "klein_bottle_space", "disc_pair_space", "annulus_pair_space",
     "wedge_space", "builtin_spaces", "builtin_covers",
     "circle_cover_three_arcs", "circle_cover_two_arcs", "torus_cover",
-    "graph_product_surface", "offset_circle_cycle", "torus_loop_cycles",
+    "graph_product_surface",
 ]
 
 
@@ -262,56 +263,6 @@ def torus_cover(torus: MetricComplex) -> BallCover:
     return BallCover(torus, balls)
 
 
-# ---- distinguished cycles off the vertex lattice ----
-
-def offset_circle_cycle(s1: MetricComplex):
-    """One-cycle around the circle whose break points sit a third of the way
-    along each edge, as weighted current tuples."""
-    e0, e1, e2 = (s1.vertices[0], s1.vertices[1], s1.vertices[2])
-
-    def third(a, b):
-        return tuple(Fraction(2 * x + y, 3) for x, y in zip(a, b))
-
-    q01 = third(e0, e1)
-    q12 = third(e1, e2)
-    q20 = third(e2, e0)
-    return [
-        (1, (q01, e1)), (1, (e1, q12)),
-        (1, (q12, e2)), (1, (e2, q20)),
-        (1, (q20, e0)), (1, (e0, q01)),
-    ]
-
-
-def torus_loop_cycles(torus: MetricComplex):
-    """Two homology-independent loops at half-offset levels.
-
-    Each loop runs around one factor with the other factor frozen at an
-    edge midpoint, so its segments cross square diagonals and get split at
-    the centers.  Returns two lists of weighted current tuples.
-    """
-    tri = circle_space()
-    mid = tuple((Fraction(a) + Fraction(b)) / 2
-                for a, b in zip(tri.vertices[0], tri.vertices[1]))
-    ring = [tri.vertices[0], tri.vertices[1], tri.vertices[2]]
-
-    def loop(first_factor: bool):
-        items = []
-        for i in range(3):
-            a, b = ring[i], ring[(i + 1) % 3]
-            if first_factor:
-                p = tuple(a) + mid
-                q = tuple(b) + mid
-            else:
-                p = mid + tuple(a)
-                q = mid + tuple(b)
-            m = tuple((x + y) / 2 for x, y in zip(p, q))
-            items.append((1, (p, m)))
-            items.append((1, (m, q)))
-        return items
-
-    return loop(True), loop(False)
-
-
 def circle_pairing_forms(s1: MetricComplex):
     """One (weight, differential) form pair detecting winding number.
 
@@ -434,21 +385,25 @@ _SPACE_BUILDERS = {
     "wedge": wedge_space,
 }
 
+_COVER_BUILDERS = {
+    "s1_arcs2": circle_cover_two_arcs,
+    "s1_arcs3": circle_cover_three_arcs,
+    "torus_balls": torus_cover,
+}
+
 
 def builtin_spaces():
     return sorted(_SPACE_BUILDERS)
 
 
 def builtin_covers():
-    return ["s1_arcs2", "s1_arcs3", "torus_balls"]
+    return sorted(_COVER_BUILDERS)
 
 
 def load_space(name_or_path: str) -> MetricComplex:
     """Bundled space by name, or any space JSON file by path."""
     if name_or_path in _SPACE_BUILDERS:
-        text = resources.files("mhom").joinpath(
-            f"data/{name_or_path}.json").read_text()
-        return space_from_json(json.loads(text))
+        return _SPACE_BUILDERS[name_or_path]()
     try:
         with open(name_or_path) as fh:
             return space_from_json(json.load(fh))
@@ -459,10 +414,9 @@ def load_space(name_or_path: str) -> MetricComplex:
 
 
 def load_cover(complex_: MetricComplex, name_or_path: str) -> BallCover:
-    if name_or_path in builtin_covers():
-        text = resources.files("mhom").joinpath(
-            f"data/{name_or_path}.json").read_text()
-        return cover_from_json(complex_, json.loads(text))
+    """Bundled cover of complex_ by name, or any cover JSON file by path."""
+    if name_or_path in _COVER_BUILDERS:
+        return _COVER_BUILDERS[name_or_path](complex_)
     try:
         with open(name_or_path) as fh:
             return cover_from_json(complex_, json.load(fh))

@@ -1,0 +1,174 @@
+"""Integer-weighted oriented affine simplices, shared by chains and currents.
+
+A piecewise-affine chain and a polyhedral current of degree k are both
+finite sums of ordered (k+1)-tuples of rational points with integer
+weights; the bracket map between them keeps the tuples.  This base class
+holds every operation that reads only tuples and weights: sums and
+multiples, the alternating boundary, barycentric refinement, cones,
+staircase prisms, vertexwise images and refinement until given maps are
+affine.  Subclasses fix the carrier the tuples live in and what it means
+for a sum to vanish.
+"""
+
+from fractions import Fraction
+
+from .errors import GeometryError, InputError
+from .geometry import (barycentric_subdivide, simplex_boundary_terms,
+                       staircase_prism)
+
+MAX_SPLIT_ROUNDS = 8
+
+
+def _point(p):
+    return tuple(Fraction(x) for x in p)
+
+
+class WeightedSimplices:
+    """Integer combination of oriented point tuples of one degree."""
+
+    __slots__ = ("degree", "terms")
+
+    def __init__(self, degree, terms=None):
+        if degree < 0:
+            raise InputError("degree must be nonnegative")
+        self.degree = int(degree)
+        self.terms = {}
+        if terms:
+            dim = self.ambient_dim
+            for tup, w in dict(terms).items():
+                w = int(w)
+                if w == 0:
+                    continue
+                tup = tuple(_point(p) for p in tup)
+                if len(tup) != degree + 1:
+                    raise InputError(
+                        f"a degree-{degree} simplex needs {degree + 1} points")
+                if any(len(p) != dim for p in tup):
+                    raise InputError("point dimension does not match the "
+                                     "ambient space")
+                self.terms[tup] = self.terms.get(tup, 0) + w
+            self.terms = {t: w for t, w in self.terms.items() if w}
+
+    def like(self, degree, terms):
+        """Same kind on the same carrier, with the given degree and terms."""
+        raise NotImplementedError
+
+    @staticmethod
+    def _gather(items):
+        """Sum (weight, point tuple) items; returns (terms, degree or None)."""
+        terms = {}
+        degree = None
+        for w, tup in items:
+            tup = tuple(_point(p) for p in tup)
+            if degree is None:
+                degree = len(tup) - 1
+            elif len(tup) - 1 != degree:
+                raise InputError("mixed degrees in one sum")
+            terms[tup] = terms.get(tup, 0) + int(w)
+        return terms, degree
+
+    def _expand(self, fn):
+        """Replace each tuple by the signed tuples fn returns for it."""
+        terms = {}
+        for tup, w in self.terms.items():
+            for sign, new in fn(tup):
+                terms[new] = terms.get(new, 0) + sign * w
+        return terms
+
+    def _images(self, fn):
+        """Terms with every vertex replaced by fn(vertex)."""
+        return self._expand(
+            lambda tup: ((1, tuple(_point(fn(p)) for p in tup)),))
+
+    def _staircase(self, h0, h1):
+        """Prism terms between the vertexwise images under h0 and h1.
+
+        With P this operator, b(P z) + P(b z) = h1(z) - h0(z) holds exactly
+        on representations, for any vertex data.
+        """
+        return self._expand(lambda tup: staircase_prism(
+            tuple(_point(h0(p)) for p in tup),
+            tuple(_point(h1(p)) for p in tup)))
+
+    # ---- algebra ----
+
+    def reduce(self):
+        """The representative that zero tests and cover splits read.
+
+        Chains compare term by term, so a chain is its own; currents
+        override this with their canonical form.
+        """
+        return self
+
+    def is_zero(self):
+        return not self.reduce().terms
+
+    def equals(self, other):
+        return (self - other).is_zero()
+
+    def align(self, other):
+        """Check that both operands can be added; returns them."""
+        if self.ambient_dim != other.ambient_dim or self.degree != other.degree:
+            raise InputError("operands differ in ambient dimension or degree")
+        return self, other
+
+    def __add__(self, other):
+        a, b = self.align(other)
+        terms = dict(a.terms)
+        for tup, w in b.terms.items():
+            terms[tup] = terms.get(tup, 0) + w
+        return a.like(a.degree, terms)
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, n):
+        n = int(n)
+        return self.like(self.degree,
+                         {t: n * w for t, w in self.terms.items() if n * w})
+
+    def boundary(self):
+        """Alternating sum of facets of every term."""
+        if self.degree == 0:
+            return self.like(0, {})
+        return self.like(self.degree - 1, self._expand(simplex_boundary_terms))
+
+    def subdivide(self, times=1):
+        """Barycentric refinement of every term; the sum is unchanged."""
+        out = self
+        for _ in range(times):
+            out = out.like(out.degree, out._expand(barycentric_subdivide))
+        return out
+
+    def refine_until_affine(self, maps):
+        """Subdivide until every map in maps is affine on every term."""
+        out = self
+        for _ in range(MAX_SPLIT_ROUNDS + 1):
+            if all(m.affine_on(tup) for tup in out.terms for m in maps):
+                return out
+            out = out.subdivide()
+        raise GeometryError("maps never became affine on the refined terms")
+
+    def cone(self, apex):
+        """Join to a point: the apex prepended to every term.
+
+        boundary(cone z) = z - cone(boundary z), so cones fill cycles.
+        """
+        v = _point(apex)
+        return self.like(self.degree + 1,
+                         self._expand(lambda tup: ((1, (v,) + tup),)))
+
+    def supported_in_ball(self, cover, i):
+        return all(cover.simplex_inside(i, tup) for tup in self.terms)
+
+    def vertex_set(self):
+        out = set()
+        for tup in self.terms:
+            out.update(tup)
+        return out
+
+    def __len__(self):
+        return len(self.terms)

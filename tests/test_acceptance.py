@@ -15,12 +15,13 @@ from mhom import cech, spaces
 from mhom.bracket import (bracket, bracket_inverse_points,
                           brackets_of_generators, pairing_matrix,
                           pairing_nonsingular)
-from mhom.cech import Nerve, augment, cech_boundary, solve_phi_single
+from mhom.cech import Nerve, augment, cech_boundary, solve_phi, split
 from mhom.chaincomplex import homology_data
 from mhom.chains import LipschitzChain, chain_from_vector
-from mhom.cli import _det_fraction, _overlap_kernel
+from mhom.cli import _overlap_kernel
 from mhom.complexes import PLMap, mcshane_extension
 from mhom.currents import PolyhedralCurrent, equicontinuity_gap
+from mhom.geometry import det_fraction
 from mhom.rational import dist2
 
 F = Fraction
@@ -254,23 +255,23 @@ def test_acceptance_cosheaf_suite():
                 rng.randrange(-2, 3) or 1)
             cur = bracket(ch)
             # every global element is a sum of ball-supported pieces
-            parts = ch.split_by_cover(cover)
+            parts = split(ch, cover)
             ok = ok and augment(parts) == ch
-            cparts = cech.split_current_by_cover(cur, cover)
+            cparts = split(cur, cover)
             total = augment(cparts)
             ok = ok and total is not None and total.equals(cur)
             surj += 2
             # augmentation kernels come from pairwise overlaps
             deg = i % 2
             ker = _overlap_kernel(s1, cover, nerve, deg, index=i)
-            W = solve_phi_single(ker, nerve, cech._ChainOps)
+            W = solve_phi(ker, nerve)
             img = cech._by_ball(cech_boundary(W))
             for A in set(img) | set(ker):
                 gap = img.get(A, LipschitzChain.zero(s1, deg))
                 gap = gap - ker.get(A, LipschitzChain.zero(s1, deg))
                 ok = ok and gap.is_zero()
             kerc = {A: bracket(x) for A, x in ker.items()}
-            Wc = solve_phi_single(kerc, nerve, cech._CurrentOps)
+            Wc = solve_phi(kerc, nerve)
             imgc = cech._by_ball(cech_boundary(Wc))
             for A in set(imgc) | set(kerc):
                 gap = imgc.get(A, PolyhedralCurrent.zero(3, deg))
@@ -320,7 +321,7 @@ def test_acceptance_comparison_pipeline():
         M = pairing_matrix(gens, forms)
         W = [[2 * v for v in row] for row in M]
         ok = ok and all(v.denominator == 1 for row in W for v in row)
-        ok = ok and abs(_det_fraction(W)) == 1
+        ok = ok and abs(det_fraction(W)) == 1
         ok = ok and pairing_nonsingular(gens, forms)
         rng = random.Random(107)
         fills = 0

@@ -7,11 +7,10 @@ import pytest
 from mhom import cech, spaces
 from mhom.bracket import bracket
 from mhom.cech import (Nerve, augment, augment_nerve, cech_boundary,
-                       cone_fill_chain, conforming, cosheaf_split,
-                       degree_zero_cancel, degree_zero_fill, fill_zero_chain,
-                       nerve_boundary, reindex_components, solve_phi_single,
-                       split_current_by_cover, zigzag_cancel, zigzag_descend,
-                       zigzag_fill)
+                       cone_fill_chain, conforming, degree_zero_cancel,
+                       degree_zero_fill, fill_zero_chain, nerve_boundary,
+                       reindex_components, solve_phi, split, zigzag_cancel,
+                       zigzag_descend, zigzag_fill)
 from mhom.chains import LipschitzChain
 from mhom.complexes import refine_cover
 from mhom.currents import PolyhedralCurrent
@@ -107,7 +106,7 @@ def test_reindex_commutes_with_deletion():
 def test_reindex_on_refined_cover(s1, arcs3):
     fine, lam = refine_cover(arcs3)
     z = circle_cycle(s1)
-    parts = z.split_by_cover(fine)
+    parts = split(z, fine)
     coarse_parts = reindex_components(parts, lam)
     assert augment(coarse_parts) == z
     for i, comp in coarse_parts.items():
@@ -116,7 +115,8 @@ def test_reindex_on_refined_cover(s1, arcs3):
 
 def test_cosheaf_split_two_arcs(s1, arcs2):
     T = bracket(circle_cycle(s1))
-    S, rest = cosheaf_split(T, arcs2, first=0)
+    parts = split(T, arcs2, [0, 1])
+    S, rest = parts[0], parts[1]
     assert (S + rest).equals(T)
     for tup in S.pieces:
         assert arcs2.simplex_inside(0, tup)
@@ -141,7 +141,7 @@ def test_conforming_detects_straddling(s1):
 
 def test_split_current_by_cover(s1, arcs3):
     T = bracket(circle_cycle(s1))
-    parts = split_current_by_cover(T, arcs3)
+    parts = split(T, arcs3)
     total = PolyhedralCurrent.zero(3, 1)
     for i, part in parts.items():
         for tup in part.pieces:
@@ -153,9 +153,9 @@ def test_split_current_by_cover(s1, arcs3):
 def test_boundary_matching_across_overlaps(s1, arcs3):
     T = bracket(circle_cycle(s1))
     nerve = Nerve(arcs3, max_arity=2)
-    parts = split_current_by_cover(T, arcs3)
+    parts = split(T, arcs3)
     Y = {A: comp.boundary() for A, comp in parts.items()}
-    W = solve_phi_single(Y, nerve, cech._CurrentOps)
+    W = solve_phi(Y, nerve)
     for (a, b), comp in W.items():
         for tup in comp.pieces:
             assert arcs3.simplex_inside(a, tup)
@@ -172,7 +172,7 @@ def test_boundary_matching_needs_balanced_input(arcs2):
     w = nerve.witness((0,))
     Y = {0: PolyhedralCurrent.from_tuples(3, [(1, (w,))], degree=0)}
     with pytest.raises(GeometryError):
-        solve_phi_single(Y, nerve, cech._CurrentOps)
+        solve_phi(Y, nerve)
 
 
 def test_fill_zero_chain_path(s1):

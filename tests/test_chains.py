@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mhom.cech import split
 from mhom.chains import LipschitzChain, chain_from_vector, chain_to_vector
 from mhom.complexes import PLMap
 from mhom.errors import InputError
@@ -128,7 +129,7 @@ def test_subdivision_respects_carrier(torus):
 
 def test_split_by_cover_buckets(s1, arcs2):
     z = circle_cycle(s1)
-    parts = z.split_by_cover(arcs2)
+    parts = split(z, arcs2)
     assert set(parts) <= {0, 1}
     for i, part in parts.items():
         assert part.supported_in_ball(arcs2, i)

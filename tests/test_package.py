@@ -1,0 +1,45 @@
+"""Package-level properties: bundled data and import cost."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from mhom import spaces
+
+DATA = Path(__file__).parent / "data"
+
+
+def _dump(payload):
+    return json.dumps(payload, sort_keys=True)
+
+
+def test_space_loads_by_path_and_round_trips(tmp_path):
+    from_file = spaces.load_space(str(DATA / "s1.json"))
+    built = spaces.load_space("s1")
+    assert _dump(spaces.space_to_json(from_file)) \
+        == _dump(spaces.space_to_json(built))
+    out = tmp_path / "s1.json"
+    spaces.save_space(built, out)
+    assert out.read_text() == (DATA / "s1.json").read_text()
+
+
+def test_cover_loads_by_path_and_round_trips(tmp_path):
+    s1 = spaces.load_space("s1")
+    built = spaces.load_cover(s1, "s1_arcs2")
+    out = tmp_path / "arcs2.json"
+    spaces.save_cover(built, out)
+    again = spaces.load_cover(s1, str(out))
+    assert _dump(spaces.cover_to_json(again)) \
+        == _dump(spaces.cover_to_json(built))
+
+
+def test_import_skips_heavy_modules():
+    code = ("import sys, mhom; "
+            "print(sorted(m for m in ('sympy', 'numpy', 'scipy') "
+            "if m in sys.modules))")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=dict(os.environ))
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
