@@ -209,8 +209,9 @@ def solve_phi(Y, nerve, context=""):
     reduced and split over the balls g > K[-1] with K + (g,) in the nerve;
     the part in ball g becomes, up to sign, the component at K + (g,), and
     the other faces of that tuple take up its boundary.  Those faces are
-    larger than K, so a residual is final when it is visited.  Every part
-    is certified inside all the balls of K.
+    larger than K, so a residual is final when it is visited and leaves
+    the residuals then; a contribution arriving after that is an error.
+    Every part is certified inside all the balls of K.
     """
     cover = nerve.cover
     residual = {(K if isinstance(K, tuple) else (K,)): R
@@ -220,7 +221,7 @@ def solve_phi(Y, nerve, context=""):
     W = {}
     while todo:
         K = heapq.heappop(todo)
-        R = residual[K]
+        R = residual.pop(K)
         if _vanishes(R):
             continue
         allowed = [g for g in range(K[-1] + 1, len(cover))
@@ -248,11 +249,9 @@ def solve_phi(Y, nerve, context=""):
                 if F not in queued:
                     queued.add(F)
                     heapq.heappush(todo, F)
-        del residual[K]
-    for K, R in residual.items():
-        if not _vanishes(R):
-            raise GeometryError(
-                f"elimination left a nonzero residual at {K} {context}")
+    if residual:
+        raise GeometryError(f"elimination left a nonzero residual at "
+                            f"{min(residual)} {context}")
     return W
 
 
@@ -290,64 +289,40 @@ def fill_zero_chain(complex_, chain, membership, start_depth=2,
                 seen.add(p)
         # edge when two nodes share a containing top simplex; the segment
         # then stays inside the carrier, and inside the region by convexity
-        homes = {v: set() for v in nodes}
-        for si, s in enumerate(complex_.top_simplices()):
+        adj = {v: set() for v in nodes}
+        for s in complex_.top_simplices():
             tup = complex_.points_of(s)
-            for v in nodes:
-                if point_in_simplex(v, tup):
-                    homes[v].add(si)
-        adj = {v: [] for v in nodes}
-        for u, v in combinations(nodes, 2):
-            if homes[u] & homes[v]:
-                adj[u].append(v)
-                adj[v].append(u)
-        comp = {}
-        for v in nodes:
-            if v in comp:
+            home = [v for v in nodes if point_in_simplex(v, tup)]
+            for v in home:
+                adj[v].update(home)
+        # one sorted traversal from the first node of each component records
+        # its spanning tree; the first unbalanced component ends this depth
+        parent = {}
+        for root in nodes:
+            if root in parent:
                 continue
-            root = v
-            stack = [v]
-            comp[v] = root
-            parent = {v: None}
+            parent[root] = None
+            total = weights.get(root, 0)
+            stack = [root]
             while stack:
                 x = stack.pop()
-                for y in adj[x]:
-                    if y not in comp:
-                        comp[y] = root
+                for y in sorted(adj[x]):
+                    if y not in parent:
                         parent[y] = x
+                        total += weights.get(y, 0)
                         stack.append(y)
-            # check balance on this component, then route the weights
-            total = sum(weights.get(x, 0) for x in parent)
             if total != 0:
-                last_err = (f"component of {root} carries net weight {total}")
+                last_err = f"component of {root} carries net weight {total}"
                 break
         else:
-            # all components balanced: build the fill along tree paths
+            # all components balanced: route each weight to its root
             terms = {}
-            parent_all = {}
-            for v in nodes:
-                parent_all.setdefault(v, None)
-            # rebuild parents per component deterministically
-            visited = set()
-            for v in nodes:
-                if v in visited:
-                    continue
-                stack = [v]
-                visited.add(v)
-                parent_all[v] = None
-                while stack:
-                    x = stack.pop()
-                    for y in sorted(adj[x]):
-                        if y not in visited:
-                            visited.add(y)
-                            parent_all[y] = x
-                            stack.append(y)
             for p, c in weights.items():
                 x = p
-                while parent_all[x] is not None:
-                    seg = (parent_all[x], x)
+                while parent[x] is not None:
+                    seg = (parent[x], x)
                     terms[seg] = terms.get(seg, 0) + c
-                    x = parent_all[x]
+                    x = parent[x]
             terms = {t: c for t, c in terms.items() if c}
             return LipschitzChain(complex_, 1, terms, 0)
         # fall through: retry deeper

@@ -8,13 +8,8 @@ computed index-wise from a distinguished subcomplex basis.
 
 from __future__ import annotations
 
-from .intlinalg import (
-    IntMatrix,
-    invert_unimodular,
-    kernel_basis,
-    smith_normal_form,
-    solve_integer,
-)
+from .intlinalg import (IntMatrix, kernel_basis, smith_normal_form,
+                        solve_integer)
 
 
 class HomologyGroup:
@@ -114,52 +109,50 @@ class HomologyData:
 
 
 def homology_data(C: ChainComplexZ, k: int) -> HomologyData:
+    """H_k with generators, from one SNF of each of two matrices.
+
+    With U*d_k*V = D of rank r, the cycles are the chains whose
+    coordinates V_inv*x vanish in rows 0..r-1, and columns r.. of V are a
+    basis B of them.  The boundary image in that basis is Y, rows r.. of
+    V_inv*d_{k+1}; with U'*Y*V' = D', the generators are columns of
+    B*U'_inv and a cycle's class coordinates are U'*(rows r.. of V_inv*x).
+    """
     nk = C.dim(k)
     dk = C.boundary(k)
-    dk1 = C.boundary(k + 1)
-    Z = kernel_basis(dk) if nk else []
-    z = len(Z)
-    B = IntMatrix(nk, z)
-    for j, col in enumerate(Z):
-        for i, v in enumerate(col):
-            if v:
-                B.set(i, j, v)
+    _, D, V, _, V_inv = smith_normal_form(dk)
+    r = len(D.data)
+    z = nk - r
+    Z = [V.column(j) for j in range(r, nk)]
+    B = IntMatrix(nk, z, {(i, j - r): v for (i, j), v in V.data.items()
+                          if j >= r})
 
-    # image of the next boundary, in kernel-basis coordinates
-    Y = IntMatrix(z, C.dim(k + 1))
-    for j in range(C.dim(k + 1)):
-        col = dk1.column(j)
-        y = solve_integer(B, col) if z else ([] if not any(col) else None)
-        if y is None:
-            raise ValueError("boundary image does not lie in the cycle lattice")
-        for i, v in enumerate(y):
-            if v:
-                Y.set(i, j, v)
+    # image of the next boundary, in cycle-basis coordinates
+    P = V_inv * C.boundary(k + 1)
+    if any(i < r for i, _ in P.data):
+        raise ValueError("boundary image does not lie in the cycle lattice")
+    Y = IntMatrix(z, P.ncols, {(i - r, j): v for (i, j), v in P.data.items()})
 
-    U, D, _ = smith_normal_form(Y)
+    U, D, _, U_inv, _ = smith_normal_form(Y)
     n = min(Y.nrows, Y.ncols)
     diag = [D.get(i, i) for i in range(n)]
     rank = len([d for d in diag if d])
     torsion_orders = [d for d in diag if d >= 2]
     betti = z - rank
-    Uinv = invert_unimodular(U) if z else IntMatrix.identity(0)
 
     free_gens, tor_gens = [], []
     tor_positions = [i for i, d in enumerate(diag) if d >= 2]
     for j in range(rank, z):
-        free_gens.append(B.apply(Uinv.column(j)))
+        free_gens.append(B.apply(U_inv.column(j)))
     for i in tor_positions:
-        tor_gens.append(B.apply(Uinv.column(i)))
+        tor_gens.append(B.apply(U_inv.column(i)))
 
     def express(cycle):
         if len(cycle) != nk:
             raise ValueError("cycle vector has wrong length")
-        if any(v for v in dk.apply(list(cycle))):
+        y = V_inv.apply(list(cycle))
+        if any(y[:r]):
             raise ValueError("vector is not a cycle")
-        alpha = solve_integer(B, list(cycle))
-        if alpha is None:
-            raise ValueError("cycle does not lie in the kernel lattice")
-        w = U.apply(alpha)
+        w = U.apply(y[r:])
         free = [w[j] for j in range(rank, z)]
         tor = [w[i] % diag[i] for i in tor_positions]
         return free + tor

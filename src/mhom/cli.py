@@ -28,7 +28,7 @@ from .complexes import PLMap, mcshane_extension
 from .currents import PolyhedralCurrent
 from .errors import GeometryError, InputError, MhomError
 from .geometry import det_fraction
-from .intlinalg import IntMatrix, invert_unimodular, smith_normal_form
+from .intlinalg import IntMatrix, smith_normal_form
 from .rational import dist2
 
 THEORIES = ("singular", "lipschitz", "current")
@@ -278,14 +278,13 @@ def _suite_snf(args, rng):
         nc = rng.randrange(1, 5)
         M = IntMatrix.from_rows(
             [[rng.randrange(-6, 7) for _ in range(nc)] for _ in range(nr)])
-        U, D, V = smith_normal_form(M)
-        ok = (U * M * V) == D
+        U, D, V, U_inv, V_inv = smith_normal_form(M)
+        ok = (U * M * V == D and U * U_inv == IntMatrix.identity(nr)
+              and V * V_inv == IntMatrix.identity(nc))
         diag = [D.get(j, j) for j in range(min(nr, nc))]
         for a, b in zip(diag, diag[1:]):
             if b and (a == 0 or b % a):
                 ok = False
-        invert_unimodular(U)
-        invert_unimodular(V)
         checks.append({"check": f"snf[{i}]", "status": "pass" if ok else "fail"})
         if not ok:
             checks[-1]["counterexample"] = M.to_rows()
@@ -544,15 +543,10 @@ def _suite_space(args, rng):
                "detail": f"{len(complex_.vertices)} vertices, "
                          f"{len(complex_.simplices)} simplices"}]
     C, _ = complex_.chain_complex()
-    groups = [str(homology_data(C, k).group) for k in range(len(C.dims))]
-    checks.append({"check": "homology", "status": "pass",
-                   "detail": ", ".join(groups)})
+    checks.append(_homology_check("homology", C))
     for sub in sorted(complex_.subcomplexes):
         pair = complex_.relative_pair(sub)
-        rel = [str(homology_data(pair.quotient_complex, k).group)
-               for k in range(len(pair.quotient_complex.dims))]
-        checks.append({"check": f"pair:{sub}", "status": "pass",
-                       "detail": ", ".join(rel)})
+        checks.append(_homology_check(f"pair:{sub}", pair.quotient_complex))
     cover_name = args.cover or _default_cover(args.space or "s1")
     if cover_name:
         name, cover = _resolve_cover(complex_, args.space or "s1", args.cover)
@@ -561,13 +555,33 @@ def _suite_space(args, rng):
         checks.append({"check": "coverage", "status": status,
                        "detail": f"{len(cover)} balls"})
         nerve = cech.Nerve(cover, max_arity=3)
-        empt = sum(1 for tup in combinations(range(len(cover)), 3)
-                   if not nerve.has(tup) and nerve.certified_empty(tup))
-        checks.append({"check": "nerve", "status": "pass",
-                       "detail": f"{len(nerve.tuples(2))} pairs, "
-                                 f"{len(nerve.tuples(3))} triples, "
-                                 f"{empt} certified empty"})
+        # every pair and triple absent from the nerve must be proved empty
+        empt, uncertified = 0, []
+        for arity in (2, 3):
+            for tup in combinations(range(len(cover)), arity):
+                if nerve.has(tup):
+                    continue
+                if nerve.certified_empty(tup):
+                    empt += arity == 3
+                else:
+                    uncertified.append(list(tup))
+        check = {"check": "nerve", "status": "fail" if uncertified else "pass",
+                 "detail": f"{len(nerve.tuples(2))} pairs, "
+                           f"{len(nerve.tuples(3))} triples, "
+                           f"{empt} certified empty"}
+        if uncertified:
+            check["uncertified"] = uncertified[:5]
+        checks.append(check)
     return checks
+
+
+def _homology_check(name, C):
+    """Groups of C in every degree; they must give its Euler
+    characteristic, the alternating sum of the chain ranks."""
+    groups = [homology_data(C, k).group for k in range(len(C.dims))]
+    euler = sum((-1) ** k * (h.betti - C.dim(k)) for k, h in enumerate(groups))
+    return {"check": name, "status": "fail" if euler else "pass",
+            "detail": ", ".join(str(h) for h in groups)}
 
 
 _SUITE_FNS = {

@@ -566,11 +566,16 @@ class BallCover:
     def intersection_empty_certificate(self, indices) -> bool:
         """Exact proof that the listed balls share no carrier point.
 
-        Certifies emptiness when every top simplex keeps its whole distance
-        to some listed center at least that ball's radius, that is, when no
-        top simplex is near every listed ball.  A False return is
-        inconclusive on its own.
+        Certifies emptiness when two listed balls are disjoint in the
+        ambient space, (r_i + r_j)^2 <= |c_i - c_j|^2, or when every top
+        simplex keeps its whole distance to some listed center at least
+        that ball's radius, that is, when no top simplex is near every
+        listed ball.  A False return is inconclusive on its own.
         """
+        for i, j in combinations(indices, 2):
+            if (self.radii[i] + self.radii[j]) ** 2 <= \
+                    dist2(self.centers[i], self.centers[j]):
+                return True
         near = self._near_tops()
         common = set(range(len(self.complex.top_simplices())))
         for i in indices:

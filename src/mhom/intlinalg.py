@@ -1,12 +1,12 @@
 """Sparse integer matrices and Smith normal form over Z.
 
 Plain Python ints carry arbitrary precision, so no overflow is possible.
-The normal form drives every homology computation downstream.
+The normal form drives every homology computation downstream; it returns
+both transforms together with their inverses, so that one factorization
+answers every kernel, image and coordinate question about its matrix.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 
 class IntMatrix:
@@ -130,50 +130,54 @@ def _nonzero_in_block(rows, t, nr, nc):
     return best
 
 
+def _add_row(rows, i, k, c):
+    """rows[i] += c * rows[k] on dense row lists."""
+    rows[i] = [a + c * b for a, b in zip(rows[i], rows[k])]
+
+
 def smith_normal_form(M: IntMatrix):
-    """Returns (U, D, V) with U*M*V = D, U and V unimodular.
+    """Returns (U, D, V, U_inv, V_inv) with U*M*V = D, U and V unimodular.
 
     D is diagonal with nonnegative entries d_1 | d_2 | ... | d_r.
-    Row operations accumulate in U, column operations in V.
+    Row operations accumulate in U, column operations in V, and each
+    inverse takes the inverse operation from the other side: a row
+    operation on U acts on U_inv as the inverse column operation, a column
+    operation on V acts on V_inv as the inverse row operation.
     """
     nr, nc = M.nrows, M.ncols
     A = M.to_rows()
-    U = IntMatrix.identity(nr).to_rows()
-    V = IntMatrix.identity(nc).to_rows()
+    # U and V_inv are held as rows, U_inv and V as rows of their
+    # transposes, so every mirrored operation is a row operation
+    U, U_inv_t, V_t, V_inv = (IntMatrix.identity(n).to_rows()
+                              for n in (nr, nr, nc, nc))
 
     def row_swap(i, k):
-        A[i], A[k] = A[k], A[i]
-        U[i], U[k] = U[k], U[i]
+        for R in (A, U, U_inv_t):
+            R[i], R[k] = R[k], R[i]
 
     def row_add(i, k, c):
-        # row i += c * row k
-        Ai, Ak = A[i], A[k]
-        for j in range(nc):
-            if Ak[j]:
-                Ai[j] += c * Ak[j]
-        Ui, Uk = U[i], U[k]
-        for j in range(nr):
-            if Uk[j]:
-                Ui[j] += c * Uk[j]
+        # row i += c * row k; column k of U_inv -= c * column i
+        _add_row(A, i, k, c)
+        _add_row(U, i, k, c)
+        _add_row(U_inv_t, k, i, -c)
 
     def row_negate(i):
-        A[i] = [-x for x in A[i]]
-        U[i] = [-x for x in U[i]]
+        for R in (A, U, U_inv_t):
+            R[i] = [-x for x in R[i]]
 
     def col_swap(j, k):
         for r in A:
             r[j], r[k] = r[k], r[j]
-        for r in V:
-            r[j], r[k] = r[k], r[j]
+        for R in (V_t, V_inv):
+            R[j], R[k] = R[k], R[j]
 
     def col_add(j, k, c):
-        # col j += c * col k
+        # col j += c * col k; row k of V_inv -= c * row j
         for r in A:
             if r[k]:
                 r[j] += c * r[k]
-        for r in V:
-            if r[k]:
-                r[j] += c * r[k]
+        _add_row(V_t, j, k, c)
+        _add_row(V_inv, k, j, -c)
 
     t = 0
     while True:
@@ -235,14 +239,14 @@ def smith_normal_form(M: IntMatrix):
                 if A[i + 1][i + 1] < 0:
                     row_negate(i + 1)
 
-    D = IntMatrix(nr, nc)
-    for i in range(rank):
-        D.set(i, i, A[i][i])
-    return IntMatrix.from_rows(U), D, IntMatrix.from_rows(V)
+    D = IntMatrix(nr, nc, {(i, i): A[i][i] for i in range(rank)})
+    return (IntMatrix.from_rows(U), D, IntMatrix.from_rows(V_t).transpose(),
+            IntMatrix.from_rows(U_inv_t).transpose(),
+            IntMatrix.from_rows(V_inv))
 
 
 def snf_diagonal(M: IntMatrix):
-    _, D, _ = smith_normal_form(M)
+    D = smith_normal_form(M)[1]
     return [D.get(i, i) for i in range(min(M.nrows, M.ncols)) if D.get(i, i)]
 
 
@@ -252,7 +256,7 @@ def integer_rank(M: IntMatrix) -> int:
 
 def kernel_basis(M: IntMatrix):
     """Basis of the integer kernel lattice {x : Mx = 0}, as column vectors."""
-    _, D, V = smith_normal_form(M)
+    _, D, V, _, _ = smith_normal_form(M)
     r = len([i for i in range(min(M.nrows, M.ncols)) if D.get(i, i)])
     basis = []
     for j in range(r, M.ncols):
@@ -262,7 +266,7 @@ def kernel_basis(M: IntMatrix):
 
 def solve_integer(M: IntMatrix, b):
     """One integer solution x of Mx = b, or None if none exists."""
-    U, D, V = smith_normal_form(M)
+    U, D, V, _, _ = smith_normal_form(M)
     ub = U.apply(list(b))
     y = [0] * M.ncols
     n = min(M.nrows, M.ncols)
@@ -275,30 +279,3 @@ def solve_integer(M: IntMatrix, b):
         elif ub[i] != 0:
             return None
     return V.apply(y)
-
-
-def invert_unimodular(M: IntMatrix) -> IntMatrix:
-    """Exact inverse of a unimodular integer matrix."""
-    n = M.nrows
-    if n != M.ncols:
-        raise ValueError("not square")
-    # Gauss-Jordan over Q; result is integral since det = +-1
-    A = [[Fraction(M.get(i, j)) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-         for i in range(n)]
-    for c in range(n):
-        p = next(i for i in range(c, n) if A[i][c])
-        A[c], A[p] = A[p], A[c]
-        inv = 1 / A[c][c]
-        A[c] = [x * inv for x in A[c]]
-        for i in range(n):
-            if i != c and A[i][c]:
-                f = A[i][c]
-                A[i] = [x - f * y for x, y in zip(A[i], A[c])]
-    out = IntMatrix(n, n)
-    for i in range(n):
-        for j in range(n):
-            v = A[i][j + n]
-            if v.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            out.set(i, j, int(v))
-    return out

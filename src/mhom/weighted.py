@@ -20,6 +20,8 @@ MAX_SPLIT_ROUNDS = 8
 
 
 def _point(p):
+    if type(p) is tuple and all(type(x) is Fraction for x in p):
+        return p
     return tuple(Fraction(x) for x in p)
 
 

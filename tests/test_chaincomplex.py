@@ -1,8 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from mhom import spaces
+from mhom import chaincomplex, intlinalg, spaces
 from mhom.chaincomplex import (all_homology, connecting_homomorphism,
                                exact_at, hom_matrix_columns, homology,
                                homology_data)
@@ -134,3 +135,47 @@ def test_group_strings():
     assert str(homology(C, 0)) == "Z"
     assert str(homology(C, 1)) == "Z + Z/2"
     assert str(homology(C, 2)) == "0"
+
+
+@pytest.mark.parametrize("name", ["torus", "klein"])
+def test_one_factorization_pair_per_degree(name, monkeypatch):
+    calls = []
+    real = intlinalg.smith_normal_form
+
+    def counted(M):
+        calls.append((M.nrows, M.ncols))
+        return real(M)
+
+    for module in (intlinalg, chaincomplex):
+        monkeypatch.setattr(module, "smith_normal_form", counted)
+    C, _ = spaces.load_space(name).chain_complex()
+    data = [homology_data(C, k) for k in range(len(C.dims))]
+    assert len(calls) == 2 * len(C.dims)
+    calls.clear()
+    for h in data:
+        for g in h.generators():
+            h.class_vector(g)
+    assert calls == []
+
+
+def _polygon(n):
+    verts = [(Fraction(t), Fraction(t * t)) for t in range(n)]
+    edges = [tuple(sorted((i, (i + 1) % n))) for i in range(n)]
+    return MetricComplex(2, verts, [(i,) for i in range(n)] + edges)
+
+
+def test_polygon_product_generators_and_classes():
+    X = spaces.graph_product_surface(_polygon(11), _polygon(11))
+    C, _ = X.chain_complex()
+    assert sum(C.dims) == 726
+    rng = random.Random(4)
+    for k, want in enumerate(["Z", "Z^2", "Z"]):
+        data = homology_data(C, k)
+        assert str(data.group) == want
+        gens = data.generators()
+        for i, g in enumerate(gens):
+            unit = [int(j == i) for j in range(len(gens))]
+            assert data.class_vector(g) == unit
+            x = [rng.randint(-2, 2) for _ in range(C.dim(k + 1))]
+            moved = [a + b for a, b in zip(g, C.boundary(k + 1).apply(x))]
+            assert data.class_vector(moved) == unit

@@ -5,6 +5,9 @@ import sys
 
 import pytest
 
+from mhom import cli, spaces
+from mhom.chaincomplex import HomologyGroup
+
 CMD = [sys.executable, "-m", "mhom.cli"]
 
 
@@ -75,6 +78,49 @@ def test_failing_coverage_exits_one(tmp_path):
     payload = json.loads(res.stdout)
     checks = {c["check"]: c["status"] for c in payload["checks"]}
     assert checks["coverage"] == "fail"
+
+
+def test_nerve_check_fails_on_unwitnessed_overlap(tmp_path):
+    # ball 0 meets the edges at vertex 0 up to t = 0.42, ball 1 covers the
+    # rest from t = 0.31: they overlap on arcs free of depth-2 samples
+    # (multiples of 1/4), so the pair is neither witnessed nor empty
+    cover = {"balls": [{"center": [[1, 1], [0, 1], [0, 1]], "radius": [3, 5]},
+                       {"center": [[-1, 2], [1, 2], [1, 2]],
+                        "radius": [13, 10]}]}
+    path = tmp_path / "two_balls.json"
+    path.write_text(json.dumps(cover))
+    res = run_cli("verify", "space", "--space", "s1", "--cover", str(path))
+    assert res.returncode == 1
+    checks = {c["check"]: c for c in json.loads(res.stdout)["checks"]}
+    assert checks["coverage"]["status"] == "pass"
+    assert checks["nerve"]["status"] == "fail"
+    assert checks["nerve"]["uncertified"] == [[0, 1]]
+
+
+def test_torus_nerve_is_certified():
+    res = run_cli("verify", "space", "--space", "torus")
+    assert res.returncode == 0
+    checks = {c["check"]: c for c in json.loads(res.stdout)["checks"]}
+    assert checks["nerve"]["status"] == "pass"
+    assert checks["nerve"]["detail"] == \
+        "54 pairs, 36 triples, 780 certified empty"
+
+
+def test_homology_check_tests_euler_characteristic(monkeypatch):
+    C, _ = spaces.load_space("torus").chain_complex()
+    assert cli._homology_check("homology", C)["status"] == "pass"
+    real = cli.homology_data
+
+    def lose_a_class(C, k):
+        data = real(C, k)
+        if k == 1:
+            data.group = HomologyGroup(1)
+        return data
+
+    monkeypatch.setattr(cli, "homology_data", lose_a_class)
+    check = cli._homology_check("homology", C)
+    assert check == {"check": "homology", "status": "fail",
+                     "detail": "Z, Z, Z"}
 
 
 def test_depth_env_is_honored():
