@@ -18,7 +18,7 @@ from .bracket import bracket, bracket_inverse_points
 from .chains import LipschitzChain
 from .currents import PolyhedralCurrent
 from .errors import GeometryError, InputError, LocalityError
-from .geometry import canonical_orientation, point_in_simplex
+from .geometry import canonical_orientation
 from .weighted import MAX_SPLIT_ROUNDS
 
 MAX_FILL_DEPTH = 5
@@ -283,47 +283,56 @@ def fill_zero_chain(complex_, chain, membership, start_depth=2,
     for depth in range(start_depth, max_depth + 1):
         nodes = [v for v in complex_.sample_vertices(depth) if membership(v)]
         seen = set(nodes)
-        for p in weights:
-            if p not in seen:
-                nodes.append(p)
-                seen.add(p)
+        nodes.extend(p for p in weights if p not in seen)
+        # nodes are numbered in point order, so sorted numbers are sorted
+        # points
+        order = sorted(nodes)
+        num = {v: k for k, v in enumerate(order)}
         # edge when two nodes share a containing top simplex; the segment
         # then stays inside the carrier, and inside the region by convexity
-        adj = {v: set() for v in nodes}
-        for s in complex_.top_simplices():
-            tup = complex_.points_of(s)
-            home = [v for v in nodes if point_in_simplex(v, tup)]
-            for v in home:
-                adj[v].update(home)
+        homes = complex_.sample_homes(depth)
+        by_top = {}
+        for v in nodes:
+            tops = homes.get(v)
+            if tops is None:
+                tops = complex_.tops_holding(v)
+            for j in tops:
+                by_top.setdefault(j, []).append(num[v])
+        adj = [set() for _ in order]
+        for home in by_top.values():
+            for k in home:
+                adj[k].update(home)
+        node_weight = {num[p]: c for p, c in weights.items()}
         # one sorted traversal from the first node of each component records
         # its spanning tree; the first unbalanced component ends this depth
         parent = {}
-        for root in nodes:
+        for root in (num[v] for v in nodes):
             if root in parent:
                 continue
             parent[root] = None
-            total = weights.get(root, 0)
+            total = node_weight.get(root, 0)
             stack = [root]
             while stack:
                 x = stack.pop()
                 for y in sorted(adj[x]):
                     if y not in parent:
                         parent[y] = x
-                        total += weights.get(y, 0)
+                        total += node_weight.get(y, 0)
                         stack.append(y)
             if total != 0:
-                last_err = f"component of {root} carries net weight {total}"
+                last_err = (f"component of {order[root]} carries net weight "
+                            f"{total}")
                 break
         else:
             # all components balanced: route each weight to its root
             terms = {}
-            for p, c in weights.items():
-                x = p
+            for x, c in node_weight.items():
                 while parent[x] is not None:
                     seg = (parent[x], x)
                     terms[seg] = terms.get(seg, 0) + c
                     x = parent[x]
-            terms = {t: c for t, c in terms.items() if c}
+            terms = {(order[a], order[b]): c
+                     for (a, b), c in terms.items() if c}
             return LipschitzChain(complex_, 1, terms, 0)
         # fall through: retry deeper
     raise LocalityError(f"zero-chain fill failed {context}: {last_err}")

@@ -529,9 +529,15 @@ def _suite_zigzag(args, rng):
     for i in range(args.budget):
         items = _compare_cycle(args.space or "s1", complex_, 1, rng)
         T = PolyhedralCurrent.from_tuples(complex_.ambient_dim, items, 1)
-        res = cech.zigzag_fill(T, cover, nerve=nerve)
-        z = res.chain - LipschitzChain.from_simplices(complex_, items)
-        w = cech.zigzag_cancel(z, res.filling, cover, nerve=nerve)
+        try:
+            # both steps verify their certificates and raise on a failure
+            res = cech.zigzag_fill(T, cover, nerve=nerve)
+            z = res.chain - LipschitzChain.from_simplices(complex_, items)
+            cech.zigzag_cancel(z, res.filling, cover, nerve=nerve)
+        except GeometryError as e:
+            checks.append({"check": f"zigzag[{i}]", "status": "fail",
+                           "detail": str(e)})
+            continue
         checks.append({"check": f"zigzag[{i}]", "status": "pass"})
     return checks
 

@@ -10,11 +10,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
+from types import MappingProxyType
 
 from .errors import GeometryError, InputError
 from .geometry import (
     barycentric_coords,
     barycentric_subdivide,
+    edge_matrix,
+    gram_matrix,
     is_degenerate,
     point_in_simplex,
     point_simplex_dist2,
@@ -22,7 +26,7 @@ from .geometry import (
 )
 from .intlinalg import IntMatrix
 from .chaincomplex import ChainComplexZ, RelativePair
-from .rational import dist2, dot, frac, sqrt_upper, vsub
+from .rational import dist2, dot, frac, integer_form, sqrt_upper, vsub
 
 
 class MetricComplex:
@@ -31,6 +35,13 @@ class MetricComplex:
     simplices are sorted index tuples, closed under taking faces, each
     geometrically non-degenerate.  Named subcomplexes are lists of simplex
     indices, themselves face-closed.
+
+    The object is immutable after construction, and it owns point
+    location.  It caches, each on first use: the top simplices; per depth,
+    the barycentric subdivision of the tops and its sorted vertex list;
+    one exact barycentric inverse per top simplex; and per depth, the top
+    simplices holding each subdivision vertex.  Methods hand out fresh
+    lists or read-only views, never the cached containers.
     """
 
     def __init__(self, ambient_dim, vertices, simplices, subcomplexes=None):
@@ -73,6 +84,11 @@ class MetricComplex:
                     f = t[:j] + t[j + 1:]
                     if f and f not in chosen:
                         raise InputError(f"subcomplex {name!r} is not face-closed")
+        self._tops = None
+        self._locs = None
+        self._pieces = {}   # depth -> [(top simplex index, piece)]
+        self._samples = {}  # depth -> sorted subdivision vertices
+        self._homes = {}    # depth -> {subdivision vertex: top positions}
 
     # -- basic queries ---------------------------------------------------
 
@@ -82,61 +98,95 @@ class MetricComplex:
     def dimension(self):
         return max(len(t) for t in self.simplices) - 1
 
+    def _top_list(self):
+        if self._tops is None:
+            faces = set()
+            for t in self.simplices:
+                for j in range(len(t)):
+                    f = t[:j] + t[j + 1:]
+                    if f:
+                        faces.add(f)
+            self._tops = [t for t in self.simplices if t not in faces]
+        return self._tops
+
     def top_simplices(self):
         """Simplices that are not proper faces of another simplex."""
-        faces = set()
-        for t in self.simplices:
-            for j in range(len(t)):
-                f = t[:j] + t[j + 1:]
-                if f:
-                    faces.add(f)
-        return [t for t in self.simplices if t not in faces]
+        return list(self._top_list())
 
     def distance2(self, p, q) -> Fraction:
         return dist2(p, q)
 
+    # -- point location ----------------------------------------------------
+
+    def _locators(self):
+        if self._locs is None:
+            self._locs = [_TopLocator(self.points_of(t))
+                          for t in self._top_list()]
+        return self._locs
+
+    def tops_holding(self, p):
+        """Positions in top_simplices() of the top simplices holding p."""
+        q = integer_form(p)
+        return tuple(j for j, loc in enumerate(self._locators())
+                     if loc.holds(q))
+
     def contains_point(self, p) -> bool:
-        return any(point_in_simplex(p, self.points_of(t)) for t in self.top_simplices())
+        q = integer_form(p)
+        return any(loc.holds(q) for loc in self._locators())
 
     def find_containing_simplex(self, points):
-        """Index of a simplex containing every given point, or None."""
-        for t in self.top_simplices():
-            verts = self.points_of(t)
-            if all(point_in_simplex(p, verts) for p in points):
-                return self._index[t]
-        for t in self.simplices:
-            verts = self.points_of(t)
-            if all(point_in_simplex(p, verts) for p in points):
+        """Index of a simplex containing every given point, or None.
+
+        A simplex holding the points is a face of a top simplex, which holds
+        them too, so the first such top simplex is returned.
+        """
+        qs = [integer_form(p) for p in points]
+        for t, loc in zip(self._top_list(), self._locators()):
+            if all(loc.holds(q) for q in qs):
                 return self._index[t]
         return None
+
+    # -- barycentric subdivision -------------------------------------------
+
+    def _subdivision(self, depth):
+        pieces = self._pieces.get(depth)
+        if pieces is None:
+            if depth <= 0:
+                pieces = [(self._index[t], self.points_of(t))
+                          for t in self._top_list()]
+            else:
+                pieces = [(ti, sub) for ti, tup in self._subdivision(depth - 1)
+                          for _, sub in barycentric_subdivide(tup)]
+            self._pieces[depth] = pieces
+        return pieces
+
+    def _sample_list(self, depth):
+        samples = self._samples.get(depth)
+        if samples is None:
+            samples = sorted({p for _, tup in self._subdivision(depth)
+                              for p in tup})
+            self._samples[depth] = samples
+        return samples
 
     def subdivided_tops(self, depth: int):
         """Pieces of all top simplices after depth barycentric rounds.
 
         Returns a list of (top_simplex_index, piece vertex tuple).
         """
-        out = []
-        for t in self.top_simplices():
-            pieces = [self.points_of(t)]
-            for _ in range(depth):
-                nxt = []
-                for tup in pieces:
-                    nxt.extend(sub for _, sub in barycentric_subdivide(tup))
-                pieces = nxt
-            ti = self._index[t]
-            out.extend((ti, tup) for tup in pieces)
-        return out
+        return list(self._subdivision(depth))
 
     def sample_vertices(self, depth: int):
-        """Deduplicated vertex points of the depth-fold subdivision."""
-        seen, out = set(), []
-        for _, tup in self.subdivided_tops(depth):
-            for p in tup:
-                if p not in seen:
-                    seen.add(p)
-                    out.append(p)
-        out.sort()
-        return out
+        """Deduplicated vertex points of the depth-fold subdivision, sorted."""
+        return list(self._sample_list(depth))
+
+    def sample_homes(self, depth: int):
+        """Read-only map from each vertex of the depth-fold subdivision to
+        tops_holding() of it; built in full on the first call per depth."""
+        homes = self._homes.get(depth)
+        if homes is None:
+            homes = {p: self.tops_holding(p) for p in self._sample_list(depth)}
+            self._homes[depth] = homes
+        return MappingProxyType(homes)
 
     # -- simplicial chain complex ----------------------------------------
 
@@ -175,6 +225,54 @@ class MetricComplex:
             pos = {t: i for i, t in enumerate(blist)}
             sub[k] = [pos[t] for t in chosen if len(t) - 1 == k]
         return RelativePair(C, sub)
+
+
+class _TopLocator:
+    """Exact membership test for one non-degenerate simplex v0..vk.
+
+    With edge rows E and Gram matrix G = E E^T, the rows of M = G^-1 E map
+    p - v0 to the barycentric coordinates of v1..vk whenever p lies in the
+    affine hull.  A point is held when those coordinates are nonnegative
+    with sum at most 1 and the edges rebuild p - v0 exactly, which is the
+    verdict of geometry.point_in_simplex.  M, E and v0 are kept as integers
+    over one denominator each, so a test makes no Fraction.
+    """
+
+    __slots__ = ("v0", "c", "rows", "cols", "d", "de")
+
+    def __init__(self, verts):
+        E = edge_matrix(verts)
+        G = gram_matrix(verts)
+        M = [solve_fraction_system(G, [e[i] for e in E])
+             for i in range(len(verts[0]))]  # columns of G^-1 E
+        self.v0, self.c = integer_form(verts[0])
+        d = lcm(*(x.denominator for col in M for x in col))
+        e = lcm(*(x.denominator for row in E for x in row))
+        self.rows = [tuple((i, int(col[r] * d)) for i, col in enumerate(M)
+                           if col[r])
+                     for r in range(len(E))]
+        self.cols = [tuple((r, int(row[i] * e)) for r, row in enumerate(E)
+                           if row[i])
+                     for i in range(len(M))]
+        self.d, self.de = d, d * e
+
+    def holds(self, point):
+        """point is integer_form(p) = (P, q).  delta is p - v0 scaled by
+        q*c, and lam the coordinates of v1..vk scaled by d*q*c."""
+        P, q = point
+        c = self.c
+        delta = [x * c - v * q for x, v in zip(P, self.v0)]
+        lam = []
+        for row in self.rows:
+            x = sum(m * delta[i] for i, m in row)
+            if x < 0:
+                return False
+            lam.append(x)
+        if sum(lam) > self.d * q * c:
+            return False
+        de = self.de
+        return all(sum(lam[r] * w for r, w in col) == y * de
+                   for col, y in zip(self.cols, delta))
 
 
 # -- piecewise linear maps -------------------------------------------------
@@ -492,7 +590,9 @@ class BallCover:
 
     Each ball stores an exact rational center (optionally described
     barycentrically inside a named simplex) and a rational radius.
-    Membership tests compare squared distances.
+    Membership tests compare squared distances, against the squared radii
+    and integer forms of the centers stored at construction; the balls do
+    not change afterwards.
     """
 
     def __init__(self, complex_: MetricComplex, balls):
@@ -522,13 +622,21 @@ class BallCover:
             self.centers.append(c)
             self.radii.append(r)
             self.descriptions.append(desc)
+        self._radii2 = [r * r for r in self.radii]
+        self._centers_int = [integer_form(c) for c in self.centers]
         self._near = None
 
     def __len__(self):
         return len(self.centers)
 
     def contains(self, i, p) -> bool:
-        return dist2(p, self.centers[i]) < self.radii[i] ** 2
+        """Strict membership on integers: with p = P/q and the center C/c,
+        |p - C/c|^2 < r^2 reads sum (P c - C q)^2 < r^2 (q c)^2."""
+        P, q = integer_form(p)
+        C, c = self._centers_int[i]
+        r2 = self._radii2[i]
+        s = sum((x * c - y * q) ** 2 for x, y in zip(P, C))
+        return s * r2.denominator < r2.numerator * (q * c) ** 2
 
     def simplex_inside(self, i, tup) -> bool:
         """Whole simplex strictly inside the open ball (convexity)."""
@@ -559,8 +667,8 @@ class BallCover:
                     for s in self.complex.top_simplices()]
             self._near = [
                 {j for j, tup in enumerate(tops)
-                 if point_simplex_dist2(c, tup) < r ** 2}
-                for c, r in zip(self.centers, self.radii)]
+                 if point_simplex_dist2(c, tup) < r2}
+                for c, r2 in zip(self.centers, self._radii2)]
         return self._near
 
     def intersection_empty_certificate(self, indices) -> bool:

@@ -57,6 +57,12 @@ def lerp(a: Vec, b: Vec, t) -> Vec:
     return tuple(x + t * (y - x) for x, y in zip(a, b))
 
 
+def integer_form(p):
+    """(numerators, q): the point p as integers over one denominator q > 0."""
+    q = math.lcm(*(x.denominator for x in p))
+    return tuple(x.numerator * (q // x.denominator) for x in p), q
+
+
 def centroid(points) -> Vec:
     n = len(points)
     acc = points[0]

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from mhom import cech, spaces
+from mhom import cech, complexes, geometry, spaces
 from mhom.bracket import bracket
 from mhom.cech import (Nerve, augment, augment_nerve, cech_boundary,
                        cone_fill_chain, conforming, degree_zero_cancel,
@@ -333,3 +333,23 @@ def test_cone_fill_chain_square():
         sq, [(1, ((F(0), F(0)), (F(1), F(0))))])
     with pytest.raises(InputError):
         cone_fill_chain(one_edge, center, sq)
+
+
+def test_torus_fill_makes_no_generic_point_test(torus, torus_balls,
+                                                monkeypatch):
+    # point location goes through the complex's cached inverses only
+    calls = []
+    real = geometry.point_in_simplex
+
+    def counted(p, verts):
+        calls.append(p)
+        return real(p, verts)
+
+    for module in (geometry, complexes):
+        monkeypatch.setattr(module, "point_in_simplex", counted)
+    rng = random.Random(5)
+    items = spaces.random_torus_cycle(torus, rng)
+    T = PolyhedralCurrent.from_tuples(torus.ambient_dim, items, 1)
+    res = zigzag_fill(T, torus_balls)
+    assert res.chain.boundary().is_zero()
+    assert calls == []

@@ -80,21 +80,45 @@ def test_failing_coverage_exits_one(tmp_path):
     assert checks["coverage"] == "fail"
 
 
-def test_nerve_check_fails_on_unwitnessed_overlap(tmp_path):
-    # ball 0 meets the edges at vertex 0 up to t = 0.42, ball 1 covers the
-    # rest from t = 0.31: they overlap on arcs free of depth-2 samples
-    # (multiples of 1/4), so the pair is neither witnessed nor empty
+def two_ball_cover(tmp_path):
+    """s1 cover file: ball 0 meets the edges at vertex 0 up to t = 0.42,
+    ball 1 covers the rest from t = 0.31.  They overlap on arcs free of
+    depth-2 samples (multiples of 1/4), so the pair is neither witnessed
+    nor certified empty."""
     cover = {"balls": [{"center": [[1, 1], [0, 1], [0, 1]], "radius": [3, 5]},
                        {"center": [[-1, 2], [1, 2], [1, 2]],
                         "radius": [13, 10]}]}
     path = tmp_path / "two_balls.json"
     path.write_text(json.dumps(cover))
+    return path
+
+
+def test_nerve_check_fails_on_unwitnessed_overlap(tmp_path):
+    path = two_ball_cover(tmp_path)
     res = run_cli("verify", "space", "--space", "s1", "--cover", str(path))
     assert res.returncode == 1
     checks = {c["check"]: c for c in json.loads(res.stdout)["checks"]}
     assert checks["coverage"]["status"] == "pass"
     assert checks["nerve"]["status"] == "fail"
     assert checks["nerve"]["uncertified"] == [[0, 1]]
+
+
+def test_zigzag_failures_land_in_the_report(tmp_path):
+    # without the overlap in the nerve no fill certificate can be made;
+    # each cycle fails on its own and the report is still printed
+    path = two_ball_cover(tmp_path)
+    res = run_cli("verify", "zigzag", "--space", "s1", "--cover", str(path),
+                  "--budget", "2")
+    assert res.returncode == 1
+    payload = json.loads(res.stdout)
+    assert payload["status"] == "fail"
+    assert payload["failed"] == 2
+    assert [c["check"] for c in payload["checks"]] == ["zigzag[0]",
+                                                      "zigzag[1]"]
+    for check in payload["checks"]:
+        assert check["status"] == "fail"
+        assert check["detail"] == ("(0,) has a nonzero residual but no "
+                                   "overlap one arity up (fill)")
 
 
 def test_torus_nerve_is_certified():

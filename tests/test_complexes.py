@@ -7,8 +7,10 @@ from mhom.complexes import (BallCover, MetricComplex, PLMap,
                             mcshane_extension, refine_cover,
                             star_contraction)
 from mhom.errors import GeometryError, InputError
-from mhom.rational import dist2
-from mhom import spaces
+from mhom.geometry import (edge_matrix, gram_matrix, point_in_simplex,
+                           solve_fraction_system)
+from mhom.rational import centroid, dist2
+from mhom import complexes, geometry, spaces
 
 
 def segment(length=2):
@@ -39,6 +41,86 @@ def test_containment_and_lookup(torus):
         assert torus.find_containing_simplex([mid]) is not None
     outside = tuple(Fraction(5) for _ in range(torus.ambient_dim))
     assert not torus.contains_point(outside)
+
+
+def _off_hull(verts, step):
+    """The centroid of verts moved by step times a normal of their hull."""
+    E = edge_matrix(verts)
+    G = gram_matrix(verts)
+    n = len(verts[0])
+    for i in range(n):
+        # e_i minus its projection onto the edge span
+        coef = solve_fraction_system(G, [e[i] for e in E])
+        normal = [int(k == i) - sum(c * e[k] for c, e in zip(coef, E))
+                  for k in range(n)]
+        if any(normal):
+            return tuple(x + step * y for x, y in zip(centroid(verts), normal))
+    raise AssertionError("the simplex spans its ambient space")
+
+
+@pytest.mark.parametrize("name", ["torus", "s1", "s2", "klein"])
+def test_point_location_matches_reference(name):
+    X = spaces.load_space(name)
+    tops = X.top_simplices()
+    cells = [X.points_of(t) for t in tops]
+    points = X.sample_vertices(3)
+    for verts in cells:
+        points.append(centroid(verts))
+        points.append(_off_hull(verts, Fraction(1, 7)))
+        points.append(_off_hull(verts, Fraction(1, 10 ** 6)))
+        # on the line through an edge, beyond its end
+        points.append(tuple(2 * b - a for a, b in zip(verts[0], verts[1])))
+    points.append(tuple(Fraction(5) for _ in range(X.ambient_dim)))
+    homes = []
+    for p in points:
+        ref = tuple(j for j, verts in enumerate(cells)
+                    if point_in_simplex(p, verts))
+        assert X.tops_holding(p) == ref
+        assert X.contains_point(p) == bool(ref)
+        first = X.simplices.index(tops[ref[0]]) if ref else None
+        assert X.find_containing_simplex([p]) == first
+        homes.append(set(ref))
+    # every kind of point occurs: inside one top, on shared faces, outside
+    sizes = {min(len(h), 2) for h in homes}
+    assert sizes == {0, 1, 2}
+    for i in range(len(points) - 1):
+        both = sorted(homes[i] & homes[i + 1])
+        first = X.simplices.index(tops[both[0]]) if both else None
+        assert X.find_containing_simplex(points[i:i + 2]) == first
+
+
+def test_subdivision_is_built_once(monkeypatch):
+    calls = []
+    real = geometry.barycentric_subdivide
+
+    def counted(tup):
+        calls.append(len(tup))
+        return real(tup)
+
+    for module in (geometry, complexes):
+        monkeypatch.setattr(module, "barycentric_subdivide", counted)
+    X = spaces.load_space("torus")
+    samples = X.sample_vertices(2)
+    assert calls
+    calls.clear()
+    assert X.sample_vertices(2) == samples
+    assert len(X.subdivided_tops(2)) == 36 * len(X.top_simplices())
+    X.sample_vertices(1)
+    X.subdivided_tops(1)
+    assert calls == []
+
+
+def test_cached_results_come_as_fresh_lists():
+    X = spaces.load_space("s2")
+    getters = (X.top_simplices, lambda: X.sample_vertices(2),
+               lambda: X.subdivided_tops(2))
+    for get in getters:
+        first = get()
+        want = list(first)
+        first.reverse()
+        first.append(first[0])
+        first[0] = None
+        assert get() == want
 
 
 def test_sample_vertices_grow(s1):
