@@ -353,3 +353,47 @@ def test_torus_fill_makes_no_generic_point_test(torus, torus_balls,
     res = zigzag_fill(T, torus_balls)
     assert res.chain.boundary().is_zero()
     assert calls == []
+
+
+def test_cancel_without_triples_names_the_triple_step(torus, torus_balls):
+    # cancel eliminates up to triples; a pair-only nerve leaves a residual
+    nerve = Nerve(torus_balls, max_arity=2)
+    for seed in range(4):
+        items = spaces.random_torus_cycle(torus, random.Random(seed))
+        T = PolyhedralCurrent.from_tuples(torus.ambient_dim, items, 1)
+        res = zigzag_fill(T, torus_balls, nerve=nerve)
+        z = res.chain - LipschitzChain.from_simplices(torus, items)
+        with pytest.raises(GeometryError) as err:
+            zigzag_cancel(z, res.filling, torus_balls, nerve=nerve)
+        assert str(err.value).endswith("(cancel, triples)")
+
+
+WALK_STEPS = ("split", "solve_phi", "fill_zero_chain", "cone_fill_chain",
+              "cone_fill_current", "bracket_inverse_points")
+
+
+def test_zigzag_step_counts(s1, arcs3, monkeypatch):
+    # how often one fill and one cancel of a circle loop call each step
+    counts = {}
+    for name in WALK_STEPS:
+        real = getattr(cech, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(cech, name, counted)
+    rng = random.Random(44)
+    nerve = Nerve(arcs3, max_arity=3)
+    for _ in range(3):
+        items = spaces.random_circle_cycle(s1, rng)
+        T = PolyhedralCurrent.from_tuples(3, items, 1)
+        counts.clear()
+        res = zigzag_fill(T, arcs3, nerve=nerve)
+        assert counts == {"split": 3, "solve_phi": 1,
+                          "bracket_inverse_points": 3,
+                          "fill_zero_chain": 3, "cone_fill_current": 3}
+        z = res.chain - LipschitzChain.from_simplices(s1, items)
+        counts.clear()
+        zigzag_cancel(z, res.filling, arcs3, nerve=nerve)
+        assert counts == {"split": 2, "solve_phi": 3, "cone_fill_chain": 3}
