@@ -25,10 +25,9 @@ from .bracket import (bracket, bracket_inverse_points,
                       pairing_nonsingular)
 from .cech import (FillResult, Nerve, Staircase, augment, augment_nerve,
                    cech_boundary, conforming, cone_fill_chain,
-                   cone_fill_current, degree_zero_cancel, degree_zero_fill,
-                   fill_zero_chain, nerve_boundary, reindex_components,
-                   solve_phi, split, zigzag_cancel, zigzag_descend,
-                   zigzag_fill)
+                   cone_fill_current, degree_zero_cancel, fill_zero_chain,
+                   nerve_boundary, reindex_components, solve_phi, split,
+                   zigzag_cancel, zigzag_descend, zigzag_fill)
 from .spaces import (builtin_covers, builtin_spaces, load_cover, load_space,
                      pairing_forms, save_cover, save_space)
 
@@ -43,8 +42,8 @@ __all__ = [
     "bracket_inverse_points", "brackets_of_generators", "builtin_covers",
     "builtin_spaces", "cech_boundary", "chain_from_vector",
     "chain_to_vector", "cone_fill_chain", "cone_fill_current", "conforming",
-    "connecting_homomorphism", "degree_zero_cancel",
-    "degree_zero_fill", "dist2", "equicontinuity_gap", "fill_zero_chain",
+    "connecting_homomorphism", "degree_zero_cancel", "dist2",
+    "equicontinuity_gap", "fill_zero_chain",
     "homology", "homology_data", "integral_of_product", "load_cover",
     "load_space", "mcshane_extension", "nerve_boundary", "pairing_forms",
     "pairing_matrix", "pairing_nonsingular", "refine_cover",

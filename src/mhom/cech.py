@@ -1,14 +1,22 @@
 """Cover combinatorics and the comparison zig-zag.
 
-The engine works on chains and currents alike, through the tuple algebra
-they share.  One split refines a cycle until every term fits a ball of the
-cover and buckets the terms by ball; one solver inverts the nerve's
-index-deletion map at any arity by leading-index elimination, with
-support certificates.  Local cycles are filled by cones to ball centers or
-by graph paths, and the results assemble into global comparisons: a
-polyhedral cycle current is matched by a piecewise-affine cycle chain up
-to a current boundary (fill), and a chain cycle whose current bounds is
-itself a chain boundary in the refinement limit (cancel).
+Chains and currents share one tuple algebra, so the engine works on both.
+One split refines a cycle until every term fits a ball of the cover and
+buckets the terms by ball; one solver inverts the nerve's index-deletion
+map at any arity by leading-index elimination, with support certificates.
+
+The comparisons walk the Čech double complex of the cover (Bott-Tu §§8-9,
+the tic-tac-toe lemma).  Column p holds components over nerve tuples of
+arity p+1.  Down: column 0 splits a cycle, and column p solves the
+index-deletion map for the boundaries of column p-1, plus (-1)^p times
+the brackets of a chain's column p-1 when a current descends relative to
+that chain.  The bracket inverts the point currents of the last column.
+Up: column p fills the index-deletion image of column p+1 plus (-1)^p
+times the chain's column p, point data by graph paths inside all balls of
+the tuple and cycles at column 0 by cones to the ball centers.  Fill
+matches a polyhedral cycle current by a piecewise-affine cycle chain up
+to a current boundary; cancel shows that a chain cycle whose current
+bounds is a chain boundary in the refinement limit.
 """
 
 import heapq
@@ -360,7 +368,56 @@ def cone_fill_current(R, apex, complex_, context=""):
     return R.cone(apex)
 
 
-# ---- descending a global cycle through the double complex ----
+# ---- the walk through the double complex ----
+
+def _descend(x, cover, nerve, contexts, lower=()):
+    """Columns 0..degree of a cycle's descent; see the module docstring.
+
+    contexts labels the solve of each column p >= 1; lower holds the
+    columns of a descended chain whose brackets enter with sign (-1)^p.
+    """
+    columns = [split(x, cover)]
+    for p in range(1, x.degree + 1):
+        Y = {K: comp.boundary() for K, comp in columns[-1].items()}
+        if p <= len(lower):
+            Y = _merge(Y, {K: bracket(c) for K, c in lower[p - 1].items()},
+                       (-1) ** p)
+        columns.append(solve_phi(Y, nerve, context=contexts[p - 1]))
+    return columns
+
+
+def _ascend(bottom, top, lower, cover, name):
+    """Chain column 0 of the climb from point currents at column top.
+
+    See the module docstring; name labels the local fills.
+    """
+    complex_ = cover.complex
+    col = {K: bracket_inverse_points(cur, complex_)
+           for K, cur in bottom.items()}
+    for p in reversed(range(top)):
+        img = cech_boundary(col)
+        if p == 0:
+            img = _by_ball(img)
+        col = {}
+        for K, val in _merge(img, lower[p] if p < len(lower) else {},
+                             (-1) ** p).items():
+            if val.is_zero():
+                continue
+            context = f"({name}, {('ball', 'pair')[p]} {K})"
+            if val.degree == 0:
+                balls = K if p else (K,)
+                col[K] = fill_zero_chain(
+                    complex_, val,
+                    lambda q, balls=balls: all(cover.contains(i, q)
+                                               for i in balls),
+                    context=context)
+            else:
+                # cycles reach here only at column 0: cones inside ball
+                # intersections, which degree two needs, are not built yet
+                col[K] = cone_fill_chain(val, cover.centers[K], complex_,
+                                         context=context)
+    return col
+
 
 class Staircase:
     """Cover components of a descended cycle, keyed by (column, degree).
@@ -378,11 +435,9 @@ class Staircase:
 def zigzag_descend(c, cover, nerve=None, verify=True):
     """Resolve a global cycle into components over the cover.
 
-    The cycle is split into per-ball pieces summing back to it; each
-    vertical boundary is then lifted through the index-deletion map one
-    column to the right, down to degree-zero coefficients, whose total
-    multiplicities form an integer cycle on the nerve.  Implemented for
-    degrees 0..2.
+    The descent of the module docstring, down to degree-zero
+    coefficients, whose total multiplicities form an integer cycle on the
+    nerve.  Implemented for degrees 0..2.
     """
     m = c.degree
     if m > 2:
@@ -393,32 +448,27 @@ def zigzag_descend(c, cover, nerve=None, verify=True):
         raise InputError(
             "descent needs a conforming representation: every piece "
             "inside a single complex simplex")
-    layer0 = split(c, cover)
     if m >= 1 and not _vanishes(c.boundary()):
         raise InputError("descent expects a cycle")
 
-    layers = {(0, m): layer0}
-    for p in range(1, m + 1):
-        Y = {K: comp.boundary()
-             for K, comp in layers[(p - 1, m - p + 1)].items()}
-        layers[(p, m - p)] = solve_phi(Y, nerve, context="(descent)")
+    columns = _descend(c, cover, nerve, ("(descent)",) * m)
 
     if verify:
-        back = augment(layer0)
+        back = augment(columns[0])
         if back is None or not back.equals(c):
             raise GeometryError("descent components do not sum back")
         for p in range(1, m + 1):
-            img = cech_boundary(layers[(p, m - p)])
+            img = cech_boundary(columns[p])
             if p == 1:
                 img = _by_ball(img)
-            want = {k: comp.boundary()
-                    for k, comp in layers[(p - 1, m - p + 1)].items()}
+            want = {k: comp.boundary() for k, comp in columns[p - 1].items()}
             for k, gap in _merge(img, want, -1).items():
                 if not _vanishes(gap):
                     raise GeometryError(
                         f"descent step {p} mismatched at {k!r}")
 
-    return Staircase(layers, augment_nerve(layers[(m, 0)]))
+    layers = {(p, m - p): col for p, col in enumerate(columns)}
+    return Staircase(layers, augment_nerve(columns[m]))
 
 
 # ---- the zig-zag in degree one ----
@@ -426,20 +476,18 @@ def zigzag_descend(c, cover, nerve=None, verify=True):
 class FillResult:
     """Outcome of matching a cycle current by a cycle chain."""
 
-    def __init__(self, chain, filling, layers):
+    def __init__(self, chain, filling):
         self.chain = chain
         self.filling = filling
-        self.layers = layers
 
 
 def zigzag_fill(T, cover, nerve=None, verify=True):
     """Cycle current of degree one -> cycle chain c and current S with
     boundary(S) = [c] - T, all certificates exact.
 
-    The current is decomposed over the cover, its local boundaries are
-    matched across pairwise intersections, the resulting point data is
-    bracket-inverted and refilled by paths inside single balls, and the
-    local defects, which are cycles, are coned to the ball centers.
+    The walk of the module docstring descends T to point currents over
+    pairs and climbs back to a chain in each ball; the local defects
+    [c] - T, which are cycles, are coned to the ball centers.
     """
     complex_ = cover.complex
     if T.degree != 1:
@@ -453,29 +501,13 @@ def zigzag_fill(T, cover, nerve=None, verify=True):
     if nerve is None:
         nerve = Nerve(cover, max_arity=2)
 
-    T01 = split(T, cover)
-    Y = {A: comp.boundary() for A, comp in T01.items()}
-    T10 = solve_phi(Y, nerve, context="(fill)")
-    c10 = {P: bracket_inverse_points(cur, complex_) for P, cur in T10.items()}
+    T01, T10 = _descend(T, cover, nerve, ("(fill)",))
+    c01 = _ascend(T10, 1, (), cover, "fill")
 
-    rhs = _by_ball(cech_boundary(c10))
-    c01 = {}
-    for A in sorted(set(T01) | set(rhs)):
-        r = rhs.get(A)
-        if r is None or r.is_zero():
-            c01[A] = LipschitzChain(complex_, 1, {}, 0, check_carrier=False)
-            continue
-        c01[A] = fill_zero_chain(
-            complex_, r, lambda p, A=A: cover.contains(A, p),
-            context=f"(fill, ball {A})")
-
-    S_parts = {}
     defects = _merge({A: bracket(ch) for A, ch in c01.items()}, T01, -1)
-    for A, R in defects.items():
-        if R.is_zero_representation():
-            continue
-        S_parts[A] = cone_fill_current(R, cover.centers[A], complex_,
-                                       context=f"(fill, ball {A})")
+    S_parts = {A: cone_fill_current(R, cover.centers[A], complex_,
+                                    context=f"(fill, ball {A})")
+               for A, R in defects.items() if not R.is_zero_representation()}
 
     c = augment(c01)
     if c is None:
@@ -489,16 +521,16 @@ def zigzag_fill(T, cover, nerve=None, verify=True):
             raise GeometryError("fill produced a non-cycle chain")
         if not S.boundary().equals(bracket(c) - T):
             raise GeometryError("fill verification failed: boundary mismatch")
-    return FillResult(c, S, {"T01": T01, "T10": T10, "c10": c10, "c01": c01})
+    return FillResult(c, S)
 
 
 def zigzag_cancel(z, S, cover, nerve=None, verify=True):
     """Cycle chain z with boundary(S) = [z] -> chain w with b(w) = z after
     refinement.
 
-    Two elimination layers run over the nerve, point defects are refilled
-    by paths inside pairwise intersections, and the local cycle defects,
-    which are exact chain cycles, are coned to ball centers.
+    The walk of the module docstring descends z, then S relative to z's
+    columns down to point currents over triples, and climbs back: paths
+    inside pairwise intersections, then cones to the ball centers.
     """
     complex_ = cover.complex
     if z.degree != 1 or S.degree != 2:
@@ -514,55 +546,18 @@ def zigzag_cancel(z, S, cover, nerve=None, verify=True):
     if verify and not S.boundary().equals(bracket(z)):
         raise InputError("cancel needs boundary(S) = [z]")
 
-    c01 = split(z, cover)
-    Yc = {A: comp.boundary() for A, comp in c01.items()}
-    c10 = solve_phi(Yc, nerve, context="(cancel, chain)")
-
-    T02 = split(S, cover)
-    Yt = _merge({A: x.boundary() for A, x in T02.items()},
-                {A: bracket(x) for A, x in c01.items()}, -1)
-    T11 = solve_phi(Yt, nerve, context="(cancel, current)")
-
-    Rp = _merge({P: x.boundary() for P, x in T11.items()},
-                {P: bracket(x) for P, x in c10.items()}, 1)
-    T20 = solve_phi(Rp, nerve, context="(cancel, triples)")
-    c20 = {B: bracket_inverse_points(cur, complex_) for B, cur in T20.items()}
-
-    c11 = {}
-    for P, val in _merge(cech_boundary(c20), c10, -1).items():
-        if val.is_zero():
-            continue
-        a, b = P
-        c11[P] = fill_zero_chain(
-            complex_, val,
-            lambda p, a=a, b=b: cover.contains(a, p) and cover.contains(b, p),
-            context=f"(cancel, pair {P})")
-
-    c02 = {}
-    for A, val in _merge(_by_ball(cech_boundary(c11)), c01, 1).items():
-        if val.is_zero():
-            continue
-        c02[A] = cone_fill_chain(val, cover.centers[A], complex_,
-                                 context=f"(cancel, ball {A})")
-
-    w = augment(c02)
+    zc = _descend(z, cover, nerve, ("(cancel, chain)",))
+    Sc = _descend(S, cover, nerve, ("(cancel, current)", "(cancel, triples)"),
+                  lower=zc)
+    w = augment(_ascend(Sc[2], 2, zc, cover, "cancel"))
     if w is None:
         w = LipschitzChain(complex_, 2, {}, 0, check_carrier=False)
-    if verify:
-        if not (w.boundary() == z):
-            raise GeometryError("cancel verification failed: b(w) != z")
+    if verify and not (w.boundary() == z):
+        raise GeometryError("cancel verification failed: b(w) != z")
     return w
 
 
 # ---- degree zero ----
-
-def degree_zero_fill(T, complex_):
-    """Point current -> point chain with the same bracket, no filling
-    needed."""
-    c = bracket_inverse_points(T, complex_)
-    S = PolyhedralCurrent.zero(T.ambient_dim, 1)
-    return FillResult(c, S, {})
-
 
 def degree_zero_cancel(z, complex_, start_depth=1):
     """Zero-chain whose current bounds -> a one-chain with that boundary.

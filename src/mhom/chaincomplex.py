@@ -55,9 +55,6 @@ class ChainComplexZ:
         if check:
             self.validate()
 
-    def top_degree(self):
-        return len(self.dims) - 1
-
     def dim(self, k: int) -> int:
         if 0 <= k < len(self.dims):
             return self.dims[k]

@@ -54,9 +54,6 @@ class LipschitzChain(WeightedSimplices):
             raise InputError("cannot infer degree from an empty list; use zero()")
         return LipschitzChain(complex_, degree, terms, level)
 
-    def copy(self):
-        return self.like(self.degree, dict(self.terms))
-
     def _compatible(self, other):
         if self.complex is not other.complex or self.degree != other.degree:
             raise InputError("chains live on different carriers or degrees")

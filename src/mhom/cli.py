@@ -196,6 +196,19 @@ def _pair_les_checks(complex_, name):
     return checks
 
 
+def _zigzag_step(complex_, items, cover, nerve):
+    """One seeded zig-zag: the cycle's tuples as a current T, its fill by a
+    chain c, and the cancel of z = c - (the tuples as a chain).
+
+    Returns (T, fill result, w); both steps verify their certificates and
+    raise on a failure.
+    """
+    T = PolyhedralCurrent.from_tuples(complex_.ambient_dim, items, degree=1)
+    res = cech.zigzag_fill(T, cover, nerve=nerve)
+    z = res.chain - LipschitzChain.from_simplices(complex_, items)
+    return T, res, cech.zigzag_cancel(z, res.filling, cover, nerve=nerve)
+
+
 def cmd_compare(args):
     depth = args.depth if args.depth is not None else _default_depth()
     if args.degree not in (0, 1):
@@ -249,12 +262,7 @@ def cmd_compare(args):
             })
             continue
 
-        T = PolyhedralCurrent.from_tuples(complex_.ambient_dim, items,
-                                          degree=1)
-        res = cech.zigzag_fill(T, cover, nerve=nerve)
-        ell = LipschitzChain.from_simplices(complex_, items)
-        z = res.chain - ell
-        w = cech.zigzag_cancel(z, res.filling, cover, nerve=nerve)
+        T, res, w = _zigzag_step(complex_, items, cover, nerve)
         runs.append({
             "run": i,
             "cycle_pieces": len(T.pieces),
@@ -528,12 +536,8 @@ def _suite_zigzag(args, rng):
     checks = []
     for i in range(args.budget):
         items = _compare_cycle(args.space or "s1", complex_, 1, rng)
-        T = PolyhedralCurrent.from_tuples(complex_.ambient_dim, items, 1)
         try:
-            # both steps verify their certificates and raise on a failure
-            res = cech.zigzag_fill(T, cover, nerve=nerve)
-            z = res.chain - LipschitzChain.from_simplices(complex_, items)
-            cech.zigzag_cancel(z, res.filling, cover, nerve=nerve)
+            _zigzag_step(complex_, items, cover, nerve)
         except GeometryError as e:
             checks.append({"check": f"zigzag[{i}]", "status": "fail",
                            "detail": str(e)})

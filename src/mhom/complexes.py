@@ -339,9 +339,6 @@ class PLMap:
 
     # evaluation
 
-    def is_affine(self):
-        return self.matrix is not None
-
     def find_cell(self, points):
         """Index of a cell containing all the points, or None."""
         for i, c in enumerate(self.cells):

@@ -7,10 +7,10 @@ simplex, so its action on an affine k-form f dpi_1 ^ ... ^ dpi_k is
 weight * det(Dpi) * integral of f, all exact.
 
 reduce() computes a canonical representative: pieces are merged per affine
-k-flat through a common refinement, multiplicities are recovered at witness
-points, and each flat is retriangulated deterministically.  Two
-representations describe the same current exactly when their difference
-reduces to nothing.
+k-flat through a common refinement, each region's multiplicity is summed
+over the pieces that cover it, and each flat is retriangulated
+deterministically.  Two representations describe the same current exactly
+when their difference reduces to nothing.
 """
 
 from fractions import Fraction
@@ -160,8 +160,8 @@ class PolyhedralCurrent(WeightedSimplices):
 
         Degenerate pieces vanish; the rest are grouped by the affine k-flat
         they span, refined against each other inside each flat, and
-        rewritten as a deterministic triangulation weighted by exact
-        multiplicities at interior witness points.
+        rewritten as a deterministic triangulation weighted by the exact
+        multiplicity of each region of the refinement.
         """
         k = self.degree
         merged = {}
@@ -275,7 +275,6 @@ def _facet_hyperplanes(chart_tup):
         facet = chart_tup[:i] + chart_tup[i + 1:]
         if k == 1:
             n = (Fraction(1),)
-            c = facet[0][0]
         else:
             E = edge_matrix(facet)
             # one-dimensional nullspace of the facet directions
@@ -284,7 +283,6 @@ def _facet_hyperplanes(chart_tup):
             n = _nullvector(rows, k)
             if n is None:
                 continue  # degenerate facet spans no hyperplane
-            c = dot(n, facet[0])
         n = _primitive_normal(n)
         c = dot(n, facet[0])
         out.append((n, c))
@@ -359,14 +357,14 @@ def _reduce_in_chart(chart, members, k):
             sig = tuple(1 if dot(n, cen) > c else -1 for n, c in hyps)
             regions.setdefault(sig, []).append((idx, f))
 
+    # every piece is the intersection of its facet half-spaces, all among
+    # the hyperplanes, so a region lies inside each piece with a fragment
+    # in it and outside every other piece
     out = []
     for sig in sorted(regions):
         entries = regions[sig]
-        witness = centroid(entries[0][1])
-        mult = 0
-        for ctup, w, s in cpieces:
-            if _chart_point_in(witness, ctup):
-                mult += w * s
+        mult = sum(cpieces[i][1] * cpieces[i][2]
+                   for i in {i for i, _ in entries})
         if mult == 0:
             continue
         # deterministic triangulation: fragments of the lowest-index piece
@@ -380,19 +378,6 @@ def _reduce_in_chart(chart, members, k):
             key, sign = canonical_orientation(amb)
             out.append((key, sign * mult))
     return out
-
-
-def _chart_point_in(x, ctup):
-    k = len(x)
-    E = edge_matrix(ctup)
-    rhs = vsub(x, ctup[0])
-    lam = solve_fraction_system([[E[j][i] for j in range(k)] for i in range(k)],
-                                list(rhs))
-    if lam is None:
-        return False
-    if any(l < 0 for l in lam):
-        return False
-    return sum(lam) <= 1
 
 
 def integral_of_product(current, u, v, nonzero_of=None, canonical=True):

@@ -44,11 +44,6 @@ class IntMatrix:
     def zeros(nrows: int, ncols: int) -> "IntMatrix":
         return IntMatrix(nrows, ncols)
 
-    def copy(self) -> "IntMatrix":
-        m = IntMatrix(self.nrows, self.ncols)
-        m.data = dict(self.data)
-        return m
-
     def get(self, i: int, j: int) -> int:
         return self.data.get((i, j), 0)
 

@@ -48,10 +48,6 @@ def dist2(a: Vec, b: Vec) -> Fraction:
     return sum(((x - y) ** 2 for x, y in zip(a, b)), Fraction(0))
 
 
-def norm2(a: Vec) -> Fraction:
-    return dot(a, a)
-
-
 def lerp(a: Vec, b: Vec, t) -> Vec:
     t = frac(t)
     return tuple(x + t * (y - x) for x, y in zip(a, b))
@@ -196,9 +192,6 @@ class RadicalSum:
 
     def is_rational(self) -> bool:
         return all(m == 1 for m in self.terms)
-
-    def rational_part(self) -> Fraction:
-        return self.terms.get(1, Fraction(0))
 
     def bounds(self, prec: int) -> tuple[Fraction, Fraction]:
         lo = hi = Fraction(0)

@@ -166,11 +166,5 @@ class WeightedSimplices:
     def supported_in_ball(self, cover, i):
         return all(cover.simplex_inside(i, tup) for tup in self.terms)
 
-    def vertex_set(self):
-        out = set()
-        for tup in self.terms:
-            out.update(tup)
-        return out
-
     def __len__(self):
         return len(self.terms)

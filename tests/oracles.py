@@ -127,3 +127,83 @@ def betti_numbers(simplices_by_dim, p=None):
             rk1 = 0
         out.append(nk - rk - rk1)
     return out
+
+
+def reduce_at_witness_points(current):
+    """Canonical form of a polyhedral current, multiplicities at witnesses.
+
+    The same arrangement as PolyhedralCurrent.reduce (every piece of a flat
+    cut by every facet hyperplane of the flat's pieces, fragments grouped
+    by centroid sign vector), but each region's multiplicity is the sum of
+    w * orientation over the pieces whose closed simplex holds the centroid
+    of the region's first fragment, tested by solving for its barycentric
+    coordinates.  Returns the terms dict.
+    """
+    from mhom.currents import _facet_hyperplanes, _flat_chart
+    from mhom.geometry import (canonical_orientation, cut_simplex_by_values,
+                               det_fraction, edge_matrix, gram_det,
+                               solve_fraction_system)
+    from mhom.rational import centroid, dot, vsub
+
+    def holds(x, ctup):
+        E = edge_matrix(ctup)
+        k = len(x)
+        lam = solve_fraction_system(
+            [[E[j][i] for j in range(k)] for i in range(k)],
+            list(vsub(x, ctup[0])))
+        return lam is not None and min(lam) >= 0 and sum(lam) <= 1
+
+    k = current.degree
+    merged = {}
+    for tup, w in current.terms.items():
+        if k > 0 and gram_det(tup) == 0:
+            continue
+        key, sign = canonical_orientation(tup)
+        merged[key] = merged.get(key, 0) + sign * w
+    merged = {t: w for t, w in merged.items() if w}
+    if k == 0:
+        return merged
+    groups = {}
+    for tup, w in sorted(merged.items()):
+        fkey, chart = _flat_chart(tup)
+        groups.setdefault(fkey, (chart, []))[1].append((tup, w))
+    out = {}
+    for fkey in sorted(groups):
+        (to_chart, from_chart), members = groups[fkey]
+        cpieces = []
+        for tup, w in members:
+            ctup = tuple(to_chart(p) for p in tup)
+            d = det_fraction(edge_matrix(ctup))
+            if d:
+                cpieces.append((ctup, w, 1 if d > 0 else -1))
+        hyps = sorted({h for ctup, _, _ in cpieces
+                       for h in _facet_hyperplanes(ctup)})
+        regions = {}
+        for idx, (ctup, _, _) in enumerate(cpieces):
+            frags = [ctup]
+            for n, c in hyps:
+                frags = [f for g in frags
+                         for half in cut_simplex_by_values(
+                             g, [dot(n, p) for p in g], c)
+                         for f in half
+                         if det_fraction(edge_matrix(f)) != 0]
+            for f in frags:
+                cen = centroid(f)
+                sig = tuple(1 if dot(n, cen) > c else -1 for n, c in hyps)
+                regions.setdefault(sig, []).append((idx, f))
+        for sig in sorted(regions):
+            entries = regions[sig]
+            witness = centroid(entries[0][1])
+            mult = sum(w * s for ctup, w, s in cpieces if holds(witness, ctup))
+            if mult == 0:
+                continue
+            first = min(i for i, _ in entries)
+            for i, f in entries:
+                if i != first:
+                    continue
+                d = det_fraction(edge_matrix(f))
+                fpos = f if d > 0 else (f[1], f[0]) + f[2:]
+                key, sign = canonical_orientation(
+                    tuple(from_chart(p) for p in fpos))
+                out[key] = out.get(key, 0) + sign * mult
+    return {t: w for t, w in out.items() if w}

@@ -5,12 +5,12 @@ from itertools import combinations
 import pytest
 
 from mhom import cech, complexes, geometry, spaces
-from mhom.bracket import bracket
+from mhom.bracket import bracket, bracket_inverse_points
 from mhom.cech import (Nerve, augment, augment_nerve, cech_boundary,
                        cone_fill_chain, conforming, degree_zero_cancel,
-                       degree_zero_fill, fill_zero_chain, nerve_boundary,
-                       reindex_components, solve_phi, split, zigzag_cancel,
-                       zigzag_descend, zigzag_fill)
+                       fill_zero_chain, nerve_boundary, reindex_components,
+                       solve_phi, split, zigzag_cancel, zigzag_descend,
+                       zigzag_fill)
 from mhom.chains import LipschitzChain
 from mhom.complexes import refine_cover
 from mhom.currents import PolyhedralCurrent
@@ -308,11 +308,10 @@ def test_degree_zero_roundtrip(s1):
         a, b = rng.sample(pts, 2)
         T = PolyhedralCurrent.from_tuples(3, [(2, (a,)), (-2, (b,))],
                                           degree=0)
-        res = degree_zero_fill(T, s1)
-        assert bracket(res.chain).equals(T)
-        assert res.filling.is_zero()
-        w = degree_zero_cancel(res.chain, s1)
-        assert w.boundary() == res.chain
+        chain = bracket_inverse_points(T, s1)
+        assert bracket(chain).equals(T)
+        w = degree_zero_cancel(chain, s1)
+        assert w.boundary() == chain
 
 
 def test_cone_fill_chain_square():
@@ -397,3 +396,27 @@ def test_zigzag_step_counts(s1, arcs3, monkeypatch):
         counts.clear()
         zigzag_cancel(z, res.filling, arcs3, nerve=nerve)
         assert counts == {"split": 2, "solve_phi": 3, "cone_fill_chain": 3}
+
+
+def test_walk_certificates_catch_a_broken_step(s1, arcs3, monkeypatch):
+    items = spaces.random_circle_cycle(s1, random.Random(44))
+    z = LipschitzChain.from_simplices(s1, items)
+    T = bracket(z)
+    with monkeypatch.context() as m:
+        m.setattr(cech, "solve_phi", lambda Y, nerve, context="": {})
+        with pytest.raises(GeometryError, match="descent step 1 mismatched"):
+            zigzag_descend(z, arcs3)
+    with monkeypatch.context() as m:
+        m.setattr(cech, "cone_fill_current",
+                  lambda R, apex, complex_, context="":
+                  PolyhedralCurrent.from_tuples(3, [(1, s1.vertices)]))
+        with pytest.raises(GeometryError, match="fill verification failed"):
+            zigzag_fill(T, arcs3)
+    res = zigzag_fill(T, arcs3)
+    z = res.chain - z
+    with monkeypatch.context() as m:
+        m.setattr(cech, "cone_fill_chain",
+                  lambda x, apex, complex_, context="":
+                  LipschitzChain.zero(s1, 2))
+        with pytest.raises(GeometryError, match="cancel verification failed"):
+            zigzag_cancel(z, res.filling, arcs3)

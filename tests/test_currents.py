@@ -9,6 +9,8 @@ from mhom.currents import (PolyhedralCurrent, equicontinuity_gap,
 from mhom.errors import GeometryError, InputError
 from mhom.rational import RadicalSum, dist2
 
+from oracles import reduce_at_witness_points
+
 F = Fraction
 
 
@@ -45,6 +47,46 @@ def test_reduce_cancels_opposite_orientations():
     assert T.is_zero()
     half = line_current((1, 0, 2), (-1, 0, 1))
     assert half.equals(line_current((1, 1, 2)))
+
+
+def flat_current(rng, k):
+    """Pieces of degree k in one or two random k-flats of R^3, with
+    reversed copies, repeated pieces and degenerate pieces mixed in."""
+    flats = []
+    for _ in range(rng.choice([1, 1, 2])):
+        anchor = tuple(F(rng.randrange(-2, 3)) for _ in range(3))
+        dirs = [tuple(F(rng.randrange(-2, 3), rng.choice([1, 2]))
+                      for _ in range(3)) for _ in range(k)]
+        flats.append((anchor, dirs))
+
+    def point(flat):
+        anchor, dirs = flat
+        cs = [F(rng.randrange(-2, 3), rng.choice([1, 2])) for _ in dirs]
+        return tuple(a + sum(c * d[i] for c, d in zip(cs, dirs))
+                     for i, a in enumerate(anchor))
+
+    items = []
+    for _ in range(rng.randrange(2, 5) if k < 3 else 3):
+        flat = rng.choice(flats)
+        tup = tuple(point(flat) for _ in range(k + 1))
+        w = rng.choice([-2, -1, 1, 2])
+        items.append((w, tup))
+        roll = rng.randrange(4)
+        if roll == 0:
+            items.append((w, (tup[1], tup[0]) + tup[2:]))
+        elif roll == 1:
+            items.append((rng.choice([-1, 1]), tup[1:] + tup[:1]))
+        elif roll == 2:
+            items.append((w, tup[:-1] + (tup[0],)))
+    return PolyhedralCurrent.from_tuples(3, items, degree=k)
+
+
+def test_reduce_matches_witness_point_rule():
+    rng = random.Random(46)
+    for k, cases in ((1, 12), (2, 12), (3, 6)):
+        for _ in range(cases):
+            T = flat_current(rng, k)
+            assert T.reduce().terms == reduce_at_witness_points(T)
 
 
 def test_support_pieces_inside_originals():
