@@ -500,7 +500,7 @@ def _suite_cosheaf(args, rng):
         ker = _overlap_kernel(complex_, cover, nerve, deg, index=i)
         if ker is None:
             continue
-        level = next(iter(parts.values())).level
+        level = next(iter(parts.values()), ch).level
         diff = {}
         for A, p in parts.items():
             for tup, c in p.terms.items():

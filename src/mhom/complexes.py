@@ -113,9 +113,6 @@ class MetricComplex:
         """Simplices that are not proper faces of another simplex."""
         return list(self._top_list())
 
-    def distance2(self, p, q) -> Fraction:
-        return dist2(p, q)
-
     # -- point location ----------------------------------------------------
 
     def _locators(self):

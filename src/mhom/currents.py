@@ -9,19 +9,22 @@ weight * det(Dpi) * integral of f, all exact.
 reduce() computes a canonical representative: pieces are merged per affine
 k-flat through a common refinement, each region's multiplicity is summed
 over the pieces that cover it, and each flat is retriangulated
-deterministically.  Two representations describe the same current exactly
-when their difference reduces to nothing.
+deterministically.  A flat's chart reads points at the pivot columns of its
+echelon basis, so entering it solves nothing; a cut keeps every fragment
+non-degenerate, oriented like its piece and on one side, so the sides
+chosen while cutting name its region and nothing is re-checked.  Two
+representations describe the same current exactly when their difference
+reduces to nothing.
 """
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 from .errors import GeometryError, InputError
 from .geometry import (cut_simplex_by_values, canonical_orientation,
-                       centroid, det_fraction, edge_matrix, gram_det,
-                       integrate_affine, integrate_affine_product,
-                       solve_fraction_system)
-from .rational import RadicalSum, dot, frac, vsub
+                       det_fraction, edge_matrix, gram_det,
+                       integrate_affine, integrate_affine_product)
+from .rational import RadicalSum, dot, frac, integer_form
 from .weighted import WeightedSimplices
 
 MAX_FRAGMENTS = 50000
@@ -159,15 +162,16 @@ class PolyhedralCurrent(WeightedSimplices):
         """Canonical representative of the current.
 
         Degenerate pieces vanish; the rest are grouped by the affine k-flat
-        they span, refined against each other inside each flat, and
-        rewritten as a deterministic triangulation weighted by the exact
-        multiplicity of each region of the refinement.
+        they span, charted by the flat's pivot coordinates, cut against
+        each other's facet hyperplanes, and rewritten as a deterministic
+        triangulation weighted by the exact multiplicity of each region of
+        the refinement.  Each fragment's region is the tuple of sides it was
+        cut to, since cutting never yields a degenerate fragment or one that
+        straddles a hyperplane.
         """
         k = self.degree
         merged = {}
         for tup, w in self.terms.items():
-            if k > 0 and gram_det(tup) == 0:
-                continue
             key, sign = canonical_orientation(tup)
             merged[key] = merged.get(key, 0) + sign * w
         merged = {t: w for t, w in merged.items() if w}
@@ -177,12 +181,13 @@ class PolyhedralCurrent(WeightedSimplices):
         groups = {}
         for tup, w in sorted(merged.items()):
             fkey, chart = _flat_chart(tup)
-            groups.setdefault(fkey, (chart, []))[1].append((tup, w))
+            if len(fkey[1]) == k:  # else the piece is degenerate
+                groups.setdefault(fkey, (chart, []))[1].append((tup, w))
 
         out = {}
         for fkey in sorted(groups):
             chart, members = groups[fkey]
-            for tup, w in _reduce_in_chart(chart, members, k):
+            for tup, w in _reduce_in_chart(chart, members):
                 out[tup] = out.get(tup, 0) + w
         out = {t: w for t, w in out.items() if w}
         return PolyhedralCurrent(self.ambient_dim, k, out)
@@ -216,164 +221,101 @@ def _rref(rows):
 
 
 def _flat_chart(tup):
-    """Canonical key and rational chart for the affine flat of a simplex.
+    """Canonical key, pivot columns and map back for a simplex's flat.
 
-    The chart maps flat points to R^k coordinates and back, exactly.
+    R is the reduced echelon basis of the flat's directions, with R_i equal
+    to 1 at its pivot column P_i and 0 at every other pivot column.  A flat
+    point's chart coordinates are therefore its coordinates at the pivot
+    columns, and the anchor is the flat point whose pivot coordinates are 0.
     """
-    E = edge_matrix(tup)
-    R = _rref(E)
-    k = len(R)
-    # gram of the canonical basis is invertible on the flat
-    G = [[dot(a, b) for b in R] for a in R]
-    # anchor: point of the flat closest to the origin
-    a = tup[0]
-    lam = solve_fraction_system(G, [dot(r, a) for r in R])
-    proj = [Fraction(0)] * len(a)
-    for c, r in zip(lam, R):
-        proj = [x + c * y for x, y in zip(proj, r)]
-    anchor = tuple(x - y for x, y in zip(a, proj))
-    key = (anchor, tuple(R))
-
-    def to_chart(p):
-        rhs = [dot(r, vsub(p, anchor)) for r in R]
-        x = solve_fraction_system(G, rhs)
-        return tuple(x)
+    R = _rref(edge_matrix(tup))
+    pivots = [next(j for j, x in enumerate(r) if x) for r in R]
+    anchor = tup[0]
+    for j, r in zip(pivots, R):
+        c = anchor[j]
+        anchor = tuple(u - c * v for u, v in zip(anchor, r))
 
     def from_chart(x):
-        p = list(anchor)
+        p = anchor
         for c, r in zip(x, R):
-            p = [u + c * v for u, v in zip(p, r)]
-        return tuple(p)
+            p = tuple(u + c * v for u, v in zip(p, r))
+        return p
 
-    return key, (to_chart, from_chart)
-
-
-def _primitive_normal(vec_):
-    from math import gcd
-    den = 1
-    for x in vec_:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in vec_]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g:
-        ints = [v // g for v in ints]
-    for v in ints:
-        if v != 0:
-            if v < 0:
-                ints = [-u for u in ints]
-            break
-    return tuple(Fraction(v) for v in ints)
+    return (anchor, tuple(R)), (pivots, from_chart)
 
 
 def _facet_hyperplanes(chart_tup):
-    """Hyperplanes spanned by the facets of a chart k-simplex."""
+    """Hyperplanes spanned by the facets of a non-degenerate chart k-simplex.
+
+    A facet's normal is the vector of signed maximal minors of its edge
+    matrix, made primitive with its first nonzero entry positive; for k = 1
+    the facet is a point and the minors are the single empty one, (1,).
+    """
     k = len(chart_tup) - 1
     out = []
     for i in range(k + 1):
         facet = chart_tup[:i] + chart_tup[i + 1:]
-        if k == 1:
-            n = (Fraction(1),)
-        else:
-            E = edge_matrix(facet)
-            # one-dimensional nullspace of the facet directions
-            rows = _rref(E)
-            # find a vector orthogonal to all rows: solve rows . n = 0
-            n = _nullvector(rows, k)
-            if n is None:
-                continue  # degenerate facet spans no hyperplane
-        n = _primitive_normal(n)
-        c = dot(n, facet[0])
-        out.append((n, c))
+        E = edge_matrix(facet)
+        ints, _ = integer_form([(-1) ** j * det_fraction(
+            [row[:j] + row[j + 1:] for row in E]) for j in range(k)])
+        g = gcd(*ints)
+        if next(v for v in ints if v) < 0:
+            g = -g
+        n = tuple(v // g for v in ints)
+        out.append((n, dot(n, facet[0])))
     return out
 
 
-def _nullvector(rows, n):
-    """A nonzero rational vector orthogonal to all rows, or None."""
-    if len(rows) >= n:
-        return None
-    pivots = []
-    for row in rows:
-        for j, x in enumerate(row):
-            if x:
-                pivots.append(j)
-                break
-    free = [j for j in range(n) if j not in pivots]
-    if not free:
-        return None
-    j0 = free[0]
-    v = [Fraction(0)] * n
-    v[j0] = Fraction(1)
-    # rows are in rref: back-substitute pivot entries
-    for row, pj in zip(rows, pivots):
-        v[pj] = -row[j0]
-    return tuple(v)
+def _reduce_in_chart(chart, members):
+    """Canonical weighted triangulation of one flat's non-degenerate pieces.
 
-
-def _reduce_in_chart(chart, members, k):
-    """Canonical weighted triangulation of one flat's pieces."""
-    to_chart, from_chart = chart
+    cut_simplex_by_values keeps every fragment non-degenerate, oriented like
+    its piece and on one side of the cut, so a fragment's region is the
+    tuple of sides it was cut to and no fragment is tested again.
+    """
+    pivots, from_chart = chart
     cpieces = []
     for tup, w in members:
-        ctup = tuple(to_chart(p) for p in tup)
-        E = edge_matrix(ctup)
-        d = det_fraction(E)
-        if d == 0:
-            continue
-        s = 1 if d > 0 else -1
+        ctup = tuple(tuple(p[j] for j in pivots) for p in tup)
+        s = 1 if det_fraction(edge_matrix(ctup)) > 0 else -1
         cpieces.append((ctup, w, s))
-    if not cpieces:
-        return []
 
     hyps = set()
     for ctup, _, _ in cpieces:
         hyps.update(_facet_hyperplanes(ctup))
     hyps = sorted(hyps)
 
-    # cut every piece by every hyperplane
-    frag_lists = []
+    # cut every piece by every hyperplane, recording the side of each cut
+    regions = {}
     total = 0
-    for ctup, w, s in cpieces:
-        frags = [ctup]
+    for idx, (ctup, _, _) in enumerate(cpieces):
+        frags = [(ctup, ())]
         for n, c in hyps:
             nxt = []
-            for f in frags:
-                vals = [dot(n, p) for p in f]
-                lo, hi = cut_simplex_by_values(f, vals, c)
-                nxt.extend(lo)
-                nxt.extend(hi)
-            frags = [f for f in nxt if det_fraction(edge_matrix(f)) != 0]
+            for f, sig in frags:
+                lo, hi = cut_simplex_by_values(f, [dot(n, p) for p in f], c)
+                nxt.extend((g, sig + (-1,)) for g in lo)
+                nxt.extend((g, sig + (1,)) for g in hi)
+            frags = nxt
             total += len(frags)
             if total > MAX_FRAGMENTS:
                 raise GeometryError("canonical form exceeded the fragment budget")
-        frag_lists.append(frags)
-
-    # group fragments into arrangement regions by centroid sign vectors
-    regions = {}
-    for idx, frags in enumerate(frag_lists):
-        for f in frags:
-            cen = centroid(f)
-            sig = tuple(1 if dot(n, cen) > c else -1 for n, c in hyps)
-            regions.setdefault(sig, []).append((idx, f))
+        for f, sig in frags:
+            regions.setdefault(sig, {}).setdefault(idx, []).append(f)
 
     # every piece is the intersection of its facet half-spaces, all among
     # the hyperplanes, so a region lies inside each piece with a fragment
     # in it and outside every other piece
     out = []
     for sig in sorted(regions):
-        entries = regions[sig]
-        mult = sum(cpieces[i][1] * cpieces[i][2]
-                   for i in {i for i, _ in entries})
+        pieces = regions[sig]
+        mult = sum(cpieces[i][1] * cpieces[i][2] for i in pieces)
         if mult == 0:
             continue
         # deterministic triangulation: fragments of the lowest-index piece
-        first = min(i for i, _ in entries)
-        for i, f in entries:
-            if i != first:
-                continue
-            d = det_fraction(edge_matrix(f))
-            fpos = f if d > 0 else (f[1], f[0]) + f[2:]
+        first = min(pieces)
+        for f in pieces[first]:
+            fpos = f if cpieces[first][2] > 0 else (f[1], f[0]) + f[2:]
             amb = tuple(from_chart(p) for p in fpos)
             key, sign = canonical_orientation(amb)
             out.append((key, sign * mult))

@@ -162,7 +162,11 @@ def cut_simplex_by_values(tup: Simplex, vals, r):
     Returns (low, high): lists of vertex tuples partitioning the simplex,
     low on g <= r, high on g >= r.  Orientation of every fragment matches
     the parent.  Vertices with value exactly r sit on the cut and are fine;
-    the recursion splits crossing edges at exact rational points.
+    the recursion splits crossing edges at exact rational points.  Each
+    split replaces one end of an edge by a point strictly inside it, which
+    scales the volume by a factor in (0, 1): so no fragment of a
+    non-degenerate simplex is degenerate, and the fragments' volumes add
+    up to the parent's.
     """
     vals = list(vals)
     cross = None

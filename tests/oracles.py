@@ -56,6 +56,11 @@ def invariant_factors(rows):
 
 def field_rank(rows, p=None):
     """Rank by Gaussian elimination over Q (p None) or over GF(p)."""
+    return len(echelon_rows(rows, p))
+
+
+def echelon_rows(rows, p=None):
+    """Nonzero rows of the reduced row echelon form over Q or GF(p)."""
     if p is None:
         mat = [[Fraction(x) for x in row] for row in rows]
     else:
@@ -85,7 +90,7 @@ def field_rank(rows, p=None):
                     mat[i] = [(a - f * b) % p for a, b in zip(mat[i], mat[rank])]
         rank += 1
         col += 1
-    return rank
+    return [tuple(row) for row in mat[:rank]]
 
 
 def simplicial_boundary_rows(faces, cells):
@@ -129,17 +134,82 @@ def betti_numbers(simplices_by_dim, p=None):
     return out
 
 
+def _gram_chart(tup):
+    """Flat key and chart of a simplex's affine flat, by Gram solves.
+
+    The key pairs the flat's reduced echelon basis R with its point nearest
+    the origin, and a flat point's chart coordinates are its coefficients
+    in R from that point, each found by solving the Gram system of R.
+    """
+    from mhom.geometry import edge_matrix, solve_fraction_system
+    from mhom.rational import dot, vsub
+
+    R = echelon_rows(edge_matrix(tup))
+    G = [[dot(a, b) for b in R] for a in R]
+    lam = solve_fraction_system(G, [dot(r, tup[0]) for r in R])
+    anchor = tup[0]
+    for c, r in zip(lam, R):
+        anchor = tuple(u - c * v for u, v in zip(anchor, r))
+
+    def to_chart(p):
+        return tuple(solve_fraction_system(
+            G, [dot(r, vsub(p, anchor)) for r in R]))
+
+    def from_chart(x):
+        p = anchor
+        for c, r in zip(x, R):
+            p = tuple(u + c * v for u, v in zip(p, r))
+        return p
+
+    return (anchor, tuple(R)), (to_chart, from_chart)
+
+
+def _nullspace_hyperplanes(chart_tup):
+    """(primitive normal, offset) of each facet hyperplane of a chart
+    k-simplex, the normal read off the null space of the facet's echelon
+    edge matrix; degenerate facets span no hyperplane and are skipped."""
+    from mhom.geometry import edge_matrix
+    from mhom.rational import dot
+
+    k = len(chart_tup) - 1
+    out = []
+    for i in range(k + 1):
+        facet = chart_tup[:i] + chart_tup[i + 1:]
+        rows = echelon_rows(edge_matrix(facet))
+        if len(rows) != k - 1:
+            continue
+        pivots = [next(j for j, x in enumerate(r) if x) for r in rows]
+        free = next(j for j in range(k) if j not in pivots)
+        n = [Fraction(0)] * k
+        n[free] = Fraction(1)
+        for row, pj in zip(rows, pivots):
+            n[pj] = -row[free]
+        den = 1
+        for x in n:
+            den = den * x.denominator // gcd(den, x.denominator)
+        ints = [int(x * den) for x in n]
+        g = 0
+        for v in ints:
+            g = gcd(g, v)
+        if next(v for v in ints if v) < 0:
+            g = -g
+        n = tuple(Fraction(v // g) for v in ints)
+        out.append((n, dot(n, facet[0])))
+    return out
+
+
 def reduce_at_witness_points(current):
     """Canonical form of a polyhedral current, multiplicities at witnesses.
 
     The same arrangement as PolyhedralCurrent.reduce (every piece of a flat
-    cut by every facet hyperplane of the flat's pieces, fragments grouped
-    by centroid sign vector), but each region's multiplicity is the sum of
-    w * orientation over the pieces whose closed simplex holds the centroid
-    of the region's first fragment, tested by solving for its barycentric
-    coordinates.  Returns the terms dict.
+    cut by every facet hyperplane of the flat's pieces), reached by other
+    means: each flat gets a Gram chart anchored nearest the origin and
+    null-space facet normals, degenerate fragments are dropped after each
+    cut, and fragments are grouped by centroid sign vector.  Each region's
+    multiplicity is the sum of w * orientation over the pieces whose closed
+    simplex holds the centroid of the region's first fragment, tested by
+    solving for its barycentric coordinates.  Returns the terms dict.
     """
-    from mhom.currents import _facet_hyperplanes, _flat_chart
     from mhom.geometry import (canonical_orientation, cut_simplex_by_values,
                                det_fraction, edge_matrix, gram_det,
                                solve_fraction_system)
@@ -165,7 +235,7 @@ def reduce_at_witness_points(current):
         return merged
     groups = {}
     for tup, w in sorted(merged.items()):
-        fkey, chart = _flat_chart(tup)
+        fkey, chart = _gram_chart(tup)
         groups.setdefault(fkey, (chart, []))[1].append((tup, w))
     out = {}
     for fkey in sorted(groups):
@@ -177,7 +247,7 @@ def reduce_at_witness_points(current):
             if d:
                 cpieces.append((ctup, w, 1 if d > 0 else -1))
         hyps = sorted({h for ctup, _, _ in cpieces
-                       for h in _facet_hyperplanes(ctup)})
+                       for h in _nullspace_hyperplanes(ctup)})
         regions = {}
         for idx, (ctup, _, _) in enumerate(cpieces):
             frags = [ctup]

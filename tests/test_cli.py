@@ -176,9 +176,13 @@ def test_compare_pair_exactness():
     assert all(c["exact"] for c in payload["les"])
 
 
-def test_verify_cosheaf_both_theories():
-    res = run_cli("verify", "cosheaf", "--space", "s1", "--cover", "arcs2",
-                  "--budget", "2")
+@pytest.mark.parametrize("extra", [
+    ("--cover", "arcs2", "--budget", "2"),
+    # seed 8 draws a zero chain, so its split has no parts
+    ("--budget", "20", "--seed", "8"),
+], ids=["arcs2", "seed8"])
+def test_verify_cosheaf_both_theories(extra):
+    res = run_cli("verify", "cosheaf", "--space", "s1", *extra)
     assert res.returncode == 0
     payload = json.loads(res.stdout)
     kinds = {c["check"].split("[")[0] for c in payload["checks"]}

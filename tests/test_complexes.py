@@ -28,9 +28,9 @@ def unit_square():
 
 def test_distances_exact(s1):
     a, b, c = s1.vertices
-    assert s1.distance2(a, b) == 2
-    assert s1.distance2(b, c) == 2
-    assert s1.distance2(a, c) == 2
+    assert dist2(a, b) == 2
+    assert dist2(b, c) == 2
+    assert dist2(a, c) == 2
 
 
 def test_containment_and_lookup(torus):

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -87,6 +88,27 @@ def test_reduce_matches_witness_point_rule():
         for _ in range(cases):
             T = flat_current(rng, k)
             assert T.reduce().terms == reduce_at_witness_points(T)
+
+
+def test_reduce_solves_no_linear_system(monkeypatch):
+    """reduce reads chart coordinates off the pivot columns of each flat's
+    echelon basis, so no degree calls solve_fraction_system."""
+    calls = []
+    wrapped = []
+    for name, mod in list(sys.modules.items()):
+        original = getattr(mod, "solve_fraction_system", None)
+        if name.startswith("mhom.") and original is not None:
+            def counted(A, b, original=original):
+                calls.append(len(b))
+                return original(A, b)
+            monkeypatch.setattr(mod, "solve_fraction_system", counted)
+            wrapped.append(name)
+    assert "mhom.geometry" in wrapped
+    rng = random.Random(47)
+    for k in (1, 2, 3):
+        for _ in range(4):
+            flat_current(rng, k).reduce()
+    assert calls == []
 
 
 def test_support_pieces_inside_originals():
