@@ -36,23 +36,18 @@ class Nerve:
     """Intersection combinatorics of a ball cover, with witness points.
 
     A tuple of cover indices enters the nerve when a sampled carrier point
-    lies strictly inside all its balls.  Witness search is conservative;
-    emptiness of an absent tuple can be certified separately.
+    lies strictly inside all its balls, as the cover's membership table at
+    witness_depth records.  Witness search is conservative; emptiness of an
+    absent tuple can be certified separately.
     """
 
     def __init__(self, cover, max_arity=3, witness_depth=2):
         self.cover = cover
         self.max_arity = max_arity
         self.witnesses = {}
-        pts = cover.complex.sample_vertices(witness_depth)
-        memberships = []
-        for p in pts:
-            inside = tuple(i for i in range(len(cover)) if cover.contains(i, p))
-            memberships.append((p, inside))
-        for p, inside in memberships:
-            for arity in range(1, max_arity + 1):
-                if len(inside) < arity:
-                    continue
+        for p, inside in cover.members(witness_depth).items():
+            inside = sorted(inside)
+            for arity in range(1, min(max_arity, len(inside)) + 1):
                 for tup in combinations(inside, arity):
                     self.witnesses.setdefault(tup, p)
 
@@ -265,22 +260,30 @@ def solve_phi(Y, nerve, context=""):
 
 # ---- local fills ----
 
-def fill_zero_chain(complex_, chain, membership, start_depth=2,
+def fill_zero_chain(complex_, chain, region, start_depth=2,
                     max_depth=MAX_FILL_DEPTH, context=""):
     """One-chain inside a region with boundary equal to the given 0-chain.
 
-    The region is described by a strict membership predicate closed under
-    segments inside single carrier simplices (intersections of open balls
-    are).  Builds a path graph on sampled region vertices, routes each
-    weighted point to its component root along a spanning tree, and fails
-    honestly when some component carries nonzero total weight.
+    region is None for the whole carrier, or a pair (cover, balls) for the
+    intersection of the listed open balls of the cover; such a region is
+    closed under segments inside single carrier simplices.  Sample vertices
+    enter by the cover's membership table at each depth (cover.members),
+    and any other chain point is tested with cover.contains.  Builds a path
+    graph on sampled region vertices, routes each weighted point to its
+    component root along a spanning tree, and fails honestly when some
+    component carries nonzero total weight.
     """
     if chain.degree != 0:
         raise InputError("only zero-chains are filled by paths")
+    cover, balls = region if region is not None else (None, ())
+    balls = frozenset(balls)
+    held = cover.members(start_depth) if cover is not None else {}
     weights = {}
     for tup, c in chain.terms.items():
         p = tup[0]
-        if not membership(p):
+        inside = held.get(p)
+        if not (balls <= inside if inside is not None
+                else all(cover.contains(i, p) for i in balls)):
             raise GeometryError(f"chain point {p} escapes the region {context}")
         weights[p] = weights.get(p, 0) + c
     weights = {p: c for p, c in weights.items() if c}
@@ -289,7 +292,10 @@ def fill_zero_chain(complex_, chain, membership, start_depth=2,
 
     last_err = "no admissible depth"
     for depth in range(start_depth, max_depth + 1):
-        nodes = [v for v in complex_.sample_vertices(depth) if membership(v)]
+        nodes = complex_.sample_vertices(depth)
+        if cover is not None:
+            table = cover.members(depth).values()
+            nodes = [v for v, inside in zip(nodes, table) if balls <= inside]
         seen = set(nodes)
         nodes.extend(p for p in weights if p not in seen)
         # nodes are numbered in point order, so sorted numbers are sorted
@@ -405,12 +411,9 @@ def _ascend(bottom, top, lower, cover, name):
                 continue
             context = f"({name}, {('ball', 'pair')[p]} {K})"
             if val.degree == 0:
-                balls = K if p else (K,)
-                col[K] = fill_zero_chain(
-                    complex_, val,
-                    lambda q, balls=balls: all(cover.contains(i, q)
-                                               for i in balls),
-                    context=context)
+                col[K] = fill_zero_chain(complex_, val,
+                                         (cover, K if p else (K,)),
+                                         context=context)
             else:
                 # cycles reach here only at column 0: cones inside ball
                 # intersections, which degree two needs, are not built yet
@@ -564,5 +567,5 @@ def degree_zero_cancel(z, complex_, start_depth=1):
 
     Fills across each connected component of the whole carrier.
     """
-    return fill_zero_chain(complex_, z, lambda p: True,
-                           start_depth=start_depth, context="(global)")
+    return fill_zero_chain(complex_, z, None, start_depth=start_depth,
+                           context="(global)")

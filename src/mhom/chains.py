@@ -31,8 +31,11 @@ class LipschitzChain(WeightedSimplices):
         return self.complex.ambient_dim
 
     def like(self, degree, terms):
-        return LipschitzChain(self.complex, degree, terms, self.level,
-                              check_carrier=False)
+        out = LipschitzChain.__new__(LipschitzChain)
+        out.complex = self.complex
+        out.level = self.level
+        out._adopt(degree, terms)
+        return out
 
     def check_carrier(self):
         """Raise unless every term lies inside one simplex of the carrier."""

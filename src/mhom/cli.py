@@ -36,12 +36,25 @@ SUITES = ("snf", "stokes", "green", "prism", "mass", "degree0", "mcshane",
           "cosheaf", "zigzag", "space")
 
 
-def _default_depth():
+def _check_counts(args):
+    """--budget and --depth take nonnegative integers."""
+    for flag, value in (("--budget", args.budget), ("--depth", args.depth)):
+        if value is not None and value < 0:
+            raise InputError(f"{flag} must be nonnegative, got {value}")
+
+
+def _depth(args):
+    """--depth, else MHOM_DEPTH, else 3."""
+    if args.depth is not None:
+        return args.depth
     raw = os.environ.get("MHOM_DEPTH", "3")
     try:
-        return int(raw)
+        depth = int(raw)
     except ValueError:
         raise InputError(f"MHOM_DEPTH must be an integer, got {raw!r}")
+    if depth < 0:
+        raise InputError(f"MHOM_DEPTH must be nonnegative, got {depth}")
+    return depth
 
 
 def _emit(payload, out):
@@ -210,7 +223,8 @@ def _zigzag_step(complex_, items, cover, nerve):
 
 
 def cmd_compare(args):
-    depth = args.depth if args.depth is not None else _default_depth()
+    _check_counts(args)
+    depth = _depth(args)
     if args.degree not in (0, 1):
         raise InputError("compare runs in degrees 0 and 1")
     complex_ = spaces.load_space(args.space)
@@ -548,7 +562,7 @@ def _suite_zigzag(args, rng):
 
 def _suite_space(args, rng):
     complex_ = spaces.load_space(args.space or "s1")
-    depth = args.depth if args.depth is not None else _default_depth()
+    depth = _depth(args)
     checks = [{"check": "metric", "status": "pass",
                "detail": f"{len(complex_.vertices)} vertices, "
                          f"{len(complex_.simplices)} simplices"}]
@@ -612,6 +626,7 @@ def cmd_verify(args):
     if args.suite not in _SUITE_FNS:
         raise InputError(
             f"unknown suite {args.suite!r}; choose from {', '.join(SUITES)}")
+    _check_counts(args)
     rng = random.Random(args.seed)
     checks = _SUITE_FNS[args.suite](args, rng)
     failed = sum(1 for c in checks if c["status"] != "pass")

@@ -586,7 +586,10 @@ class BallCover:
     barycentrically inside a named simplex) and a rational radius.
     Membership tests compare squared distances, against the squared radii
     and integer forms of the centers stored at construction; the balls do
-    not change afterwards.
+    not change afterwards.  Per sample depth, the cover keeps one
+    membership table: for each vertex of the complex's depth-fold
+    subdivision, the set of balls that hold it, built with contains() on
+    first use (members()).
     """
 
     def __init__(self, complex_: MetricComplex, balls):
@@ -619,9 +622,21 @@ class BallCover:
         self._radii2 = [r * r for r in self.radii]
         self._centers_int = [integer_form(c) for c in self.centers]
         self._near = None
+        self._members = {}  # depth -> {sample vertex: balls holding it}
 
     def __len__(self):
         return len(self.centers)
+
+    def members(self, depth: int):
+        """Read-only map from each vertex of complex.sample_vertices(depth),
+        in that order, to the frozenset of balls holding it strictly."""
+        table = self._members.get(depth)
+        if table is None:
+            balls = range(len(self.centers))
+            table = {p: frozenset(i for i in balls if self.contains(i, p))
+                     for p in self.complex._sample_list(depth)}
+            self._members[depth] = table
+        return MappingProxyType(table)
 
     def contains(self, i, p) -> bool:
         """Strict membership on integers: with p = P/q and the center C/c,

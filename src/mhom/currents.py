@@ -44,7 +44,10 @@ class PolyhedralCurrent(WeightedSimplices):
         return self.terms
 
     def like(self, degree, terms):
-        return PolyhedralCurrent(self.ambient_dim, degree, terms)
+        out = PolyhedralCurrent.__new__(PolyhedralCurrent)
+        out.ambient_dim = self.ambient_dim
+        out._adopt(degree, terms)
+        return out
 
     @staticmethod
     def from_tuples(ambient_dim, items, degree=None):
@@ -176,7 +179,7 @@ class PolyhedralCurrent(WeightedSimplices):
             merged[key] = merged.get(key, 0) + sign * w
         merged = {t: w for t, w in merged.items() if w}
         if k == 0:
-            return PolyhedralCurrent(self.ambient_dim, 0, merged)
+            return self.like(0, merged)
 
         groups = {}
         for tup, w in sorted(merged.items()):
@@ -189,8 +192,7 @@ class PolyhedralCurrent(WeightedSimplices):
             chart, members = groups[fkey]
             for tup, w in _reduce_in_chart(chart, members):
                 out[tup] = out.get(tup, 0) + w
-        out = {t: w for t, w in out.items() if w}
-        return PolyhedralCurrent(self.ambient_dim, k, out)
+        return self.like(k, out)
 
 
 def _rref(rows):
@@ -271,7 +273,8 @@ def _reduce_in_chart(chart, members):
 
     cut_simplex_by_values keeps every fragment non-degenerate, oriented like
     its piece and on one side of the cut, so a fragment's region is the
-    tuple of sides it was cut to and no fragment is tested again.
+    tuple of sides it was cut to and no fragment is tested again.  Only
+    the hyperplanes that cross a piece's interior cut its fragments.
     """
     pivots, from_chart = chart
     cpieces = []
@@ -291,12 +294,21 @@ def _reduce_in_chart(chart, members):
     for idx, (ctup, _, _) in enumerate(cpieces):
         frags = [(ctup, ())]
         for n, c in hyps:
-            nxt = []
-            for f, sig in frags:
-                lo, hi = cut_simplex_by_values(f, [dot(n, p) for p in f], c)
-                nxt.extend((g, sig + (-1,)) for g in lo)
-                nxt.extend((g, sig + (1,)) for g in hi)
-            frags = nxt
+            vals = [dot(n, p) for p in ctup]
+            # a hyperplane that misses the piece's interior puts every
+            # fragment on one side, as cutting each of them would
+            if max(vals) <= c:
+                frags = [(f, sig + (-1,)) for f, sig in frags]
+            elif min(vals) >= c:
+                frags = [(f, sig + (1,)) for f, sig in frags]
+            else:
+                nxt = []
+                for f, sig in frags:
+                    lo, hi = cut_simplex_by_values(
+                        f, [dot(n, p) for p in f], c)
+                    nxt.extend((g, sig + (-1,)) for g in lo)
+                    nxt.extend((g, sig + (1,)) for g in hi)
+                frags = nxt
             total += len(frags)
             if total > MAX_FRAGMENTS:
                 raise GeometryError("canonical form exceeded the fragment budget")

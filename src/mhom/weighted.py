@@ -8,6 +8,16 @@ multiples, the alternating boundary, barycentric refinement, cones,
 staircase prisms, vertexwise images and refinement until given maps are
 affine.  Subclasses fix the carrier the tuples live in and what it means
 for a sum to vanish.
+
+Who validates and who owns a terms dict: the constructors check input
+from outside (every point becomes a tuple of Fractions, every tuple has
+degree + 1 points of the ambient dimension) and build a dict of their own.
+Everything the algebra derives from valid terms (sums, multiples,
+boundaries, subdivisions, cones, cover splits, canonical forms) goes
+through like(), which takes the fresh dict it is given as the new terms
+without checking or copying it, so no surviving key is hashed again.  A
+terms dict belongs to one object and is never mutated after that object
+is built.
 """
 
 from fractions import Fraction
@@ -33,8 +43,7 @@ class WeightedSimplices:
     def __init__(self, degree, terms=None):
         if degree < 0:
             raise InputError("degree must be nonnegative")
-        self.degree = int(degree)
-        self.terms = {}
+        pairs = []
         if terms:
             dim = self.ambient_dim
             for tup, w in dict(terms).items():
@@ -48,11 +57,28 @@ class WeightedSimplices:
                 if any(len(p) != dim for p in tup):
                     raise InputError("point dimension does not match the "
                                      "ambient space")
-                self.terms[tup] = self.terms.get(tup, 0) + w
-            self.terms = {t: w for t, w in self.terms.items() if w}
+                pairs.append((tup, w))
+        own = dict(pairs)
+        if len(own) < len(pairs):  # distinct inputs named the same points
+            own = {}
+            for tup, w in pairs:
+                own[tup] = own.get(tup, 0) + w
+        self._adopt(int(degree), own)
+
+    def _adopt(self, degree, terms):
+        """Set the degree and adopt terms, deleting its zero weights."""
+        for tup in [t for t, w in terms.items() if not w]:
+            del terms[tup]
+        self.degree = degree
+        self.terms = terms
 
     def like(self, degree, terms):
-        """Same kind on the same carrier, with the given degree and terms."""
+        """Same kind on the same carrier, with the given degree and terms.
+
+        Takes ownership of terms, a fresh dict of valid point tuples that
+        the caller built and does not keep: its zero weights are deleted in
+        place and nothing is checked, copied or hashed again.
+        """
         raise NotImplementedError
 
     @staticmethod

@@ -6,6 +6,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from mhom import spaces
+from mhom.weighted import WeightedSimplices
 
 
 @pytest.fixture(scope="session")
@@ -36,3 +37,18 @@ def arcs2(s1):
 @pytest.fixture(scope="session")
 def torus_balls(torus):
     return spaces.load_cover(torus, "torus_balls")
+
+
+@pytest.fixture
+def validations(monkeypatch):
+    """Class names of the objects built through the validating
+    WeightedSimplices constructor while the test runs."""
+    seen = []
+    real = WeightedSimplices.__init__
+
+    def counted(self, degree, terms=None):
+        seen.append(type(self).__name__)
+        real(self, degree, terms)
+
+    monkeypatch.setattr(WeightedSimplices, "__init__", counted)
+    return seen

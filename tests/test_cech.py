@@ -178,11 +178,11 @@ def test_boundary_matching_needs_balanced_input(arcs2):
 def test_fill_zero_chain_path(s1):
     p, q = s1.vertices[0], s1.vertices[1]
     z = LipschitzChain(s1, 0, {(q,): 1, (p,): -1})
-    path = fill_zero_chain(s1, z, lambda x: True)
+    path = fill_zero_chain(s1, z, None)
     assert path.boundary() == z
     unbalanced = LipschitzChain(s1, 0, {(p,): 1})
     with pytest.raises(GeometryError):
-        fill_zero_chain(s1, unbalanced, lambda x: True)
+        fill_zero_chain(s1, unbalanced, None)
 
 
 def test_fill_zero_chain_respects_region(s1, arcs2):
@@ -195,7 +195,7 @@ def test_fill_zero_chain_respects_region(s1, arcs2):
     for q in pts[1:]:
         z = LipschitzChain(s1, 0, {(q,): 1, (base,): -1})
         try:
-            path = fill_zero_chain(s1, z, both)
+            path = fill_zero_chain(s1, z, (arcs2, (0, 1)))
         except GeometryError:
             disconnected += 1
             continue
@@ -352,6 +352,60 @@ def test_torus_fill_makes_no_generic_point_test(torus, torus_balls,
     res = zigzag_fill(T, torus_balls)
     assert res.chain.boundary().is_zero()
     assert calls == []
+
+
+def test_cover_membership_table(torus, monkeypatch):
+    # the nerve builds each ball's membership of the depth-2 sample
+    # vertices once; a fill reads them there and asks contains() only
+    # about other points, besides the simplex tests of split
+    cover = spaces.load_cover(torus, "torus_balls")
+    real = complexes.BallCover.contains
+    real_inside = complexes.BallCover.simplex_inside
+    direct, simplex_tests = [], []
+
+    def counted(self, i, p):
+        if not simplex_tests:
+            direct.append(p)
+        return real(self, i, p)
+
+    def simplex_inside(self, i, tup):
+        simplex_tests.append(tup)
+        try:
+            return real_inside(self, i, tup)
+        finally:
+            simplex_tests.pop()
+
+    monkeypatch.setattr(complexes.BallCover, "contains", counted)
+    monkeypatch.setattr(complexes.BallCover, "simplex_inside", simplex_inside)
+    samples = torus.sample_vertices(2)
+    nerve = Nerve(cover, max_arity=3)
+    assert len(direct) == len(cover) * len(samples)
+
+    # the predicate path: contains() at every sample vertex
+    witnesses = {}
+    for depth in (2, 3):
+        for p in torus.sample_vertices(depth):
+            inside = [i for i in range(len(cover)) if real(cover, i, p)]
+            assert cover.members(depth)[p] == frozenset(inside)
+            if depth == 2:
+                for arity in range(1, 4):
+                    for tup in combinations(inside, arity):
+                        witnesses.setdefault(tup, p)
+    assert nerve.witnesses == witnesses
+
+    items = spaces.random_torus_cycle(torus, random.Random(6))
+    T = PolyhedralCurrent.from_tuples(torus.ambient_dim, items, 1)
+    direct.clear()
+    res = zigzag_fill(T, cover, nerve=nerve)
+    assert direct and not set(direct) & set(samples)
+    # the same fill with contains() asked at every use
+    fresh = spaces.load_cover(torus, "torus_balls")
+    monkeypatch.setattr(fresh, "members", lambda depth: {
+        p: frozenset(i for i in range(len(fresh)) if real(fresh, i, p))
+        for p in torus.sample_vertices(depth)})
+    again = zigzag_fill(T, fresh, nerve=nerve)
+    assert res.chain.terms == again.chain.terms
+    assert res.filling.terms == again.filling.terms
 
 
 def test_cancel_without_triples_names_the_triple_step(torus, torus_balls):

@@ -31,6 +31,31 @@ def random_chain(complex_, degree, rng, span=5):
     return LipschitzChain.from_simplices(complex_, items)
 
 
+def assert_algebra_adopts_terms(a, b, cover, validations):
+    """Terms built from valid terms are adopted, never validated again."""
+    before = dict(a.terms)
+    ops = {"+": lambda: a + b, "-": lambda: a - b, "scale": lambda: a.scale(3),
+           "boundary": a.boundary, "subdivide": a.subdivide,
+           "reduce": a.reduce, "split": lambda: split(a, cover)}
+    for name, op in ops.items():
+        validations.clear()
+        op()
+        assert validations == [], name
+    zero = a - a
+    assert zero.terms == {} and zero.is_zero()
+    assert a.terms == before
+    parts = split(a, cover).values()
+    owned = {id(part.terms) for part in parts}
+    assert len(owned) == len(parts) and id(a.terms) not in owned
+
+
+def test_algebra_keeps_the_dicts_it_builds(torus, torus_balls, validations):
+    rng = random.Random(14)
+    assert_algebra_adopts_terms(random_chain(torus, 1, rng),
+                                random_chain(torus, 1, rng), torus_balls,
+                                validations)
+
+
 def test_boundary_squares_to_zero_seeded(torus, s2):
     rng = random.Random(11)
     for _ in range(25):

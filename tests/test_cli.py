@@ -59,6 +59,23 @@ def test_budget_zero_is_vacuous():
     assert payload["status"] == "ok"
 
 
+def test_negative_counts_exit_two(monkeypatch, capsys):
+    for argv, depth_env in (
+            (["verify", "zigzag", "--space", "s1", "--budget", "-3"], None),
+            (["verify", "space", "--space", "torus", "--depth", "-2"], None),
+            (["compare", "--space", "s1", "--budget", "-1"], None),
+            (["compare", "--space", "s1", "--budget", "1"], "-1"),
+            (["verify", "space", "--space", "s1"], "-4")):
+        if depth_env is None:
+            monkeypatch.delenv("MHOM_DEPTH", raising=False)
+        else:
+            monkeypatch.setenv("MHOM_DEPTH", depth_env)
+        assert cli.main(argv) == 2, argv
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "must be nonnegative" in out.err
+
+
 def test_unknown_names_exit_two():
     assert run_cli("homology", "--space", "nosuch").returncode == 2
     assert run_cli("verify", "nosuch").returncode == 2

@@ -11,6 +11,7 @@ from mhom.errors import GeometryError, InputError
 from mhom.rational import RadicalSum, dist2
 
 from oracles import reduce_at_witness_points
+from test_chains import assert_algebra_adopts_terms
 
 F = Fraction
 
@@ -109,6 +110,19 @@ def test_reduce_solves_no_linear_system(monkeypatch):
         for _ in range(4):
             flat_current(rng, k).reduce()
     assert calls == []
+
+
+def test_algebra_keeps_the_dicts_it_builds(torus, torus_balls, validations):
+    rng = random.Random(48)
+    edges = torus.chain_basis()[1]
+
+    def current():
+        return PolyhedralCurrent.from_tuples(torus.ambient_dim, [
+            (rng.choice([-2, -1, 1, 2]), torus.points_of(s))
+            for s in rng.sample(edges, 6)], degree=1)
+
+    assert_algebra_adopts_terms(current(), current(), torus_balls,
+                                validations)
 
 
 def test_support_pieces_inside_originals():
