@@ -43,6 +43,12 @@ REPORTS = {
         "da246dd2b6be3f1fa78b110f6a09ea09a9e1d515a68845f31d81aa4a962bc7d0",
     "homology --space torus --theory current":
         "e828e2b7a3e6a997ff3f2906dfcd59e81736b98ef6bc5c1ac55a25f08e16cf5c",
+    "verify mcshane --budget 4":
+        "9b0ee1cdd79c24c1467693170df6f27c7dd73f18536a9282aa12df15f81473d2",
+    "verify snf --budget 6":
+        "f984d61eaa19601c417657d3c9fa45da9f435d43ddf2181def5f03e582afbefd",
+    "verify zigzag --space torus --budget 1":
+        "5d3b9456857d64bb667a22dab89a6ca43e2be81ba8ead78e343d65498612db0d",
 }
 
 SPACES = {
