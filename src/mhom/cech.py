@@ -17,6 +17,10 @@ the tuple and cycles at column 0 by cones to the ball centers.  Fill
 matches a polyhedral cycle current by a piecewise-affine cycle chain up
 to a current boundary; cancel shows that a chain cycle whose current
 bounds is a chain boundary in the refinement limit.
+
+One key format runs through the walk: a component over a nerve simplex is
+keyed by the sorted tuple of its ball indices, arity one included, so a
+split part in ball i sits at (i,) and a pair component at (i, j).
 """
 
 import heapq
@@ -30,6 +34,9 @@ from .geometry import canonical_orientation
 from .weighted import MAX_SPLIT_ROUNDS
 
 MAX_FILL_DEPTH = 5
+# The nerve's witnesses are sample vertices of this depth, and a fill starts
+# there, so the first fill reads the membership table the nerve built.
+SAMPLE_DEPTH = 2
 
 
 class Nerve:
@@ -37,15 +44,15 @@ class Nerve:
 
     A tuple of cover indices enters the nerve when a sampled carrier point
     lies strictly inside all its balls, as the cover's membership table at
-    witness_depth records.  Witness search is conservative; emptiness of an
+    SAMPLE_DEPTH records.  Witness search is conservative; emptiness of an
     absent tuple can be certified separately.
     """
 
-    def __init__(self, cover, max_arity=3, witness_depth=2):
+    def __init__(self, cover, max_arity=3):
         self.cover = cover
         self.max_arity = max_arity
         self.witnesses = {}
-        for p, inside in cover.members(witness_depth).items():
+        for p, inside in cover.members(SAMPLE_DEPTH).items():
             inside = sorted(inside)
             for arity in range(1, min(max_arity, len(inside)) + 1):
                 for tup in combinations(inside, arity):
@@ -84,12 +91,6 @@ def cech_boundary(components):
     return out
 
 
-def _by_ball(components):
-    """Flatten singleton-tuple keys to ball indices."""
-    return {(k[0] if isinstance(k, tuple) else k): v
-            for k, v in components.items()}
-
-
 def _merge(first, second, sign):
     """first[K] + sign * second[K] for every key of either, in sorted key
     order; a key on one side only keeps that side's term."""
@@ -116,12 +117,11 @@ def augment(components):
 def augment_nerve(components):
     """Total multiplicity of each degree-zero component, as a nerve chain.
 
-    components: dict index-tuple (or ball index) -> degree-zero chain or
-    current.  Returns dict sorted-tuple -> int with zero entries dropped.
+    components: dict sorted-tuple (module docstring) -> degree-zero chain
+    or current.  Returns dict sorted-tuple -> int with zero entries dropped.
     """
     out = {}
-    for key, val in components.items():
-        tup = key if isinstance(key, tuple) else (key,)
+    for tup, val in components.items():
         w = sum(val.terms.values())
         if w:
             out[tup] = out.get(tup, 0) + w
@@ -140,19 +140,17 @@ def reindex_components(components, index_map):
     Each tuple of fine-ball indices maps to the tuple of their coarse
     balls; tuples whose image has a repeated index collapse and are
     dropped, and sorting the image flips the sign per transposition.
-    Works on coefficient components and on integer nerve chains alike.
-    Keys keep their style (bare index in, bare index out).
+    Works on coefficient components and on integer nerve chains alike,
+    keyed as the module docstring says.
     """
     out = {}
-    for key, val in components.items():
-        tup = key if isinstance(key, tuple) else (key,)
+    for tup, val in components.items():
         image = tuple(index_map[i] for i in tup)
         if len(set(image)) < len(image):
             continue
         target, sign = canonical_orientation(image)
-        okey = target if isinstance(key, tuple) else target[0]
         term = val if sign > 0 else -val
-        out[okey] = out[okey] + term if okey in out else term
+        out[target] = out[target] + term if target in out else term
     return out
 
 
@@ -174,7 +172,8 @@ def split(x, cover, balls=None, context=""):
     Each term goes to the first of the balls (all of the cover's, in order,
     by default) whose open ball holds it strictly.  A round stops at the
     first term with no home and refines the whole chain or current.
-    Returns a dict ball index -> part; the parts sum to a refinement of x.
+    Returns a dict (i,) -> part in ball i, keyed as the module docstring
+    says; the parts sum to a refinement of x.
     """
     if balls is None:
         balls = range(len(cover))
@@ -182,11 +181,10 @@ def split(x, cover, balls=None, context=""):
     for _ in range(MAX_SPLIT_ROUNDS + 1):
         buckets = {}
         for tup, w in work.terms.items():
-            home = next((b for b in balls if cover.simplex_inside(b, tup)),
-                        None)
+            home = cover.first_ball_containing(tup, balls)
             if home is None:
                 break
-            buckets.setdefault(home, {})[tup] = w
+            buckets.setdefault((home,), {})[tup] = w
         else:
             return {b: work.like(work.degree, t) for b, t in buckets.items()}
         if work.degree == 0:
@@ -204,21 +202,20 @@ def _vanishes(x):
 def solve_phi(Y, nerve, context=""):
     """W one nerve arity up with cech_boundary(W) = Y, by elimination.
 
-    Y maps sorted ball-index tuples of one arity p (bare ball indices when
-    p = 1) to chains or currents of one degree; it must lie in the image,
-    so for p = 1 the components sum to zero (as chains exactly, as
-    currents after reduction).  Keys are visited in sorted order,
-    including those elimination creates.  A nonzero residual at K is
-    reduced and split over the balls g > K[-1] with K + (g,) in the nerve;
-    the part in ball g becomes, up to sign, the component at K + (g,), and
-    the other faces of that tuple take up its boundary.  Those faces are
-    larger than K, so a residual is final when it is visited and leaves
-    the residuals then; a contribution arriving after that is an error.
+    Y maps sorted ball-index tuples of one arity p (module docstring) to
+    chains or currents of one degree; it must lie in the image, so for
+    p = 1 the components sum to zero (as chains exactly, as currents after
+    reduction).  Keys are visited in sorted order, including those
+    elimination creates.  A nonzero residual at K is reduced and split
+    over the balls g > K[-1] with K + (g,) in the nerve; the part at (g,)
+    becomes, up to sign, the component at B = K + (g,), and the other
+    faces of B take up its boundary.  Those faces are larger than K, so a
+    residual is final when it is visited and leaves the residuals then; a
+    contribution arriving after that is an error.
     Every part is certified inside all the balls of K.
     """
     cover = nerve.cover
-    residual = {(K if isinstance(K, tuple) else (K,)): R
-                for K, R in Y.items()}
+    residual = dict(Y)
     todo = sorted(residual)
     queued = set(todo)
     W = {}
@@ -241,8 +238,8 @@ def solve_phi(Y, nerve, context=""):
                 if not part.supported_in_ball(cover, i):
                     raise GeometryError(
                         f"support certificate failed: a term leaves ball {i}")
-            # deleting index j of B = K + (g,) has sign (-1)^j; j = p gives K
-            B = K + (g,)
+            # deleting index j of B has sign (-1)^j; j = p gives K
+            B = K + g
             term = -part if p % 2 else part
             W[B] = W[B] + term if B in W else term
             for j in reversed(range(p)):
@@ -260,8 +257,8 @@ def solve_phi(Y, nerve, context=""):
 
 # ---- local fills ----
 
-def fill_zero_chain(complex_, chain, region, start_depth=2,
-                    max_depth=MAX_FILL_DEPTH, context=""):
+def fill_zero_chain(complex_, chain, region, start_depth=SAMPLE_DEPTH,
+                    context=""):
     """One-chain inside a region with boundary equal to the given 0-chain.
 
     region is None for the whole carrier, or a pair (cover, balls) for the
@@ -270,8 +267,8 @@ def fill_zero_chain(complex_, chain, region, start_depth=2,
     enter by the cover's membership table at each depth (cover.members),
     and any other chain point is tested with cover.contains.  Builds a path
     graph on sampled region vertices, routes each weighted point to its
-    component root along a spanning tree, and fails honestly when some
-    component carries nonzero total weight.
+    component root along a spanning tree, and retries one depth deeper, up
+    to MAX_FILL_DEPTH, while some component carries nonzero total weight.
     """
     if chain.degree != 0:
         raise InputError("only zero-chains are filled by paths")
@@ -291,7 +288,7 @@ def fill_zero_chain(complex_, chain, region, start_depth=2,
         return LipschitzChain(complex_, 1, {}, chain.level, check_carrier=False)
 
     last_err = "no admissible depth"
-    for depth in range(start_depth, max_depth + 1):
+    for depth in range(start_depth, MAX_FILL_DEPTH + 1):
         nodes = complex_.sample_vertices(depth)
         if cover is not None:
             table = cover.members(depth).values()
@@ -401,23 +398,20 @@ def _ascend(bottom, top, lower, cover, name):
     col = {K: bracket_inverse_points(cur, complex_)
            for K, cur in bottom.items()}
     for p in reversed(range(top)):
-        img = cech_boundary(col)
-        if p == 0:
-            img = _by_ball(img)
+        img = _merge(cech_boundary(col), lower[p] if p < len(lower) else {},
+                     (-1) ** p)
         col = {}
-        for K, val in _merge(img, lower[p] if p < len(lower) else {},
-                             (-1) ** p).items():
+        for K, val in img.items():
             if val.is_zero():
                 continue
-            context = f"({name}, {('ball', 'pair')[p]} {K})"
+            context = f"({name}, over {K})"
             if val.degree == 0:
-                col[K] = fill_zero_chain(complex_, val,
-                                         (cover, K if p else (K,)),
+                col[K] = fill_zero_chain(complex_, val, (cover, K),
                                          context=context)
             else:
                 # cycles reach here only at column 0: cones inside ball
                 # intersections, which degree two needs, are not built yet
-                col[K] = cone_fill_chain(val, cover.centers[K], complex_,
+                col[K] = cone_fill_chain(val, cover.centers[K[0]], complex_,
                                          context=context)
     return col
 
@@ -435,12 +429,13 @@ class Staircase:
         self.nerve_class = nerve_class
 
 
-def zigzag_descend(c, cover, nerve=None, verify=True):
+def zigzag_descend(c, cover, nerve=None):
     """Resolve a global cycle into components over the cover.
 
     The descent of the module docstring, down to degree-zero
     coefficients, whose total multiplicities form an integer cycle on the
-    nerve.  Implemented for degrees 0..2.
+    nerve.  Implemented for degrees 0..2.  Certifies that column 0 sums
+    back to c and that each column p >= 1 maps onto column p-1's boundaries.
     """
     m = c.degree
     if m > 2:
@@ -456,19 +451,14 @@ def zigzag_descend(c, cover, nerve=None, verify=True):
 
     columns = _descend(c, cover, nerve, ("(descent)",) * m)
 
-    if verify:
-        back = augment(columns[0])
-        if back is None or not back.equals(c):
-            raise GeometryError("descent components do not sum back")
-        for p in range(1, m + 1):
-            img = cech_boundary(columns[p])
-            if p == 1:
-                img = _by_ball(img)
-            want = {k: comp.boundary() for k, comp in columns[p - 1].items()}
-            for k, gap in _merge(img, want, -1).items():
-                if not _vanishes(gap):
-                    raise GeometryError(
-                        f"descent step {p} mismatched at {k!r}")
+    back = augment(columns[0])
+    if back is None or not back.equals(c):
+        raise GeometryError("descent components do not sum back")
+    for p in range(1, m + 1):
+        want = {K: comp.boundary() for K, comp in columns[p - 1].items()}
+        for K, gap in _merge(cech_boundary(columns[p]), want, -1).items():
+            if not _vanishes(gap):
+                raise GeometryError(f"descent step {p} mismatched at {K!r}")
 
     layers = {(p, m - p): col for p, col in enumerate(columns)}
     return Staircase(layers, augment_nerve(columns[m]))
@@ -484,7 +474,7 @@ class FillResult:
         self.filling = filling
 
 
-def zigzag_fill(T, cover, nerve=None, verify=True):
+def zigzag_fill(T, cover, nerve=None):
     """Cycle current of degree one -> cycle chain c and current S with
     boundary(S) = [c] - T, all certificates exact.
 
@@ -508,8 +498,8 @@ def zigzag_fill(T, cover, nerve=None, verify=True):
     c01 = _ascend(T10, 1, (), cover, "fill")
 
     defects = _merge({A: bracket(ch) for A, ch in c01.items()}, T01, -1)
-    S_parts = {A: cone_fill_current(R, cover.centers[A], complex_,
-                                    context=f"(fill, ball {A})")
+    S_parts = {A: cone_fill_current(R, cover.centers[A[0]], complex_,
+                                    context=f"(fill, over {A})")
                for A, R in defects.items() if not R.is_zero_representation()}
 
     c = augment(c01)
@@ -519,15 +509,14 @@ def zigzag_fill(T, cover, nerve=None, verify=True):
     if S is None:
         S = PolyhedralCurrent.zero(T.ambient_dim, 2)
 
-    if verify:
-        if not c.boundary().is_zero():
-            raise GeometryError("fill produced a non-cycle chain")
-        if not S.boundary().equals(bracket(c) - T):
-            raise GeometryError("fill verification failed: boundary mismatch")
+    if not c.boundary().is_zero():
+        raise GeometryError("fill produced a non-cycle chain")
+    if not S.boundary().equals(bracket(c) - T):
+        raise GeometryError("fill verification failed: boundary mismatch")
     return FillResult(c, S)
 
 
-def zigzag_cancel(z, S, cover, nerve=None, verify=True):
+def zigzag_cancel(z, S, cover, nerve=None):
     """Cycle chain z with boundary(S) = [z] -> chain w with b(w) = z after
     refinement.
 
@@ -546,7 +535,7 @@ def zigzag_cancel(z, S, cover, nerve=None, verify=True):
             "a single complex simplex")
     if nerve is None:
         nerve = Nerve(cover, max_arity=3)
-    if verify and not S.boundary().equals(bracket(z)):
+    if not S.boundary().equals(bracket(z)):
         raise InputError("cancel needs boundary(S) = [z]")
 
     zc = _descend(z, cover, nerve, ("(cancel, chain)",))
@@ -555,7 +544,7 @@ def zigzag_cancel(z, S, cover, nerve=None, verify=True):
     w = augment(_ascend(Sc[2], 2, zc, cover, "cancel"))
     if w is None:
         w = LipschitzChain(complex_, 2, {}, 0, check_carrier=False)
-    if verify and not (w.boundary() == z):
+    if not (w.boundary() == z):
         raise GeometryError("cancel verification failed: b(w) != z")
     return w
 

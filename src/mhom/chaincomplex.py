@@ -49,11 +49,10 @@ class HomologyGroup:
 class ChainComplexZ:
     """Nonnegatively graded complex; boundary(k) maps degree k to k-1."""
 
-    def __init__(self, dims, boundaries, check=True):
+    def __init__(self, dims, boundaries):
         self.dims = list(dims)
         self._boundaries = dict(boundaries)
-        if check:
-            self.validate()
+        self.validate()
 
     def dim(self, k: int) -> int:
         if 0 <= k < len(self.dims):
@@ -85,12 +84,11 @@ class HomologyData:
     """
 
     def __init__(self, group, free_generators, torsion_generators, torsion_orders,
-                 cycle_basis, expressor):
+                 expressor):
         self.group = group
         self.free_generators = free_generators
         self.torsion_generators = torsion_generators
         self.torsion_orders = torsion_orders
-        self.cycle_basis = cycle_basis
         self._express = expressor
 
     def class_vector(self, cycle):
@@ -119,7 +117,6 @@ def homology_data(C: ChainComplexZ, k: int) -> HomologyData:
     _, D, V, _, V_inv = smith_normal_form(dk)
     r = len(D.data)
     z = nk - r
-    Z = [V.column(j) for j in range(r, nk)]
     B = IntMatrix(nk, z, {(i, j - r): v for (i, j), v in V.data.items()
                           if j >= r})
 
@@ -155,7 +152,7 @@ def homology_data(C: ChainComplexZ, k: int) -> HomologyData:
         return free + tor
 
     group = HomologyGroup(betti, torsion_orders)
-    return HomologyData(group, free_gens, tor_gens, torsion_orders, Z, express)
+    return HomologyData(group, free_gens, tor_gens, torsion_orders, express)
 
 
 def homology(C: ChainComplexZ, k: int) -> HomologyGroup:

@@ -46,16 +46,16 @@ class LipschitzChain(WeightedSimplices):
         return self
 
     @staticmethod
-    def zero(complex_, degree, level=0):
-        return LipschitzChain(complex_, degree, {}, level)
+    def zero(complex_, degree):
+        return LipschitzChain(complex_, degree, {})
 
     @staticmethod
-    def from_simplices(complex_, items, level=0):
-        """items: iterable of (coefficient, point tuple)."""
+    def from_simplices(complex_, items):
+        """items: iterable of (coefficient, point tuple), at level 0."""
         terms, degree = WeightedSimplices._gather(items)
         if degree is None:
             raise InputError("cannot infer degree from an empty list; use zero()")
-        return LipschitzChain(complex_, degree, terms, level)
+        return LipschitzChain(complex_, degree, terms)
 
     def _compatible(self, other):
         if self.complex is not other.complex or self.degree != other.degree:
@@ -98,18 +98,16 @@ class LipschitzChain(WeightedSimplices):
             out[key] = out.get(key, 0) + sign * c
         return {t: c for t, c in out.items() if c}
 
-    def equal_in_limit(self, other, extra=None):
+    def equal_in_limit(self, other):
         """Equality after refining both sides to a deep common level.
 
         Reordered copies of an affine simplex agree (with orientation sign)
-        after one barycentric round, so canonical forms at matching levels
-        decide equality in the refinement limit.
+        after one barycentric round, so canonical forms at matching levels,
+        max(2, degree) rounds down, decide equality in the refinement limit.
         """
         self._compatible(other)
-        if extra is None:
-            extra = max(2, self.degree)
         diff = self - other
-        return diff.subdivide(extra).canonical() == {}
+        return diff.subdivide(max(2, self.degree)).canonical() == {}
 
     def pushforward(self, plmap):
         """Image chain under a piecewise-affine self-map of the carrier.
@@ -127,7 +125,7 @@ class LipschitzChain(WeightedSimplices):
         out = super().cone(vertex)
         return out.check_carrier() if check_carrier else out
 
-    def prism(self, h0, h1, check_carrier=True):
+    def prism(self, h0, h1):
         """Staircase between two vertexwise images of this chain.
 
         h0 and h1 are callables on points.  For the images to agree with
@@ -135,8 +133,7 @@ class LipschitzChain(WeightedSimplices):
         arrange by refining first.
         """
         return LipschitzChain(self.complex, self.degree + 1,
-                              self._staircase(h0, h1), self.level,
-                              check_carrier=check_carrier)
+                              self._staircase(h0, h1), self.level)
 
     def vertex_images(self, fn):
         """Replace every vertex by fn(vertex), keeping coefficients."""
@@ -168,7 +165,7 @@ def chain_from_vector(complex_, degree, vector):
     return LipschitzChain.from_simplices(complex_, items)
 
 
-def chain_to_vector(chain, extra=None):
+def chain_to_vector(chain):
     """Inverse of chain_from_vector up to refinement, or None.
 
     Succeeds when the chain is a combination of the complex's own
@@ -176,8 +173,7 @@ def chain_to_vector(chain, extra=None):
     """
     basis = chain.complex.chain_basis()
     sims = basis[chain.degree] if chain.degree < len(basis) else []
-    if extra is None:
-        extra = max(2, chain.degree)
+    extra = max(2, chain.degree)
     level = chain.level + extra
     target = chain.subdivide(extra).canonical()
     columns = []

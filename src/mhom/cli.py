@@ -313,11 +313,11 @@ def _suite_snf(args, rng):
     return checks
 
 
-def _random_chain(complex_, degree, rng, spread=3):
+def _random_chain(complex_, degree, rng):
     basis = complex_.chain_basis().get(degree, [])
     if not basis:
         return LipschitzChain.zero(complex_, degree)
-    vec = [rng.randrange(-spread, spread + 1) for _ in basis]
+    vec = [rng.randrange(-3, 4) for _ in basis]
     ch = chain_from_vector(complex_, degree, vec)
     if rng.randrange(2):
         ch = ch.subdivide()
@@ -362,14 +362,14 @@ def _suite_green(args, rng):
     return checks
 
 
-def _random_current(rng, degree, dim=3, pieces=2):
+def _random_current(rng, degree):
     items = []
-    for _ in range(pieces):
+    for _ in range(2):
         tup = tuple(tuple(Fraction(rng.randrange(-8, 9), rng.choice([1, 2, 4]))
-                          for _ in range(dim))
+                          for _ in range(3))
                     for _ in range(degree + 1))
         items.append((rng.choice([-2, -1, 1, 2]), tup))
-    return PolyhedralCurrent.from_tuples(dim, items, degree=degree)
+    return PolyhedralCurrent.from_tuples(3, items, degree=degree)
 
 
 def _suite_prism(args, rng):
@@ -460,16 +460,16 @@ def _suite_mcshane(args, rng):
     return checks
 
 
-def _overlap_kernel(complex_, cover, nerve, deg, index=0, depth=3):
+def _overlap_kernel(complex_, cover, nerve, deg, index=0):
     """Kernel element of the augmentation inside one pairwise overlap."""
     pairs = nerve.tuples(2)
     if not pairs:
         return None
-    pts = complex_.sample_vertices(depth)
+    table = cover.members(3)
     for k in range(len(pairs)):
-        A, B = pairs[(index + k) % len(pairs)]
-        inside = [p for p in pts
-                  if cover.contains(A, p) and cover.contains(B, p)]
+        pair = pairs[(index + k) % len(pairs)]
+        A, B = pair[:1], pair[1:]
+        inside = [p for p, held in table.items() if held.issuperset(pair)]
         if deg == 0:
             if inside:
                 p = inside[index % len(inside)]
@@ -520,7 +520,7 @@ def _suite_cosheaf(args, rng):
             for tup, c in p.terms.items():
                 holders = [j for j in range(len(cover))
                            if cover.simplex_inside(j, tup)]
-                B = holders[-1]
+                B = (holders[-1],)
                 if B == A:
                     continue
                 for ball, sign in ((A, c), (B, -c)):
@@ -534,7 +534,7 @@ def _suite_cosheaf(args, rng):
         if not ker:
             continue
         W = cech.solve_phi(ker, nerve)
-        img = cech._by_ball(cech.cech_boundary(W))
+        img = cech.cech_boundary(W)
         zero = LipschitzChain.zero(complex_, deg)
         ok = all((img.get(A, zero) - ker.get(A, zero)).is_zero()
                  for A in set(img) | set(ker))

@@ -15,12 +15,10 @@ from types import MappingProxyType
 
 from .errors import GeometryError, InputError
 from .geometry import (
-    barycentric_coords,
     barycentric_subdivide,
     edge_matrix,
     gram_matrix,
     is_degenerate,
-    point_in_simplex,
     point_simplex_dist2,
     solve_fraction_system,
 )
@@ -232,7 +230,8 @@ class _TopLocator:
     affine hull.  A point is held when those coordinates are nonnegative
     with sum at most 1 and the edges rebuild p - v0 exactly, which is the
     verdict of geometry.point_in_simplex.  M, E and v0 are kept as integers
-    over one denominator each, so a test makes no Fraction.
+    over one denominator each, so a test makes no Fraction; only
+    barycentric() turns a held point's coordinates into Fractions.
     """
 
     __slots__ = ("v0", "c", "rows", "cols", "d", "de")
@@ -253,9 +252,10 @@ class _TopLocator:
                      for i in range(len(M))]
         self.d, self.de = d, d * e
 
-    def holds(self, point):
-        """point is integer_form(p) = (P, q).  delta is p - v0 scaled by
-        q*c, and lam the coordinates of v1..vk scaled by d*q*c."""
+    def _scaled(self, point):
+        """lam for a held point, else None.  point is integer_form(p) =
+        (P, q); delta is p - v0 scaled by q*c, and lam the coordinates of
+        v1..vk scaled by d*q*c."""
         P, q = point
         c = self.c
         delta = [x * c - v * q for x, v in zip(P, self.v0)]
@@ -263,13 +263,28 @@ class _TopLocator:
         for row in self.rows:
             x = sum(m * delta[i] for i, m in row)
             if x < 0:
-                return False
+                return None
             lam.append(x)
         if sum(lam) > self.d * q * c:
-            return False
+            return None
         de = self.de
-        return all(sum(lam[r] * w for r, w in col) == y * de
-                   for col, y in zip(self.cols, delta))
+        if all(sum(lam[r] * w for r, w in col) == y * de
+               for col, y in zip(self.cols, delta)):
+            return lam
+        return None
+
+    def holds(self, point):
+        return self._scaled(point) is not None
+
+    def barycentric(self, point):
+        """Barycentric coordinates of v0..vk, as Fractions, of a held
+        point; None for a point outside the simplex."""
+        lam = self._scaled(point)
+        if lam is None:
+            return None
+        scale = self.d * point[1] * self.c
+        return ((Fraction(scale - sum(lam), scale),)
+                + tuple(Fraction(x, scale) for x in lam))
 
 
 # -- piecewise linear maps -------------------------------------------------
@@ -279,8 +294,9 @@ class PLMap:
     """Piecewise-affine map into R^m.
 
     Either globally affine (matrix plus offset) or interpolated from
-    vertex values over an explicit list of cells.  Cellwise data must be
-    continuous across shared faces; evaluation is exact over Q.
+    vertex values over an explicit list of non-degenerate cells.  Cellwise
+    data must be continuous across shared faces; evaluation is exact over
+    Q, through one exact locator per cell built with the map.
     """
 
     def __init__(self, target_dim, matrix=None, offset=None, cells=None, cell_values=None):
@@ -289,6 +305,7 @@ class PLMap:
         self.offset = None
         self.cells = None
         self.cell_values = None
+        self._locs = None
         if matrix is not None:
             self.matrix = [tuple(frac(x) for x in row) for row in matrix]
             self.offset = tuple(frac(x) for x in (offset or [0] * self.target_dim))
@@ -304,6 +321,9 @@ class PLMap:
                 for v in vals:
                     if len(v) != self.target_dim:
                         raise InputError("cell value has wrong target dimension")
+                if is_degenerate(c):
+                    raise InputError(f"cell {c} is geometrically degenerate")
+            self._locs = [_TopLocator(c) for c in self.cells]
 
     # constructors
 
@@ -338,8 +358,9 @@ class PLMap:
 
     def find_cell(self, points):
         """Index of a cell containing all the points, or None."""
-        for i, c in enumerate(self.cells):
-            if all(point_in_simplex(p, c) for p in points):
+        qs = [integer_form(p) for p in points]
+        for i, loc in enumerate(self._locs):
+            if all(loc.holds(q) for q in qs):
                 return i
         return None
 
@@ -353,9 +374,10 @@ class PLMap:
         return self.value_on_cell(i, p)
 
     def value_on_cell(self, i, p):
-        lam = barycentric_coords(p, self.cells[i])
+        """Value at a point p of cell i, from the cell's vertex values."""
+        lam = self._locs[i].barycentric(integer_form(p))
         if lam is None:
-            raise GeometryError("point is outside the affine hull of its cell")
+            raise GeometryError(f"point {p} is outside cell {i} of the map")
         vals = self.cell_values[i]
         return tuple(sum((l * v[d] for l, v in zip(lam, vals)), Fraction(0))
                      for d in range(self.target_dim))
@@ -381,7 +403,7 @@ class PLMap:
         H = [[dot(a, b) for b in W] for a in W]
         return G, H
 
-    def scalar_lipschitz_squared(self, cells=None) -> Fraction:
+    def scalar_lipschitz_squared(self) -> Fraction:
         """Exact squared Lipschitz constant of a scalar map, maximized over
         cells (restricted to each cell's tangent space)."""
         if self.target_dim != 1:
@@ -394,8 +416,6 @@ class PLMap:
             d = [v[0] - vals[0][0] for v in vals[1:]]
             G = [[dot(a, b) for b in E] for a in E]
             a = solve_fraction_system(G, d)
-            if a is None:
-                raise GeometryError("degenerate cell in scalar Lipschitz bound")
             val = sum((ai * di for ai, di in zip(a, d)), Fraction(0))
             best = max(best, val)
         return best
@@ -448,17 +468,18 @@ def _psd(M) -> bool:
 # -- McShane extension -----------------------------------------------------
 
 
-def mcshane_extension(complex_: MetricComplex, boundary_values, L, depth=2, prec=30):
+def mcshane_extension(complex_: MetricComplex, boundary_values, L, depth=2):
     """Rational realization of the largest L-Lipschitz extension.
 
     boundary_values: list of (point, value) pairs with rational values,
     checked to be L-Lipschitz pairwise (exact squared comparison).  Sample
     points are the depth-fold subdivision vertices; each gets a rational
-    value within 2^-prec below its inf-convolution bound, chosen so the
+    value within 2^-30 below its inf-convolution bound, chosen so the
     full assignment stays exactly L-Lipschitz and matches the boundary
     data without rounding.  Returns a scalar cellwise PLMap.
     """
     L = frac(L)
+    prec = 30
     if L < 0:
         raise InputError("negative Lipschitz bound")
     anchors = []
@@ -535,8 +556,8 @@ class LipschitzHomotopy:
     """Straight-line homotopy h(x, t) = (1-t) x + t x0 on a star-shaped
     region, certified cell by cell against the complex carrier.
 
-    h0 is the inclusion, h1 the constant map at the center.  Both are
-    globally affine, which is what prism and cone constructions need.
+    at_time(0) is the inclusion, at_time(1) the constant map at the center.
+    All are globally affine, which is what prism and cone constructions need.
     """
 
     def __init__(self, complex_, cells, center, certificates):
@@ -544,9 +565,6 @@ class LipschitzHomotopy:
         self.cells = cells
         self.center = center
         self.certificates = certificates
-        n = len(center)
-        self.h0 = PLMap.identity(n)
-        self.h1 = PLMap.constant(center)
 
     def at_time(self, t):
         t = frac(t)
@@ -651,11 +669,10 @@ class BallCover:
         """Whole simplex strictly inside the open ball (convexity)."""
         return all(self.contains(i, p) for p in tup)
 
-    def first_ball_containing(self, tup):
-        for i in range(len(self.centers)):
-            if self.simplex_inside(i, tup):
-                return i
-        return None
+    def first_ball_containing(self, tup, balls):
+        """The first of the listed balls that holds the whole simplex
+        strictly, or None."""
+        return next((i for i in balls if self.simplex_inside(i, tup)), None)
 
     def verify_covers(self, depth: int):
         """Every depth-subdivision piece must fit in one ball.
@@ -663,7 +680,7 @@ class BallCover:
         Returns the list of uncovered pieces (empty when certified)."""
         missed = []
         for _, tup in self.complex.subdivided_tops(depth):
-            if self.first_ball_containing(tup) is None:
+            if self.first_ball_containing(tup, range(len(self))) is None:
                 missed.append(tup)
         return missed
 
@@ -719,22 +736,24 @@ class BallCover:
         return lam
 
 
-def refine_cover(coarse: BallCover, factor=Fraction(1, 2), depth: int = 2):
+def refine_cover(coarse: BallCover, factor=Fraction(1, 2)):
     """Shrink a cover: new balls at subdivision vertices, each inscribed in a
     coarse ball with room to spare.
 
-    The new radius at a center c is factor times the best slack
-    r_B - d(c, c_B) over coarse balls B containing c, which makes the
-    refinement certificate d + r' <= r automatic.  Returns the refined cover
-    and the index map into the coarse cover.  Raises if the refined balls do
-    not cover the carrier.
+    The centers are the vertices of the depth-2 subdivision, or of depth 3
+    or 4 while the balls miss a piece one depth finer.  The new radius at a
+    center c is factor times the best slack r_B - d(c, c_B) over coarse
+    balls B containing c, which makes the refinement certificate
+    d + r' <= r automatic.  Returns the refined cover and the index map
+    into the coarse cover.  Raises if the refined balls do not cover the
+    carrier.
     """
     complex_ = coarse.complex
     factor = frac(factor)
     if not (0 < factor < 1):
         raise InputError("refinement factor must lie strictly between 0 and 1")
     last = None
-    for d in range(depth, depth + 3):
+    for d in (2, 3, 4):
         balls = []
         for c in complex_.sample_vertices(d):
             best_slack = None

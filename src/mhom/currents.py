@@ -90,19 +90,18 @@ class PolyhedralCurrent(WeightedSimplices):
                 total += w * d * integrate_affine(tup, fvals)
         return total
 
-    def mass(self, canonical=True):
-        """Total mass as an exact radical sum."""
-        cur = self.reduce() if canonical else self
+    def mass(self):
+        """Total mass of the canonical form, as an exact radical sum."""
         fk = factorial(self.degree)
         out = RadicalSum()
-        for tup, w in cur.terms.items():
+        for tup, w in self.reduce().terms.items():
             g = gram_det(tup)
             if g:
                 out = out + RadicalSum.sqrt_of(g).scale(Fraction(abs(w), fk))
         return out
 
-    def mass_float(self, canonical=True):
-        lo, hi = self.mass(canonical).bounds(40)
+    def mass_float(self):
+        lo, hi = self.mass().bounds(40)
         return float((lo + hi) / 2)
 
     def support_pieces(self):
@@ -334,7 +333,7 @@ def _reduce_in_chart(chart, members):
     return out
 
 
-def integral_of_product(current, u, v, nonzero_of=None, canonical=True):
+def integral_of_product(current, u, v, nonzero_of=None):
     """Exact integral of |u| * |v| against the mass measure of the current.
 
     u may be None for the constant 1.  When nonzero_of is given, the
@@ -342,7 +341,7 @@ def integral_of_product(current, u, v, nonzero_of=None, canonical=True):
     identically zero (a difference of measure zero from {nonzero_of != 0}).
     Returns an exact radical sum.
     """
-    cur = current.reduce() if canonical else current
+    cur = current.reduce()
     k = cur.degree
     maps = [m for m in (u, v, nonzero_of) if m is not None]
     cur = cur.refine_until_affine(maps) if maps else cur
@@ -378,14 +377,14 @@ def integral_of_product(current, u, v, nonzero_of=None, canonical=True):
     return total
 
 
-def equicontinuity_gap(T, f, pis, pis2, check_lipschitz=True):
+def equicontinuity_gap(T, f, pis, pis2):
     """Exact right-minus-left gap of the continuity estimate.
 
     Compares |T(f, pis) - T(f, pis2)| against
     sum_i [ int |f| |pi_i - pi2_i| d||bd T|| + Lip(f) int_{f != 0}
     |pi_i - pi2_i| d||T|| ].  All entries must be scalar piecewise-affine
     maps; the comparison entries need Lipschitz constant at most 1, checked
-    exactly unless disabled.  Returns (lhs, rhs) as exact values; the
+    exactly.  Returns (lhs, rhs) as exact values; the
     estimate holds when lhs <= rhs.
     """
     from .complexes import PLMap
@@ -394,10 +393,9 @@ def equicontinuity_gap(T, f, pis, pis2, check_lipschitz=True):
     pis2 = list(pis2)
     if len(pis) != T.degree or len(pis2) != T.degree:
         raise InputError("one-form entry count must match the degree")
-    if check_lipschitz:
-        for m in pis + pis2:
-            if m.scalar_lipschitz_squared() > 1:
-                raise InputError("comparison entries must be 1-Lipschitz")
+    for m in pis + pis2:
+        if m.scalar_lipschitz_squared() > 1:
+            raise InputError("comparison entries must be 1-Lipschitz")
 
     lhs_q = T.evaluate(f, pis) - T.evaluate(f, pis2)
     lhs = RadicalSum.from_rational(abs(lhs_q))

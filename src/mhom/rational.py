@@ -22,10 +22,6 @@ def frac(x) -> Fraction:
     return Fraction(x)
 
 
-def vec(*coords) -> Vec:
-    return tuple(frac(c) for c in coords)
-
-
 def vadd(a: Vec, b: Vec) -> Vec:
     return tuple(x + y for x, y in zip(a, b))
 

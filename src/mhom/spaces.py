@@ -155,10 +155,10 @@ def torus_space() -> MetricComplex:
     return graph_product_surface(circle_space(), circle_space())
 
 
-def _moment_points(count, dim=5):
+def _moment_points(count):
     pts = []
     for t in range(1, count + 1):
-        pts.append(tuple(Fraction(t) ** (d + 1) for d in range(dim)))
+        pts.append(tuple(Fraction(t) ** (d + 1) for d in range(5)))
     return pts
 
 
@@ -358,11 +358,11 @@ def random_torus_cycle(torus: MetricComplex, rng):
     return items
 
 
-def random_point_cycle(complex_: MetricComplex, rng, pairs=2):
+def random_point_cycle(complex_: MetricComplex, rng):
     """Balanced weighted points: a degree-zero cycle up to boundaries."""
     pts = complex_.sample_vertices(1)
     items = []
-    for _ in range(pairs):
+    for _ in range(2):
         p = pts[rng.randrange(len(pts))]
         q = pts[rng.randrange(len(pts))]
         if p == q:

@@ -155,8 +155,8 @@ def test_subdivision_respects_carrier(torus):
 def test_split_by_cover_buckets(s1, arcs2):
     z = circle_cycle(s1)
     parts = split(z, arcs2)
-    assert set(parts) <= {0, 1}
-    for i, part in parts.items():
+    assert set(parts) <= {(0,), (1,)}
+    for (i,), part in parts.items():
         assert part.supported_in_ball(arcs2, i)
         assert not part.is_zero()
     total = LipschitzChain.zero(s1, 1)

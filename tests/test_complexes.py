@@ -156,6 +156,43 @@ def test_plmap_hat_function():
     assert hat.scalar((Fraction(1, 2), Fraction(0))) == Fraction(1, 2)
 
 
+@pytest.mark.parametrize("name,depth", [("s1", 2), ("s2", 1), ("torus", 0)])
+def test_cellwise_map_matches_barycentric_solve(name, depth):
+    # the map's own locators give the cell and the value that the generic
+    # point test and barycentric solve of geometry give
+    X = spaces.load_space(name)
+    rng = random.Random(11)
+    cells = [tup for _, tup in X.subdivided_tops(depth)]
+    values = {p: (Fraction(rng.randrange(-9, 10), rng.randrange(1, 5)),
+                  Fraction(rng.randrange(-9, 10)))
+              for p in X.sample_vertices(depth)}
+    f = PLMap.from_vertex_values(cells, values.__getitem__, 2)
+    points = X.sample_vertices(depth + 1) + [centroid(c) for c in cells]
+    points += [_off_hull(c, Fraction(1, 9)) for c in cells[:5]]
+    inside = 0
+    for p in points:
+        ref = next((i for i, c in enumerate(cells)
+                    if point_in_simplex(p, c)), None)
+        assert f.find_cell([p]) == ref
+        if ref is None:
+            with pytest.raises(GeometryError):
+                f(p)
+            continue
+        inside += 1
+        lam = geometry.barycentric_coords(p, cells[ref])
+        want = tuple(sum(l * values[v][d] for l, v in zip(lam, cells[ref]))
+                     for d in range(2))
+        assert f(p) == want
+    assert 0 < inside < len(points)
+
+
+def test_cellwise_map_rejects_a_degenerate_cell():
+    flat = ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(1)),
+            (Fraction(2), Fraction(2)))
+    with pytest.raises(InputError):
+        PLMap.scalar_from_vertex_values([flat], lambda p: p[0])
+
+
 def test_mcshane_two_point_interpolation():
     c = segment(2)
     data = [((Fraction(0), Fraction(0)), Fraction(0)),

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mhom
 from mhom import spaces
 
 DATA = Path(__file__).parent / "data"
@@ -43,3 +44,10 @@ def test_import_skips_heavy_modules():
                          text=True, env=dict(os.environ))
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+def test_public_names_resolve_once_in_order():
+    names = mhom.__all__
+    assert [n for n in names if not hasattr(mhom, n)] == []
+    assert len(set(names)) == len(names)
+    assert names == sorted(names)
