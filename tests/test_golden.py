@@ -19,6 +19,8 @@ from mhom import spaces
 REPORTS = {
     "compare --space s1 --budget 3":
         "d9ced3089ee08b0a2c2f9f5b35a56aa5a5cadb775f6fc0175a33e72a74ba0ef2",
+    "compare --space s1 --budget 40":
+        "6ae2cb8b4704b3759441f086fe6165fedfdc9b82b2445c098e240ef105d82632",
     "compare --space torus --budget 1":
         "1675c88bea04b6c96bb2fa1ab08280e2465ed051b51d7d2957fd1d605d785ca8",
     "compare --space annulus_pair --pair outer --degree 0 --budget 2":
