@@ -206,12 +206,13 @@ def solve_phi(Y, nerve, context=""):
     chains or currents of one degree; it must lie in the image, so for
     p = 1 the components sum to zero (as chains exactly, as currents after
     reduction).  Keys are visited in sorted order, including those
-    elimination creates.  A nonzero residual at K is reduced and split
-    over the balls g > K[-1] with K + (g,) in the nerve; the part at (g,)
-    becomes, up to sign, the component at B = K + (g,), and the other
-    faces of B take up its boundary.  Those faces are larger than K, so a
-    residual is final when it is visited and leaves the residuals then; a
-    contribution arriving after that is an error.
+    elimination creates.  A residual at K with terms is reduced once, and
+    what is left, if anything, is split over the balls g > K[-1] with
+    K + (g,) in the nerve; the part at (g,) becomes, up to sign, the
+    component at B = K + (g,), and the other faces of B take up its
+    boundary.  Those faces are larger than K, so a residual is final when
+    it is visited and leaves the residuals then; a contribution arriving
+    after that is an error.
     Every part is certified inside all the balls of K.
     """
     cover = nerve.cover
@@ -222,7 +223,9 @@ def solve_phi(Y, nerve, context=""):
     while todo:
         K = heapq.heappop(todo)
         R = residual.pop(K)
-        if _vanishes(R):
+        if R.terms:
+            R = R.reduce()
+        if not R.terms:
             continue
         allowed = [g for g in range(K[-1] + 1, len(cover))
                    if nerve.has(K + (g,))]
@@ -230,7 +233,7 @@ def solve_phi(Y, nerve, context=""):
             raise GeometryError(
                 f"{K} has a nonzero residual but no overlap one arity up "
                 f"{context}")
-        parts = split(R.reduce(), cover, allowed,
+        parts = split(R, cover, allowed,
                       context=f"(descending {K}) {context}")
         p = len(K)
         for g, part in parts.items():

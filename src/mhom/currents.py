@@ -10,11 +10,13 @@ reduce() computes a canonical representative: pieces are merged per affine
 k-flat through a common refinement, each region's multiplicity is summed
 over the pieces that cover it, and each flat is retriangulated
 deterministically.  A flat's chart reads points at the pivot columns of its
-echelon basis, so entering it solves nothing; a cut keeps every fragment
-non-degenerate, oriented like its piece and on one side, so the sides
-chosen while cutting name its region and nothing is re-checked.  Two
-representations describe the same current exactly when their difference
-reduces to nothing.
+echelon basis, so entering it solves nothing.  On a line (k = 1) the
+refinement is one sorted sweep over the pieces' endpoint coordinates at
+the single pivot column.  In higher degree it is the arrangement of the
+pieces' facet hyperplanes: a cut keeps every fragment non-degenerate,
+oriented like its piece and on one side, so the sides chosen while cutting
+name its region and nothing is re-checked.  Two representations describe
+the same current exactly when their difference reduces to nothing.
 """
 
 from fractions import Fraction
@@ -27,6 +29,8 @@ from .geometry import (cut_simplex_by_values, canonical_orientation,
 from .rational import RadicalSum, dot, frac, integer_form
 from .weighted import WeightedSimplices
 
+# bounds the fragments of one flat's hyperplane arrangement, which only
+# degree >= 2 builds; the degree-one sweep makes no fragments
 MAX_FRAGMENTS = 50000
 
 
@@ -164,12 +168,14 @@ class PolyhedralCurrent(WeightedSimplices):
         """Canonical representative of the current.
 
         Degenerate pieces vanish; the rest are grouped by the affine k-flat
-        they span, charted by the flat's pivot coordinates, cut against
-        each other's facet hyperplanes, and rewritten as a deterministic
-        triangulation weighted by the exact multiplicity of each region of
-        the refinement.  Each fragment's region is the tuple of sides it was
-        cut to, since cutting never yields a degenerate fragment or one that
-        straddles a hyperplane.
+        they span, charted by the flat's pivot coordinates, and rewritten as
+        a deterministic triangulation weighted by the exact multiplicity of
+        each region of the refinement.  A line's regions are the intervals
+        between consecutive endpoints, swept left to right; above degree
+        one the pieces are cut against each other's facet hyperplanes and
+        each fragment's region is the tuple of sides it was cut to, since
+        cutting never yields a degenerate fragment or one that straddles a
+        hyperplane.
         """
         k = self.degree
         merged = {}
@@ -186,10 +192,11 @@ class PolyhedralCurrent(WeightedSimplices):
             if len(fkey[1]) == k:  # else the piece is degenerate
                 groups.setdefault(fkey, (chart, []))[1].append((tup, w))
 
+        on_flat = _reduce_on_line if k == 1 else _reduce_in_chart
         out = {}
         for fkey in sorted(groups):
             chart, members = groups[fkey]
-            for tup, w in _reduce_in_chart(chart, members):
+            for tup, w in on_flat(chart, members):
                 out[tup] = out.get(tup, 0) + w
         return self.like(k, out)
 
@@ -249,8 +256,7 @@ def _facet_hyperplanes(chart_tup):
     """Hyperplanes spanned by the facets of a non-degenerate chart k-simplex.
 
     A facet's normal is the vector of signed maximal minors of its edge
-    matrix, made primitive with its first nonzero entry positive; for k = 1
-    the facet is a point and the minors are the single empty one, (1,).
+    matrix, made primitive with its first nonzero entry positive.
     """
     k = len(chart_tup) - 1
     out = []
@@ -267,8 +273,42 @@ def _facet_hyperplanes(chart_tup):
     return out
 
 
+def _reduce_on_line(chart, members):
+    """Canonical weighted segments of one line's non-degenerate pieces.
+
+    Each piece adds its signed weight between its endpoints' coordinates
+    at the line's pivot column.  The multiplicity is constant between
+    consecutive distinct endpoints, so one sweep over the sorted endpoints
+    yields every interval with a nonzero multiplicity, left to right: the
+    regions, order and terms of _reduce_in_chart.  Every breakpoint is a
+    piece's endpoint, so no point is mapped back from the chart.
+    """
+    (j,), _ = chart
+    at = {}
+    step = {}
+    for (p, q), w in members:
+        if p[j] > q[j]:
+            p, q, w = q, p, -w
+        at[p[j]] = p
+        at[q[j]] = q
+        step[p[j]] = step.get(p[j], 0) + w
+        step[q[j]] = step.get(q[j], 0) - w
+    ts = sorted(at)
+    out = []
+    mult = 0
+    for s, t in zip(ts, ts[1:]):
+        mult += step[s]
+        if mult:
+            key, sign = canonical_orientation((at[s], at[t]))
+            out.append((key, sign * mult))
+    return out
+
+
 def _reduce_in_chart(chart, members):
     """Canonical weighted triangulation of one flat's non-degenerate pieces.
+
+    reduce calls it in degree 2 and up; on a line it gives the terms of
+    _reduce_on_line, in the same order.
 
     cut_simplex_by_values keeps every fragment non-degenerate, oriented like
     its piece and on one side of the cut, so a fragment's region is the

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from mhom.complexes import PLMap
-from mhom.currents import (PolyhedralCurrent, equicontinuity_gap,
+from mhom.currents import (PolyhedralCurrent, _flat_chart, _reduce_in_chart,
+                           _reduce_on_line, equicontinuity_gap,
                            integral_of_product)
 from mhom.errors import GeometryError, InputError
 from mhom.rational import RadicalSum, dist2
@@ -51,9 +52,12 @@ def test_reduce_cancels_opposite_orientations():
     assert half.equals(line_current((1, 1, 2)))
 
 
-def flat_current(rng, k):
+def flat_current(rng, k, pieces=None):
     """Pieces of degree k in one or two random k-flats of R^3, with
-    reversed copies, repeated pieces and degenerate pieces mixed in."""
+    reversed copies, repeated pieces and degenerate pieces mixed in.
+
+    pieces is the number drawn before the copies (so the current has up to
+    twice as many terms); by default 2-4 below degree 3 and 3 in it."""
     flats = []
     for _ in range(rng.choice([1, 1, 2])):
         anchor = tuple(F(rng.randrange(-2, 3)) for _ in range(3))
@@ -68,7 +72,9 @@ def flat_current(rng, k):
                      for i, a in enumerate(anchor))
 
     items = []
-    for _ in range(rng.randrange(2, 5) if k < 3 else 3):
+    if pieces is None:
+        pieces = rng.randrange(2, 5) if k < 3 else 3
+    for _ in range(pieces):
         flat = rng.choice(flats)
         tup = tuple(point(flat) for _ in range(k + 1))
         w = rng.choice([-2, -1, 1, 2])
@@ -89,21 +95,123 @@ def test_reduce_matches_witness_point_rule():
         for _ in range(cases):
             T = flat_current(rng, k)
             assert T.reduce().terms == reduce_at_witness_points(T)
+    # longer lines; the oracle grows about cubically with the piece count
+    for _ in range(6):
+        T = flat_current(rng, 1, pieces=5)
+        assert T.reduce().terms == reduce_at_witness_points(T)
+
+
+def line_pieces(rng, lines, count):
+    """count weighted segments on the given number of random lines of R^3,
+    drawn from a small pool of positions so that they overlap, repeat,
+    reverse and share endpoints."""
+    flats = []
+    for _ in range(lines):
+        anchor = tuple(F(rng.randrange(-3, 4)) for _ in range(3))
+        d = (0, 0, 0)
+        while not any(d):
+            d = tuple(F(rng.randrange(-2, 3), rng.choice([1, 3]))
+                      for _ in range(3))
+        flats.append((anchor, d))
+    pool = [F(n, 4) for n in range(-8, 9)]
+    items = []
+    while len(items) < count:
+        anchor, d = rng.choice(flats)
+        u, v = rng.sample(pool, 2)
+        seg = tuple(tuple(a + t * x for a, x in zip(anchor, d))
+                    for t in (u, v))
+        w = rng.choice([-2, -1, 1, 1, 2])
+        items.append((w, seg))
+        roll = rng.randrange(3)
+        if roll == 0:
+            items.append((rng.choice([-1, 1]), seg[::-1]))
+        elif roll == 1:
+            items.append((w, seg))
+    return items[:count]
+
+
+def test_line_sweep_matches_arrangement_in_order():
+    rng = random.Random(49)
+    for _ in range(30):
+        items = line_pieces(rng, rng.randrange(1, 4), rng.randrange(10, 31))
+        groups = {}
+        for w, tup in items:
+            fkey, chart = _flat_chart(tup)
+            groups.setdefault(fkey, (chart, []))[1].append((tup, w))
+        for chart, members in groups.values():
+            assert _reduce_on_line(chart, members) == \
+                _reduce_in_chart(chart, members)
+
+
+def test_long_line_reduces_within_the_fragment_budget():
+    """Many overlapping segments on one line reduce by the sweep, which
+    cuts nothing, so the arrangement's fragment cap does not apply; each
+    output weight is the number of input segments over that interval."""
+    rng = random.Random(50)
+    anchor, d = (F(1, 3), F(-2)), (F(3, 5), F(2, 7))
+    spans = []
+    for _ in range(230):
+        u, v = sorted(rng.sample(range(-2000, 2000), 2))
+        spans.append((F(u, 7), F(v, 7)))
+
+    def at(t):
+        return tuple(a + t * x for a, x in zip(anchor, d))
+
+    T = PolyhedralCurrent.from_tuples(
+        2, [(1, (at(u), at(v))) for u, v in spans])
+    red = T.reduce()
+    assert len(red.terms) > 400
+    covered = 0
+    for (p, q), w in red.terms.items():
+        u, v = (p[0] - anchor[0]) / d[0], (q[0] - anchor[0]) / d[0]
+        assert at(u) == p and at(v) == q
+        if u > v:
+            u, v, w = v, u, -w
+        assert w == sum(1 for a, b in spans if a <= u and v <= b)
+        covered += w * (v - u)
+    # no interval is missing: the weighted lengths add up
+    assert covered == sum(b - a for a, b in spans)
+
+
+def test_degree_one_reduce_cuts_nothing(monkeypatch):
+    """Degree one sweeps each line, so it neither cuts a simplex nor builds
+    a facet hyperplane; degree two still builds the arrangement."""
+    cuts, wrapped = count_calls(monkeypatch, "cut_simplex_by_values")
+    assert "mhom.currents" in wrapped
+    facets, wrapped = count_calls(monkeypatch, "_facet_hyperplanes")
+    assert "mhom.currents" in wrapped
+    rng = random.Random(51)
+    for _ in range(6):
+        flat_current(rng, 1, pieces=6).reduce()
+    PolyhedralCurrent.from_tuples(3, line_pieces(rng, 2, 20)).reduce()
+    assert cuts == [] and facets == []
+    for _ in range(4):
+        flat_current(rng, 2).reduce()
+    assert cuts and facets
+
+
+def count_calls(monkeypatch, name):
+    """Wrap the function called name in every mhom module that holds it.
+
+    Returns (calls, wrapped): one entry is appended to calls per call, and
+    wrapped lists the modules whose binding was replaced."""
+    calls = []
+    wrapped = []
+    for modname, mod in list(sys.modules.items()):
+        original = getattr(mod, name, None)
+        if modname.startswith("mhom.") and original is not None:
+            def counted(*args, original=original):
+                calls.append(len(args))
+                return original(*args)
+            monkeypatch.setattr(mod, name, counted)
+            wrapped.append(modname)
+    return calls, wrapped
 
 
 def test_reduce_solves_no_linear_system(monkeypatch):
     """reduce reads chart coordinates off the pivot columns of each flat's
     echelon basis, so no degree calls solve_fraction_system."""
-    calls = []
-    wrapped = []
-    for name, mod in list(sys.modules.items()):
-        original = getattr(mod, "solve_fraction_system", None)
-        if name.startswith("mhom.") and original is not None:
-            def counted(A, b, original=original):
-                calls.append(len(b))
-                return original(A, b)
-            monkeypatch.setattr(mod, "solve_fraction_system", counted)
-            wrapped.append(name)
+    calls, wrapped = count_calls(monkeypatch, "solve_fraction_system")
     assert "mhom.geometry" in wrapped
     rng = random.Random(47)
     for k in (1, 2, 3):
