@@ -4,6 +4,12 @@ Plain Python ints carry arbitrary precision, so no overflow is possible.
 The normal form drives every homology computation downstream; it returns
 both transforms together with their inverses, so that one factorization
 answers every kernel, image and coordinate question about its matrix.
+It works on sparse rows ({col: value} dicts) plus, for the matrix being
+reduced, an index of the rows holding a nonzero in each column, so an
+operation costs in proportion to the entries it touches.  The pivot rule
+and the order of the row and column operations are fixed, so the
+transforms, and the homology generators built from them, do not depend on
+how a matrix's entries are stored or ordered.
 """
 
 from __future__ import annotations
@@ -111,23 +117,47 @@ class IntMatrix:
         return f"IntMatrix({self.nrows}x{self.ncols}, {len(self.data)} entries)"
 
 
-def _nonzero_in_block(rows, t, nr, nc):
+def _pivot(A, t):
+    """(|v|, i, j) of the first entry of least absolute value, in row-major
+    order, of the block of A from (t, t); None if the block is zero.
+
+    Rows t.. of A hold no entry left of column t, so a row's entries all
+    lie in the block.  The scan stops at the first row holding a unit.
+    """
     best = None
-    for i in range(t, nr):
-        ri = rows[i]
-        for j in range(t, nc):
-            v = ri[j]
-            if v:
-                if best is None or abs(v) < abs(best[2]):
-                    best = (i, j, v)
-                    if abs(v) == 1:
-                        return best
+    for i in range(t, len(A)):
+        row = A[i]
+        if row:
+            a, j = min((abs(v), j) for j, v in row.items())
+            if best is None or a < best[0]:
+                best = (a, i, j)
+                if a == 1:
+                    break
     return best
 
 
 def _add_row(rows, i, k, c):
-    """rows[i] += c * rows[k] on dense row lists."""
-    rows[i] = [a + c * b for a, b in zip(rows[i], rows[k])]
+    """rows[i] += c * rows[k] on sparse row dicts {col: value}, c != 0."""
+    ri = rows[i]
+    for j, v in rows[k].items():
+        x = ri.get(j, 0) + c * v
+        if x:
+            ri[j] = x
+        else:
+            del ri[j]
+
+
+def _from_row_dicts(rows, transpose=False) -> IntMatrix:
+    """Square IntMatrix whose row i, or column i if transpose, is the
+    dict rows[i]."""
+    m = IntMatrix(len(rows), len(rows))
+    if transpose:
+        m.data = {(j, i): v for i, row in enumerate(rows)
+                  for j, v in row.items()}
+    else:
+        m.data = {(i, j): v for i, row in enumerate(rows)
+                  for j, v in row.items()}
+    return m
 
 
 def smith_normal_form(M: IntMatrix):
@@ -138,69 +168,118 @@ def smith_normal_form(M: IntMatrix):
     inverse takes the inverse operation from the other side: a row
     operation on U acts on U_inv as the inverse column operation, a column
     operation on V acts on V_inv as the inverse row operation.
+
+    Every matrix is held as sparse rows, one {col: value} dict per row, and
+    the working copy of M also keeps, per column, the set of rows holding a
+    nonzero there, so a column operation touches only those rows.  The
+    operations and their order are fixed: the pivot is the first entry of
+    least absolute value in row-major order of the remaining block (the
+    scan stops at a unit), the pivot's column is cleared top to bottom and
+    its row left to right, a nonzero remainder is swapped into the pivot
+    position, and a final pass enforces the divisibility chain.  So the
+    five matrices do not depend on the storage or on the order of M's
+    entries.
     """
     nr, nc = M.nrows, M.ncols
-    A = M.to_rows()
+    A = [{} for _ in range(nr)]
+    cols = [set() for _ in range(nc)]
+    for (i, j), v in M.data.items():
+        A[i][j] = v
+        cols[j].add(i)
     # U and V_inv are held as rows, U_inv and V as rows of their
     # transposes, so every mirrored operation is a row operation
-    U, U_inv_t, V_t, V_inv = (IntMatrix.identity(n).to_rows()
+    U, U_inv_t, V_t, V_inv = ([{i: 1} for i in range(n)]
                               for n in (nr, nr, nc, nc))
 
     def row_swap(i, k):
+        Ai = A[i]
+        for j in Ai.keys() ^ A[k].keys():
+            rows = cols[j]
+            if j in Ai:
+                rows.remove(i)
+                rows.add(k)
+            else:
+                rows.remove(k)
+                rows.add(i)
         for R in (A, U, U_inv_t):
             R[i], R[k] = R[k], R[i]
 
     def row_add(i, k, c):
         # row i += c * row k; column k of U_inv -= c * column i
-        _add_row(A, i, k, c)
+        if not c:
+            return
+        Ai = A[i]
+        for j, v in A[k].items():
+            x = Ai.get(j, 0) + c * v
+            if x:
+                Ai[j] = x
+                cols[j].add(i)
+            else:
+                del Ai[j]
+                cols[j].remove(i)
         _add_row(U, i, k, c)
         _add_row(U_inv_t, k, i, -c)
 
     def row_negate(i):
         for R in (A, U, U_inv_t):
-            R[i] = [-x for x in R[i]]
+            R[i] = {j: -v for j, v in R[i].items()}
 
     def col_swap(j, k):
-        for r in A:
-            r[j], r[k] = r[k], r[j]
+        for r in cols[j] | cols[k]:
+            Ar = A[r]
+            a, b = Ar.pop(j, 0), Ar.pop(k, 0)
+            if b:
+                Ar[j] = b
+            if a:
+                Ar[k] = a
+        cols[j], cols[k] = cols[k], cols[j]
         for R in (V_t, V_inv):
             R[j], R[k] = R[k], R[j]
 
     def col_add(j, k, c):
         # col j += c * col k; row k of V_inv -= c * row j
-        for r in A:
-            if r[k]:
-                r[j] += c * r[k]
+        if not c:
+            return
+        rows = cols[j]
+        for r in cols[k]:
+            Ar = A[r]
+            x = Ar.get(j, 0) + c * Ar[k]
+            if x:
+                Ar[j] = x
+                rows.add(r)
+            else:
+                del Ar[j]
+                rows.remove(r)
         _add_row(V_t, j, k, c)
         _add_row(V_inv, k, j, -c)
 
     t = 0
     while True:
-        piv = _nonzero_in_block(A, t, nr, nc)
+        piv = _pivot(A, t)
         if piv is None:
             break
-        i, j, _ = piv
+        _, i, j = piv
         row_swap(t, i)
         col_swap(t, j)
         while True:
-            # clear column t below the pivot
+            # clear column t below the pivot, then row t right of it.  An
+            # operation on row i or column j changes no later entry of the
+            # pivot's column or row, and a pass without a swap leaves both
+            # clear.
             done = True
-            for i in range(t + 1, nr):
-                if A[i][t]:
-                    q = A[i][t] // A[t][t]
-                    row_add(i, t, -q)
-                    if A[i][t]:  # remainder smaller than pivot: swap up
-                        row_swap(t, i)
-                        done = False
-            for j in range(t + 1, nc):
-                if A[t][j]:
-                    q = A[t][j] // A[t][t]
-                    col_add(j, t, -q)
-                    if A[t][j]:
-                        col_swap(t, j)
-                        done = False
-            if done and all(A[i][t] == 0 for i in range(t + 1, nr)) \
-                    and all(A[t][j] == 0 for j in range(t + 1, nc)):
+            for i in sorted(i for i in cols[t] if i > t):
+                q = A[i][t] // A[t][t]
+                row_add(i, t, -q)
+                if t in A[i]:  # remainder smaller than pivot: swap up
+                    row_swap(t, i)
+                    done = False
+            for j in sorted(j for j in A[t] if j > t):
+                q = A[t][j] // A[t][t]
+                col_add(j, t, -q)
+                if j in A[t]:
+                    col_swap(t, j)
+                    done = False
+            if done:
                 break
         if A[t][t] < 0:
             row_negate(t)
@@ -218,15 +297,15 @@ def smith_normal_form(M: IntMatrix):
                 # bring b into position via col add, then re-clear the 2x2 block
                 col_add(i, i + 1, 1)
                 while True:
-                    q = A[i + 1][i] // A[i][i]
+                    q = A[i + 1].get(i, 0) // A[i][i]
                     row_add(i + 1, i, -q)
-                    if A[i + 1][i] == 0:
+                    if i not in A[i + 1]:
                         break
                     row_swap(i, i + 1)
                 while True:
-                    q = A[i][i + 1] // A[i][i]
+                    q = A[i].get(i + 1, 0) // A[i][i]
                     col_add(i + 1, i, -q)
-                    if A[i][i + 1] == 0:
+                    if i + 1 not in A[i]:
                         break
                     col_swap(i, i + 1)
                 if A[i][i] < 0:
@@ -234,19 +313,10 @@ def smith_normal_form(M: IntMatrix):
                 if A[i + 1][i + 1] < 0:
                     row_negate(i + 1)
 
-    D = IntMatrix(nr, nc, {(i, i): A[i][i] for i in range(rank)})
-    return (IntMatrix.from_rows(U), D, IntMatrix.from_rows(V_t).transpose(),
-            IntMatrix.from_rows(U_inv_t).transpose(),
-            IntMatrix.from_rows(V_inv))
-
-
-def snf_diagonal(M: IntMatrix):
-    D = smith_normal_form(M)[1]
-    return [D.get(i, i) for i in range(min(M.nrows, M.ncols)) if D.get(i, i)]
-
-
-def integer_rank(M: IntMatrix) -> int:
-    return len(snf_diagonal(M))
+    D = IntMatrix(nr, nc)
+    D.data = {(i, i): A[i][i] for i in range(rank)}
+    return (_from_row_dicts(U), D, _from_row_dicts(V_t, transpose=True),
+            _from_row_dicts(U_inv_t, transpose=True), _from_row_dicts(V_inv))
 
 
 def kernel_basis(M: IntMatrix):

@@ -277,3 +277,138 @@ def reduce_at_witness_points(current):
                     tuple(from_chart(p) for p in fpos))
                 out[key] = out.get(key, 0) + sign * mult
     return {t: w for t, w in out.items() if w}
+
+
+# The Smith normal form as mhom.intlinalg computed it on dense row lists,
+# kept as the reference for the sparse-row code: both run the same
+# operations in the same order, so all five returned matrices must agree.
+
+def _nonzero_in_block(rows, t, nr, nc):
+    best = None
+    for i in range(t, nr):
+        ri = rows[i]
+        for j in range(t, nc):
+            v = ri[j]
+            if v:
+                if best is None or abs(v) < abs(best[2]):
+                    best = (i, j, v)
+                    if abs(v) == 1:
+                        return best
+    return best
+
+
+def _add_row(rows, i, k, c):
+    """rows[i] += c * rows[k] on dense row lists."""
+    rows[i] = [a + c * b for a, b in zip(rows[i], rows[k])]
+
+
+def dense_smith_normal_form(M):
+    """Returns (U, D, V, U_inv, V_inv) with U*M*V = D, U and V unimodular.
+
+    D is diagonal with nonnegative entries d_1 | d_2 | ... | d_r.
+    Row operations accumulate in U, column operations in V, and each
+    inverse takes the inverse operation from the other side: a row
+    operation on U acts on U_inv as the inverse column operation, a column
+    operation on V acts on V_inv as the inverse row operation.
+    """
+    from mhom.intlinalg import IntMatrix
+
+    nr, nc = M.nrows, M.ncols
+    A = M.to_rows()
+    # U and V_inv are held as rows, U_inv and V as rows of their
+    # transposes, so every mirrored operation is a row operation
+    U, U_inv_t, V_t, V_inv = (IntMatrix.identity(n).to_rows()
+                              for n in (nr, nr, nc, nc))
+
+    def row_swap(i, k):
+        for R in (A, U, U_inv_t):
+            R[i], R[k] = R[k], R[i]
+
+    def row_add(i, k, c):
+        # row i += c * row k; column k of U_inv -= c * column i
+        _add_row(A, i, k, c)
+        _add_row(U, i, k, c)
+        _add_row(U_inv_t, k, i, -c)
+
+    def row_negate(i):
+        for R in (A, U, U_inv_t):
+            R[i] = [-x for x in R[i]]
+
+    def col_swap(j, k):
+        for r in A:
+            r[j], r[k] = r[k], r[j]
+        for R in (V_t, V_inv):
+            R[j], R[k] = R[k], R[j]
+
+    def col_add(j, k, c):
+        # col j += c * col k; row k of V_inv -= c * row j
+        for r in A:
+            if r[k]:
+                r[j] += c * r[k]
+        _add_row(V_t, j, k, c)
+        _add_row(V_inv, k, j, -c)
+
+    t = 0
+    while True:
+        piv = _nonzero_in_block(A, t, nr, nc)
+        if piv is None:
+            break
+        i, j, _ = piv
+        row_swap(t, i)
+        col_swap(t, j)
+        while True:
+            # clear column t below the pivot
+            done = True
+            for i in range(t + 1, nr):
+                if A[i][t]:
+                    q = A[i][t] // A[t][t]
+                    row_add(i, t, -q)
+                    if A[i][t]:  # remainder smaller than pivot: swap up
+                        row_swap(t, i)
+                        done = False
+            for j in range(t + 1, nc):
+                if A[t][j]:
+                    q = A[t][j] // A[t][t]
+                    col_add(j, t, -q)
+                    if A[t][j]:
+                        col_swap(t, j)
+                        done = False
+            if done and all(A[i][t] == 0 for i in range(t + 1, nr)) \
+                    and all(A[t][j] == 0 for j in range(t + 1, nc)):
+                break
+        if A[t][t] < 0:
+            row_negate(t)
+        t += 1
+
+    rank = t
+    # enforce the divisibility chain d_i | d_{i+1}
+    changed = True
+    while changed:
+        changed = False
+        for i in range(rank - 1):
+            a, b = A[i][i], A[i + 1][i + 1]
+            if b % a != 0:
+                changed = True
+                # bring b into position via col add, then re-clear the 2x2 block
+                col_add(i, i + 1, 1)
+                while True:
+                    q = A[i + 1][i] // A[i][i]
+                    row_add(i + 1, i, -q)
+                    if A[i + 1][i] == 0:
+                        break
+                    row_swap(i, i + 1)
+                while True:
+                    q = A[i][i + 1] // A[i][i]
+                    col_add(i + 1, i, -q)
+                    if A[i][i + 1] == 0:
+                        break
+                    col_swap(i, i + 1)
+                if A[i][i] < 0:
+                    row_negate(i)
+                if A[i + 1][i + 1] < 0:
+                    row_negate(i + 1)
+
+    D = IntMatrix(nr, nc, {(i, i): A[i][i] for i in range(rank)})
+    return (IntMatrix.from_rows(U), D, IntMatrix.from_rows(V_t).transpose(),
+            IntMatrix.from_rows(U_inv_t).transpose(),
+            IntMatrix.from_rows(V_inv))
