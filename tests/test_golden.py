@@ -41,12 +41,16 @@ REPORTS = {
         "9923158070b6b3d8163159fdc0ac9791731168c0769372e874dcb1d28685a38b",
     "verify space --space s1":
         "134f6cac95bc2d09f2f97dedaf5bdd922494daed996694b0604c38afb6e72d8a",
+    "verify space --space torus":
+        "3c9889c010e4e179be73c5d122d54d39c5acf610645e9f5c33039136e0140779",
     "homology --space klein --theory current":
         "da246dd2b6be3f1fa78b110f6a09ea09a9e1d515a68845f31d81aa4a962bc7d0",
     "homology --space torus --theory current":
         "e828e2b7a3e6a997ff3f2906dfcd59e81736b98ef6bc5c1ac55a25f08e16cf5c",
     "verify mcshane --budget 4":
         "9b0ee1cdd79c24c1467693170df6f27c7dd73f18536a9282aa12df15f81473d2",
+    "verify mcshane --space s1 --budget 4":
+        "00beb099c9f40cc273b41a6ab33e951c071d06282ee6189eca5e14f6ba798826",
     "verify snf --budget 6":
         "f984d61eaa19601c417657d3c9fa45da9f435d43ddf2181def5f03e582afbefd",
     "verify zigzag --space torus --budget 1":
