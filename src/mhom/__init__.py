@@ -14,20 +14,18 @@ from .rational import RadicalSum, dist2, sqrt_lower, sqrt_upper
 from .chaincomplex import (ChainComplexZ, HomologyGroup, RelativePair,
                            all_homology, connecting_homomorphism,
                            homology, homology_data)
-from .complexes import (BallCover, LipschitzHomotopy, MetricComplex, PLMap,
-                        mcshane_extension, refine_cover)
+from .complexes import BallCover, MetricComplex, PLMap, mcshane_extension
 from .weighted import WeightedSimplices
 from .chains import LipschitzChain, chain_from_vector, chain_to_vector
 from .currents import (PolyhedralCurrent, equicontinuity_gap,
                        integral_of_product)
 from .bracket import (bracket, bracket_inverse_points,
-                      brackets_of_generators, pairing_matrix,
-                      pairing_nonsingular)
+                      brackets_of_generators, pairing_matrix)
 from .cech import (FillResult, Nerve, Staircase, augment, augment_nerve,
                    cech_boundary, conforming, cone_fill_chain,
                    cone_fill_current, degree_zero_cancel, fill_zero_chain,
-                   nerve_boundary, reindex_components, solve_phi, split,
-                   zigzag_cancel, zigzag_descend, zigzag_fill)
+                   solve_phi, split, zigzag_cancel, zigzag_descend,
+                   zigzag_fill)
 from .spaces import (builtin_covers, builtin_spaces, load_cover, load_space,
                      pairing_forms, save_cover, save_space)
 
@@ -35,19 +33,17 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BallCover", "ChainComplexZ", "FillResult", "GeometryError",
-    "HomologyGroup", "InputError", "LipschitzChain", "LipschitzHomotopy",
-    "LocalityError", "MetricComplex", "MhomError", "Nerve", "PLMap",
-    "PolyhedralCurrent", "RadicalSum", "RelativePair", "Staircase",
-    "WeightedSimplices", "all_homology", "augment", "augment_nerve", "bracket",
+    "HomologyGroup", "InputError", "LipschitzChain", "LocalityError",
+    "MetricComplex", "MhomError", "Nerve", "PLMap", "PolyhedralCurrent",
+    "RadicalSum", "RelativePair", "Staircase", "WeightedSimplices",
+    "all_homology", "augment", "augment_nerve", "bracket",
     "bracket_inverse_points", "brackets_of_generators", "builtin_covers",
-    "builtin_spaces", "cech_boundary", "chain_from_vector",
-    "chain_to_vector", "cone_fill_chain", "cone_fill_current", "conforming",
+    "builtin_spaces", "cech_boundary", "chain_from_vector", "chain_to_vector",
+    "cone_fill_chain", "cone_fill_current", "conforming",
     "connecting_homomorphism", "degree_zero_cancel", "dist2",
-    "equicontinuity_gap", "fill_zero_chain",
-    "homology", "homology_data", "integral_of_product", "load_cover",
-    "load_space", "mcshane_extension", "nerve_boundary", "pairing_forms",
-    "pairing_matrix", "pairing_nonsingular", "refine_cover",
-    "reindex_components", "save_cover", "save_space", "solve_phi", "split",
-    "sqrt_lower", "sqrt_upper", "zigzag_cancel", "zigzag_descend",
+    "equicontinuity_gap", "fill_zero_chain", "homology", "homology_data",
+    "integral_of_product", "load_cover", "load_space", "mcshane_extension",
+    "pairing_forms", "pairing_matrix", "save_cover", "save_space", "solve_phi",
+    "split", "sqrt_lower", "sqrt_upper", "zigzag_cancel", "zigzag_descend",
     "zigzag_fill",
 ]

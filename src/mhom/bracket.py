@@ -11,7 +11,6 @@ zero it is a bijection onto point currents.
 from .chains import LipschitzChain
 from .currents import PolyhedralCurrent
 from .errors import InputError
-from .geometry import det_fraction
 
 
 def bracket(chain: LipschitzChain) -> PolyhedralCurrent:
@@ -38,18 +37,6 @@ def pairing_matrix(currents, forms):
     for T in currents:
         rows.append([T.evaluate(f, pis) for f, pis in forms])
     return rows
-
-
-def pairing_nonsingular(currents, forms) -> bool:
-    """Exact nonsingularity of the evaluation pairing.
-
-    A nonzero determinant certifies that the current classes pair
-    independently against the chosen closed forms.
-    """
-    M = pairing_matrix(currents, forms)
-    if not M or len(M) != len(M[0]):
-        raise InputError("pairing matrix must be square")
-    return det_fraction(M) != 0
 
 
 def brackets_of_generators(complex_, degree, homology):

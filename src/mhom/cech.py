@@ -30,7 +30,6 @@ from .bracket import bracket, bracket_inverse_points
 from .chains import LipschitzChain
 from .currents import PolyhedralCurrent
 from .errors import GeometryError, InputError, LocalityError
-from .geometry import canonical_orientation
 from .weighted import MAX_SPLIT_ROUNDS
 
 MAX_FILL_DEPTH = 5
@@ -126,32 +125,6 @@ def augment_nerve(components):
         if w:
             out[tup] = out.get(tup, 0) + w
     return {t: w for t, w in out.items() if w}
-
-
-def nerve_boundary(z):
-    """Simplicial boundary of an integer chain on the nerve."""
-    out = cech_boundary(z)
-    return {t: w for t, w in out.items() if w}
-
-
-def reindex_components(components, index_map):
-    """Push components along a cover refinement's ball index map.
-
-    Each tuple of fine-ball indices maps to the tuple of their coarse
-    balls; tuples whose image has a repeated index collapse and are
-    dropped, and sorting the image flips the sign per transposition.
-    Works on coefficient components and on integer nerve chains alike,
-    keyed as the module docstring says.
-    """
-    out = {}
-    for tup, val in components.items():
-        image = tuple(index_map[i] for i in tup)
-        if len(set(image)) < len(image):
-            continue
-        target, sign = canonical_orientation(image)
-        term = val if sign > 0 else -val
-        out[target] = out[target] + term if target in out else term
-    return out
 
 
 # ---- support-certified splitting and elimination ----
@@ -503,7 +476,7 @@ def zigzag_fill(T, cover, nerve=None):
     defects = _merge({A: bracket(ch) for A, ch in c01.items()}, T01, -1)
     S_parts = {A: cone_fill_current(R, cover.centers[A[0]], complex_,
                                     context=f"(fill, over {A})")
-               for A, R in defects.items() if not R.is_zero_representation()}
+               for A, R in defects.items() if R.terms}
 
     c = augment(c01)
     if c is None:

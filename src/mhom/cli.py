@@ -501,7 +501,7 @@ def _suite_cosheaf(args, rng):
                        "status": "pass" if ok else "fail"})
 
         cur = bracket(ch)
-        if not cur.is_zero_representation():
+        if cur.terms:
             cparts = cech.split(cur, cover)
             ok = cech.augment(cparts).equals(cur)
             checks.append({"check": f"eps-current[{i}]:deg{deg}",

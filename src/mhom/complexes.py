@@ -2,8 +2,8 @@
 
 A complex carries rational vertex coordinates in Euclidean space; the
 metric is the restriction of the ambient distance.  Piecewise-linear maps,
-Lipschitz extension of sampled data, star contractions and covers by open
-balls all live here.  Comparisons stay on squared distances.
+Lipschitz extension of sampled data and covers by open balls all live
+here.  Comparisons stay on squared distances.
 """
 
 from __future__ import annotations
@@ -20,11 +20,12 @@ from .geometry import (
     gram_matrix,
     is_degenerate,
     point_simplex_dist2,
+    rref,
     solve_fraction_system,
 )
 from .intlinalg import IntMatrix
 from .chaincomplex import ChainComplexZ, RelativePair
-from .rational import dist2, dot, frac, integer_form, sqrt_upper, vsub
+from .rational import dist2, dot, frac, integer_form, sqrt_lower, vsub
 
 
 class MetricComplex:
@@ -125,10 +126,6 @@ class MetricComplex:
         return tuple(j for j, loc in enumerate(self._locators())
                      if loc.holds(q))
 
-    def contains_point(self, p) -> bool:
-        q = integer_form(p)
-        return any(loc.holds(q) for loc in self._locators())
-
     def find_containing_simplex(self, points):
         """Index of a simplex containing every given point, or None.
 
@@ -227,9 +224,10 @@ class _TopLocator:
 
     With edge rows E and Gram matrix G = E E^T, the rows of M = G^-1 E map
     p - v0 to the barycentric coordinates of v1..vk whenever p lies in the
-    affine hull.  A point is held when those coordinates are nonnegative
-    with sum at most 1 and the edges rebuild p - v0 exactly, which is the
-    verdict of geometry.point_in_simplex.  M, E and v0 are kept as integers
+    affine hull; one reduction of [G | E] to [I | M] gives them.  A point
+    is held when those coordinates are nonnegative with sum at most 1 and
+    the edges rebuild p - v0 exactly, which is the verdict of
+    geometry.point_in_simplex.  M, E and v0 are kept as integers
     over one denominator each, so a test makes no Fraction; only
     barycentric() turns a held point's coordinates into Fractions.
     """
@@ -239,17 +237,16 @@ class _TopLocator:
     def __init__(self, verts):
         E = edge_matrix(verts)
         G = gram_matrix(verts)
-        M = [solve_fraction_system(G, [e[i] for e in E])
-             for i in range(len(verts[0]))]  # columns of G^-1 E
+        k = len(E)
+        M = [row[k:] for row in rref([[*g, *e] for g, e in zip(G, E)])]
         self.v0, self.c = integer_form(verts[0])
-        d = lcm(*(x.denominator for col in M for x in col))
+        d = lcm(*(x.denominator for row in M for x in row))
         e = lcm(*(x.denominator for row in E for x in row))
-        self.rows = [tuple((i, int(col[r] * d)) for i, col in enumerate(M)
-                           if col[r])
-                     for r in range(len(E))]
+        self.rows = [tuple((i, int(x * d)) for i, x in enumerate(row) if x)
+                     for row in M]
         self.cols = [tuple((r, int(row[i] * e)) for r, row in enumerate(E)
                            if row[i])
-                     for i in range(len(M))]
+                     for i in range(len(verts[0]))]
         self.d, self.de = d, d * e
 
     def _scaled(self, point):
@@ -473,13 +470,14 @@ def mcshane_extension(complex_: MetricComplex, boundary_values, L, depth=2):
 
     boundary_values: list of (point, value) pairs with rational values,
     checked to be L-Lipschitz pairwise (exact squared comparison).  Sample
-    points are the depth-fold subdivision vertices; each gets a rational
-    value within 2^-30 below its inf-convolution bound, chosen so the
-    full assignment stays exactly L-Lipschitz and matches the boundary
-    data without rounding.  Returns a scalar cellwise PLMap.
+    points are the depth-fold subdivision vertices, taken in order; each
+    gets the inf-convolution bound min_p v_p + L d(x, p) over the points
+    assigned before it, every root rounded down to a multiple of 2^-prec
+    for the first prec of 40, 80, 160 and 320 at which the value is exactly
+    L-Lipschitz against all of them.  Boundary data is matched without
+    rounding.  Returns a scalar cellwise PLMap.
     """
     L = frac(L)
-    prec = 30
     if L < 0:
         raise InputError("negative Lipschitz bound")
     anchors = []
@@ -492,49 +490,18 @@ def mcshane_extension(complex_: MetricComplex, boundary_values, L, depth=2):
                 f"boundary data is not {L}-Lipschitz on the pair {p}, {q}")
 
     assigned = dict(anchors)
-    order = [p for p in complex_.sample_vertices(depth) if p not in assigned]
-
-    def admissible(q, x):
-        for p, v in assigned.items():
-            if (q - v) ** 2 > L * L * dist2(x, p):
-                return False
-        return True
-
-    for x in order:
-        # exact radical bounds, then a rational pick near the upper end
-        ups, los = [], []
-        for p, v in assigned.items():
-            d2 = L * L * dist2(x, p)
-            ups.append((v, d2))
-            los.append((v, d2))
-        hi = min(v + sqrt_upper(d2, prec + 10) for v, d2 in ups)
-        lo = max(v - sqrt_upper(d2, prec + 10) for v, d2 in los)
-        q = None
-        step = Fraction(1, 1 << prec)
-        cand = hi
-        for _ in range(prec + 14):
-            if lo - step <= cand and admissible(cand, x):
-                q = cand
+    for x in complex_.sample_vertices(depth):
+        if x in assigned:
+            continue
+        bounds = [(v, L * L * dist2(x, p)) for p, v in assigned.items()]
+        for prec in (40, 80, 160, 320):
+            # rounding down keeps q <= v + L d(x, p); the check is exact
+            q = min(v + sqrt_lower(d2, prec) for v, d2 in bounds)
+            if all((q - v) ** 2 <= d2 for v, d2 in bounds):
                 break
-            cand -= step
-            if cand < lo - step:
-                cand = (lo + hi) / 2
-        if q is None or not admissible(q, x):
-            # fall back to a midpoint bisection scan
-            a, b = lo - step, hi + step
-            for _ in range(prec + 20):
-                mid = (a + b) / 2
-                if admissible(mid, x):
-                    q = mid
-                    break
-                # move toward the feasible band by testing quarters
-                if admissible((a + mid) / 2, x):
-                    q = (a + mid) / 2
-                    break
-                a, b = (a * 3 + b) / 4, (a + b * 3) / 4
-            if q is None:
-                raise GeometryError(
-                    f"no rational value admissible at sample point {x}")
+        else:
+            raise GeometryError(
+                f"no rational value admissible at sample point {x}")
         assigned[x] = q
 
     cells = [tup for _, tup in complex_.subdivided_tops(depth)]
@@ -547,51 +514,6 @@ def mcshane_extension(complex_: MetricComplex, boundary_values, L, depth=2):
             row.append((assigned[p],))
         values.append(tuple(row))
     return PLMap(1, cells=cells, cell_values=values)
-
-
-# -- star contractions -----------------------------------------------------
-
-
-class LipschitzHomotopy:
-    """Straight-line homotopy h(x, t) = (1-t) x + t x0 on a star-shaped
-    region, certified cell by cell against the complex carrier.
-
-    at_time(0) is the inclusion, at_time(1) the constant map at the center.
-    All are globally affine, which is what prism and cone constructions need.
-    """
-
-    def __init__(self, complex_, cells, center, certificates):
-        self.complex = complex_
-        self.cells = cells
-        self.center = center
-        self.certificates = certificates
-
-    def at_time(self, t):
-        t = frac(t)
-        n = len(self.center)
-        mat = [[(1 - t) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-        off = tuple(t * c for c in self.center)
-        return PLMap(n, matrix=mat, offset=off)
-
-
-def star_contraction(complex_: MetricComplex, cells, center) -> LipschitzHomotopy:
-    """Contraction of a star-shaped union of cells to the center point.
-
-    Verifies, cell by cell, that the cone from the center over the cell
-    stays inside the complex carrier (there must be a single simplex
-    containing the cell and the center).  Failure names the bad cell.
-    """
-    center = tuple(frac(x) for x in center)
-    cells = [tuple(tuple(frac(x) for x in p) for p in c) for c in cells]
-    certs = []
-    for c in cells:
-        idx = complex_.find_containing_simplex(list(c) + [center])
-        if idx is None:
-            raise GeometryError(
-                f"star-shape violation: no carrier simplex contains the cell {c} "
-                f"together with the center {center}")
-        certs.append(idx)
-    return LipschitzHomotopy(complex_, cells, center, certs)
 
 
 # -- covers by open balls ---------------------------------------------------
@@ -715,62 +637,3 @@ class BallCover:
         for i in indices:
             common &= near[i]
         return not common
-
-    def refinement_map(self, coarser: "BallCover"):
-        """lambda: for each ball here, a coarser ball containing it.
-
-        Containment is certified by d(c, c') + r <= r' checked on squares.
-        """
-        lam = []
-        for c, r in zip(self.centers, self.radii):
-            target = None
-            for j, (c2, r2) in enumerate(zip(coarser.centers, coarser.radii)):
-                gap = r2 - r
-                if gap >= 0 and dist2(c, c2) <= gap * gap:
-                    target = j
-                    break
-            if target is None:
-                raise GeometryError(
-                    f"no coarser ball contains the ball at {c} with radius {r}")
-            lam.append(target)
-        return lam
-
-
-def refine_cover(coarse: BallCover, factor=Fraction(1, 2)):
-    """Shrink a cover: new balls at subdivision vertices, each inscribed in a
-    coarse ball with room to spare.
-
-    The centers are the vertices of the depth-2 subdivision, or of depth 3
-    or 4 while the balls miss a piece one depth finer.  The new radius at a
-    center c is factor times the best slack r_B - d(c, c_B) over coarse
-    balls B containing c, which makes the refinement certificate
-    d + r' <= r automatic.  Returns the refined cover and the index map
-    into the coarse cover.  Raises if the refined balls do not cover the
-    carrier.
-    """
-    complex_ = coarse.complex
-    factor = frac(factor)
-    if not (0 < factor < 1):
-        raise InputError("refinement factor must lie strictly between 0 and 1")
-    last = None
-    for d in (2, 3, 4):
-        balls = []
-        for c in complex_.sample_vertices(d):
-            best_slack = None
-            for cb, rb in zip(coarse.centers, coarse.radii):
-                d2 = dist2(c, cb)
-                if d2 >= rb * rb:
-                    continue
-                slack = rb - sqrt_upper(d2, 25)
-                if slack > 0 and (best_slack is None or slack > best_slack):
-                    best_slack = slack
-            if best_slack is None:
-                raise GeometryError("subdivision vertex escapes every coarse ball")
-            balls.append({"center": c, "radius": best_slack * factor})
-        fine = BallCover(complex_, balls)
-        missed = fine.verify_covers(d + 1)
-        if not missed:
-            return fine, fine.refinement_map(coarse)
-        last = missed
-    raise GeometryError(
-        f"refined cover fails to cover: {len(last)} pieces missed")

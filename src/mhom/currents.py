@@ -25,7 +25,7 @@ from math import factorial, gcd
 from .errors import GeometryError, InputError
 from .geometry import (cut_simplex_by_values, canonical_orientation,
                        det_fraction, edge_matrix, gram_det,
-                       integrate_affine, integrate_affine_product)
+                       integrate_affine, integrate_affine_product, rref)
 from .rational import RadicalSum, dot, frac, integer_form
 from .weighted import WeightedSimplices
 
@@ -66,9 +66,6 @@ class PolyhedralCurrent(WeightedSimplices):
     def zero(ambient_dim, degree):
         return PolyhedralCurrent(ambient_dim, degree, {})
 
-    def is_zero_representation(self):
-        return not self.terms
-
     def evaluate(self, f, pis):
         """Action on (f, pi_1, ..., pi_k) with piecewise-affine scalar data.
 
@@ -108,41 +105,12 @@ class PolyhedralCurrent(WeightedSimplices):
         lo, hi = self.mass().bounds(40)
         return float((lo + hi) / 2)
 
-    def support_pieces(self):
-        """Pieces of the canonical representative (closed support carrier)."""
-        return list(self.reduce().terms.keys())
-
     def pushforward(self, plmap):
         """Image current under a piecewise-affine map, by vertex images of
         refined pieces.  Degenerate images are kept; reduce() removes them."""
         cur = self.refine_until_affine([plmap])
         return PolyhedralCurrent(plmap.target_dim, self.degree,
                                  cur._images(plmap))
-
-    def restrict_scalar(self, g, r):
-        """Split along the level set {g = r}: returns (below, above).
-
-        g must take the value r at no vertex of the refined pieces; a hit
-        means the value is non-generic for this representation and the
-        offending vertex is reported.
-        """
-        r = frac(r)
-        cur = self.refine_until_affine([g])
-        low = {}
-        high = {}
-        for tup, w in cur.terms.items():
-            vals = [g.scalar(p) for p in tup]
-            for p, v in zip(tup, vals):
-                if v == r:
-                    raise GeometryError(
-                        f"restriction value {r} is non-generic: vertex {p} "
-                        f"lies on the level set")
-            lo, hi = cut_simplex_by_values(tup, vals, r)
-            for t in lo:
-                low[t] = low.get(t, 0) + w
-            for t in hi:
-                high[t] = high.get(t, 0) + w
-        return cur.like(cur.degree, low), cur.like(cur.degree, high)
 
     def product_interval(self):
         """Product with [0,1]: staircase triangulation in one more dimension.
@@ -201,33 +169,6 @@ class PolyhedralCurrent(WeightedSimplices):
         return self.like(k, out)
 
 
-def _rref(rows):
-    """Reduced row echelon form over Q; returns the nonzero rows."""
-    rows = [list(r) for r in rows]
-    m = len(rows)
-    n = len(rows[0]) if rows else 0
-    r = 0
-    for c in range(n):
-        piv = None
-        for i in range(r, m):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        f = rows[r][c]
-        rows[r] = [x / f for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c]:
-                g = rows[i][c]
-                rows[i] = [x - g * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-        if r == m:
-            break
-    return [tuple(row) for row in rows[:r] if any(row)]
-
-
 def _flat_chart(tup):
     """Canonical key, pivot columns and map back for a simplex's flat.
 
@@ -236,7 +177,7 @@ def _flat_chart(tup):
     point's chart coordinates are therefore its coordinates at the pivot
     columns, and the anchor is the flat point whose pivot coordinates are 0.
     """
-    R = _rref(edge_matrix(tup))
+    R = rref(edge_matrix(tup))
     pivots = [next(j for j, x in enumerate(r) if x) for r in R]
     anchor = tup[0]
     for j, r in zip(pivots, R):
@@ -427,8 +368,6 @@ def equicontinuity_gap(T, f, pis, pis2):
     exactly.  Returns (lhs, rhs) as exact values; the
     estimate holds when lhs <= rhs.
     """
-    from .complexes import PLMap
-
     pis = list(pis)
     pis2 = list(pis2)
     if len(pis) != T.degree or len(pis2) != T.degree:

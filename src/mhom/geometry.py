@@ -15,37 +15,51 @@ from .rational import centroid, dist2, dot, frac, lerp, vsub
 Simplex = tuple  # tuple of points
 
 
-def solve_fraction_system(A, b):
-    """Solve A x = b over Q; returns None when inconsistent.
-
-    A: list of rows; free variables are set to zero.
-    """
-    m = len(A)
-    n = len(A[0]) if m else 0
-    M = [[frac(x) for x in row] + [frac(bv)] for row, bv in zip(A, b)]
-    piv_cols = []
+def rref(rows):
+    """Reduced row echelon form over Q; returns the nonzero rows."""
+    rows = [list(r) for r in rows]
+    m = len(rows)
+    n = len(rows[0]) if rows else 0
     r = 0
     for c in range(n):
-        p = next((i for i in range(r, m) if M[i][c]), None)
-        if p is None:
+        piv = None
+        for i in range(r, m):
+            if rows[i][c]:
+                piv = i
+                break
+        if piv is None:
             continue
-        M[r], M[p] = M[p], M[r]
-        inv = 1 / M[r][c]
-        M[r] = [x * inv for x in M[r]]
+        rows[r], rows[piv] = rows[piv], rows[r]
+        # the pivot row is zero left of column c, so row operations
+        # start there
+        f = rows[r][c]
+        rows[r][c:] = [x / f for x in rows[r][c:]]
         for i in range(m):
-            if i != r and M[i][c]:
-                f = M[i][c]
-                M[i] = [x - f * y for x, y in zip(M[i], M[r])]
-        piv_cols.append(c)
+            if i != r and rows[i][c]:
+                g = rows[i][c]
+                rows[i][c:] = [x - g * y
+                               for x, y in zip(rows[i][c:], rows[r][c:])]
         r += 1
         if r == m:
             break
-    for i in range(r, m):
-        if M[i][n]:
-            return None
+    return [tuple(row) for row in rows[:r] if any(row)]
+
+
+def solve_fraction_system(A, b):
+    """Solve A x = b over Q; returns None when inconsistent.
+
+    A: list of rows; free variables are set to zero.  A pivot of the
+    reduced [A | b] in the last column means no solution; otherwise each
+    pivot row gives its pivot variable.
+    """
+    n = len(A[0]) if A else 0
     x = [Fraction(0)] * n
-    for i, c in enumerate(piv_cols):
-        x[c] = M[i][n]
+    M = [[frac(v) for v in row] + [frac(bv)] for row, bv in zip(A, b)]
+    for row in rref(M):
+        c = next(j for j, v in enumerate(row) if v)
+        if c == n:
+            return None
+        x[c] = row[n]
     return x
 
 
@@ -199,15 +213,17 @@ def point_simplex_dist2(p, verts) -> Fraction:
         return dist2(p, verts[0])
     E = edge_matrix(verts)
     G = [[dot(a, b) for b in E] for a in E]
-    rhs = [dot(e, vsub(p, verts[0])) for e in E]
-    lam = solve_fraction_system(G, rhs)
-    if lam is not None and det_fraction(G) != 0:
-        lam0 = 1 - sum(lam)
-        if lam0 >= 0 and all(x >= 0 for x in lam):
-            proj = list(verts[0])
-            for c, e in zip(lam, E):
-                proj = [a + c * b for a, b in zip(proj, e)]
-            return dist2(p, tuple(proj))
+    # G = E E^T and E have one range, so G lam = E (p - v0) is solvable,
+    # and any solution puts the projection of p on the hull at v0 + lam E
+    lam = solve_fraction_system(G, [dot(e, vsub(p, verts[0])) for e in E])
+    if sum(lam) <= 1 and all(x >= 0 for x in lam):
+        proj = list(verts[0])
+        for c, e in zip(lam, E):
+            proj = [a + c * b for a, b in zip(proj, e)]
+        return dist2(p, tuple(proj))
+    # else a nearest point lies on a facet: outside the simplex, or inside
+    # it when the vertices are affinely dependent, since the facets then
+    # cover the simplex (Caratheodory)
     best = None
     for i in range(len(verts)):
         d = point_simplex_dist2(p, verts[:i] + verts[i + 1:])

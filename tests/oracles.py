@@ -10,6 +10,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
+from mhom.rational import dist2, dot, frac, vsub
+
 
 def minor_gcds(rows):
     """d_k = gcd of all k x k minors, for k = 1..rank bound."""
@@ -93,6 +95,60 @@ def echelon_rows(rows, p=None):
     return [tuple(row) for row in mat[:rank]]
 
 
+# a standalone Gauss-Jordan solve, the reference for geometry.rref and
+# everything that solves through it
+def solve_fraction_system(A, b):
+    """Solve A x = b over Q; returns None when inconsistent.
+
+    A: list of rows; free variables are set to zero.
+    """
+    m = len(A)
+    n = len(A[0]) if m else 0
+    M = [[frac(x) for x in row] + [frac(bv)] for row, bv in zip(A, b)]
+    piv_cols = []
+    r = 0
+    for c in range(n):
+        p = next((i for i in range(r, m) if M[i][c]), None)
+        if p is None:
+            continue
+        M[r], M[p] = M[p], M[r]
+        inv = 1 / M[r][c]
+        M[r] = [x * inv for x in M[r]]
+        for i in range(m):
+            if i != r and M[i][c]:
+                f = M[i][c]
+                M[i] = [x - f * y for x, y in zip(M[i], M[r])]
+        piv_cols.append(c)
+        r += 1
+        if r == m:
+            break
+    for i in range(r, m):
+        if M[i][n]:
+            return None
+    x = [Fraction(0)] * n
+    for i, c in enumerate(piv_cols):
+        x[c] = M[i][n]
+    return x
+
+
+def point_simplex_dist2(p, verts):
+    """Squared distance from p to the simplex: to the projection of p on
+    the affine hull when the edges are independent and the projection
+    lies in the simplex, else the least distance to a facet."""
+    if len(verts) == 1:
+        return dist2(p, verts[0])
+    E = [vsub(v, verts[0]) for v in verts[1:]]
+    G = [[dot(a, b) for b in E] for a in E]
+    lam = solve_fraction_system(G, [dot(e, vsub(p, verts[0])) for e in E])
+    if lam is not None and _det(G) != 0 and min(lam) >= 0 and sum(lam) <= 1:
+        proj = verts[0]
+        for c, e in zip(lam, E):
+            proj = tuple(a + c * b for a, b in zip(proj, e))
+        return dist2(p, proj)
+    return min(point_simplex_dist2(p, verts[:i] + verts[i + 1:])
+               for i in range(len(verts)))
+
+
 def simplicial_boundary_rows(faces, cells):
     """Boundary matrix rows of the map from `cells` to `faces`.
 
@@ -141,8 +197,7 @@ def _gram_chart(tup):
     the origin, and a flat point's chart coordinates are its coefficients
     in R from that point, each found by solving the Gram system of R.
     """
-    from mhom.geometry import edge_matrix, solve_fraction_system
-    from mhom.rational import dot, vsub
+    from mhom.geometry import edge_matrix
 
     R = echelon_rows(edge_matrix(tup))
     G = [[dot(a, b) for b in R] for a in R]
@@ -169,7 +224,6 @@ def _nullspace_hyperplanes(chart_tup):
     k-simplex, the normal read off the null space of the facet's echelon
     edge matrix; degenerate facets span no hyperplane and are skipped."""
     from mhom.geometry import edge_matrix
-    from mhom.rational import dot
 
     k = len(chart_tup) - 1
     out = []
@@ -211,9 +265,8 @@ def reduce_at_witness_points(current):
     solving for its barycentric coordinates.  Returns the terms dict.
     """
     from mhom.geometry import (canonical_orientation, cut_simplex_by_values,
-                               det_fraction, edge_matrix, gram_det,
-                               solve_fraction_system)
-    from mhom.rational import centroid, dot, vsub
+                               det_fraction, edge_matrix, gram_det)
+    from mhom.rational import centroid
 
     def holds(x, ctup):
         E = edge_matrix(ctup)

@@ -9,7 +9,7 @@ from mhom.chaincomplex import (all_homology, connecting_homomorphism,
                                homology_data)
 from mhom.complexes import MetricComplex
 
-from oracles import (betti_numbers, dense_smith_normal_form, field_rank,
+from oracles import (betti_numbers, dense_smith_normal_form,
                      simplicial_boundary_rows)
 
 GOLDEN = {

@@ -8,7 +8,7 @@ from mhom.complexes import PLMap
 from mhom.currents import (PolyhedralCurrent, _flat_chart, _reduce_in_chart,
                            _reduce_on_line, equicontinuity_gap,
                            integral_of_product)
-from mhom.errors import GeometryError, InputError
+from mhom.errors import InputError
 from mhom.rational import RadicalSum, dist2
 
 from oracles import reduce_at_witness_points
@@ -236,7 +236,7 @@ def test_algebra_keeps_the_dicts_it_builds(torus, torus_balls, validations):
 def test_support_pieces_inside_originals():
     T = line_current((1, 0, 2), (1, 1, 3))
     originals = [(F(0), F(2)), (F(1), F(3))]
-    for tup in T.support_pieces():
+    for tup in T.reduce().terms:
         xs = sorted(p[0] for p in tup)
         assert any(lo <= xs[0] and xs[-1] <= hi for lo, hi in originals)
 
@@ -295,21 +295,6 @@ def test_pushforward_identity_constant_and_mass_bound():
     assert img.mass() <= T.mass().scale(4)
 
 
-def test_restrict_scalar_splits_segment():
-    T = line_current((1, 0, 1))
-    g = PLMap.coordinate(1, 0)
-    below, above = T.restrict_scalar(g, F(1, 3))
-    assert below.mass() == RadicalSum.from_rational(F(1, 3))
-    assert above.mass() == RadicalSum.from_rational(F(2, 3))
-    assert (below + above).equals(T)
-    lo, hi = T.restrict_scalar(g, 2)
-    assert lo.equals(T) and hi.is_zero()
-    lo, hi = T.restrict_scalar(g, -1)
-    assert lo.is_zero() and hi.equals(T)
-    with pytest.raises(GeometryError):
-        T.restrict_scalar(g, 0)
-
-
 def test_product_interval_boundary_identity():
     rng = random.Random(22)
     for _ in range(10):
@@ -349,11 +334,11 @@ def test_cone_support_diameter():
     cyc = square_current().boundary()
     apex = (F(1, 2), F(1, 2))
     pts_before = set()
-    for tup in cyc.support_pieces():
+    for tup in cyc.reduce().terms:
         pts_before.update(tup)
     pts_before.add(apex)
     pts_after = set()
-    for tup in cyc.cone(apex).support_pieces():
+    for tup in cyc.cone(apex).reduce().terms:
         pts_after.update(tup)
     diam = lambda pts: max(dist2(p, q) for p in pts for q in pts)
     assert diam(pts_after) <= diam(pts_before)

@@ -1,8 +1,15 @@
 import random
 from fractions import Fraction
+from math import lcm
 
-from mhom.geometry import cut_simplex_by_values, det_fraction, edge_matrix
+from mhom import spaces
+from mhom.geometry import (cut_simplex_by_values, det_fraction, edge_matrix,
+                           gram_matrix, is_degenerate, point_simplex_dist2,
+                           solve_fraction_system)
 from mhom.rational import dot
+
+from oracles import point_simplex_dist2 as ref_dist2
+from oracles import solve_fraction_system as ref_solve
 
 F = Fraction
 
@@ -40,3 +47,67 @@ def test_cut_fragments_keep_orientation_and_volume():
                 assert all(v <= r if below else v >= r for v in fvals)
                 volume += abs(d)
         assert volume == abs(parent)
+
+
+def test_solve_matches_reference_elimination():
+    rng = random.Random(61)
+    kinds = set()
+    for _ in range(400):
+        m, n = rng.randrange(0, 6), rng.randrange(1, 6)
+        r = rng.randrange(0, min(m, n) + 1)
+        # rank at most r, so some systems are singular, some rows zero
+        L = [[rng.randrange(-3, 4) for _ in range(r)] for _ in range(m)]
+        R = [[F(rng.randrange(-4, 5), rng.randrange(1, 4)) for _ in range(n)]
+             for _ in range(r)]
+        A = [[sum((L[i][t] * R[t][j] for t in range(r)), F(0))
+              for j in range(n)] for i in range(m)]
+        if rng.randrange(2):
+            x0 = [F(rng.randrange(-5, 6), rng.randrange(1, 4))
+                  for _ in range(n)]
+            b = [dot(row, x0) for row in A]
+        else:
+            b = [F(rng.randrange(-5, 6)) for _ in range(m)]
+        want = ref_solve(A, b)
+        assert solve_fraction_system(A, b) == want
+        kinds.add("inconsistent" if want is None else "consistent")
+        kinds.add("under" if m < n else "over" if m > n else "square")
+        if any(not any(row) for row in A):
+            kinds.add("zero row")
+    assert kinds == {"consistent", "inconsistent", "under", "over", "square",
+                     "zero row"}
+
+
+def test_locator_rows_match_per_column_solves():
+    for name in spaces.builtin_spaces():
+        X = spaces.load_space(name)
+        for t, loc in zip(X.top_simplices(), X._locators()):
+            verts = X.points_of(t)
+            E, G = edge_matrix(verts), gram_matrix(verts)
+            cols = [ref_solve(G, [e[i] for e in E])
+                    for i in range(X.ambient_dim)]  # columns of G^-1 E
+            d = lcm(*(x.denominator for col in cols for x in col))
+            assert loc.d == d
+            assert loc.rows == [tuple((i, col[r] * d)
+                                      for i, col in enumerate(cols) if col[r])
+                                for r in range(len(E))]
+
+
+def test_point_simplex_dist2_matches_reference():
+    rng = random.Random(62)
+    degenerate = 0
+    for _ in range(300):
+        n, k = rng.randrange(1, 4), rng.randrange(0, 4)
+        verts = tuple(tuple(F(rng.randrange(-4, 5), rng.randrange(1, 3))
+                            for _ in range(n)) for _ in range(k + 1))
+        if k and rng.randrange(3) == 0:
+            # one more vertex, anywhere in the list, on the line through
+            # the first two, repeating one of them when t is 0 or 1
+            t = F(rng.randrange(-3, 7), 3)
+            q = tuple(a + t * (b - a) for a, b in zip(verts[0], verts[1]))
+            i = rng.randrange(k + 2)
+            verts = verts[:i] + (q,) + verts[i:]
+        p = tuple(F(rng.randrange(-6, 7), rng.randrange(1, 4))
+                  for _ in range(n))
+        assert point_simplex_dist2(p, verts) == ref_dist2(p, verts)
+        degenerate += is_degenerate(verts)
+    assert degenerate > 50
