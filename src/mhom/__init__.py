@@ -12,8 +12,7 @@ weighted-simplex algebra (WeightedSimplices), so the cover split and the
 from .errors import GeometryError, InputError, LocalityError, MhomError
 from .rational import RadicalSum, dist2, sqrt_lower, sqrt_upper
 from .chaincomplex import (ChainComplexZ, HomologyGroup, RelativePair,
-                           all_homology, connecting_homomorphism,
-                           homology, homology_data)
+                           connecting_homomorphism, homology_data)
 from .complexes import BallCover, MetricComplex, PLMap, mcshane_extension
 from .weighted import WeightedSimplices
 from .chains import LipschitzChain, chain_from_vector, chain_to_vector
@@ -35,13 +34,13 @@ __all__ = [
     "BallCover", "ChainComplexZ", "FillResult", "GeometryError",
     "HomologyGroup", "InputError", "LipschitzChain", "LocalityError",
     "MetricComplex", "MhomError", "Nerve", "PLMap", "PolyhedralCurrent",
-    "RadicalSum", "RelativePair", "Staircase", "WeightedSimplices",
-    "all_homology", "augment", "augment_nerve", "bracket",
-    "bracket_inverse_points", "brackets_of_generators", "builtin_covers",
+    "RadicalSum", "RelativePair", "Staircase", "WeightedSimplices", "augment",
+    "augment_nerve", "bracket", "bracket_inverse_points",
+    "brackets_of_generators", "builtin_covers",
     "builtin_spaces", "cech_boundary", "chain_from_vector", "chain_to_vector",
     "cone_fill_chain", "cone_fill_current", "conforming",
     "connecting_homomorphism", "degree_zero_cancel", "dist2",
-    "equicontinuity_gap", "fill_zero_chain", "homology", "homology_data",
+    "equicontinuity_gap", "fill_zero_chain", "homology_data",
     "integral_of_product", "load_cover", "load_space", "mcshane_extension",
     "pairing_forms", "pairing_matrix", "save_cover", "save_space", "solve_phi",
     "split", "sqrt_lower", "sqrt_upper", "zigzag_cancel", "zigzag_descend",

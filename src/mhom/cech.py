@@ -167,11 +167,6 @@ def split(x, cover, balls=None, context=""):
     raise GeometryError(f"terms never fit admissible balls {context}")
 
 
-def _vanishes(x):
-    """Zero test that skips reduction when no term is left."""
-    return not x.terms or x.is_zero()
-
-
 def solve_phi(Y, nerve, context=""):
     """W one nerve arity up with cech_boundary(W) = Y, by elimination.
 
@@ -261,7 +256,7 @@ def fill_zero_chain(complex_, chain, region, start_depth=SAMPLE_DEPTH,
         weights[p] = weights.get(p, 0) + c
     weights = {p: c for p, c in weights.items() if c}
     if not weights:
-        return LipschitzChain(complex_, 1, {}, chain.level, check_carrier=False)
+        return LipschitzChain(complex_, 1, {}, chain.level)
 
     last_err = "no admissible depth"
     for depth in range(start_depth, MAX_FILL_DEPTH + 1):
@@ -338,7 +333,7 @@ def cone_fill_chain(z, apex, complex_, context=""):
     if not z.boundary().is_zero():
         raise InputError(f"cone fill needs an exact cycle {context}")
     _certify_cone(z, apex, complex_, context)
-    return z.cone(apex, check_carrier=False)
+    return z.cone(apex)
 
 
 def cone_fill_current(R, apex, complex_, context=""):
@@ -422,7 +417,7 @@ def zigzag_descend(c, cover, nerve=None):
         raise InputError(
             "descent needs a conforming representation: every piece "
             "inside a single complex simplex")
-    if m >= 1 and not _vanishes(c.boundary()):
+    if m >= 1 and not c.boundary().is_zero():
         raise InputError("descent expects a cycle")
 
     columns = _descend(c, cover, nerve, ("(descent)",) * m)
@@ -433,7 +428,7 @@ def zigzag_descend(c, cover, nerve=None):
     for p in range(1, m + 1):
         want = {K: comp.boundary() for K, comp in columns[p - 1].items()}
         for K, gap in _merge(cech_boundary(columns[p]), want, -1).items():
-            if not _vanishes(gap):
+            if not gap.is_zero():
                 raise GeometryError(f"descent step {p} mismatched at {K!r}")
 
     layers = {(p, m - p): col for p, col in enumerate(columns)}
@@ -480,7 +475,7 @@ def zigzag_fill(T, cover, nerve=None):
 
     c = augment(c01)
     if c is None:
-        c = LipschitzChain(complex_, 1, {}, 0, check_carrier=False)
+        c = LipschitzChain(complex_, 1, {}, 0)
     S = augment(S_parts)
     if S is None:
         S = PolyhedralCurrent.zero(T.ambient_dim, 2)
@@ -519,7 +514,7 @@ def zigzag_cancel(z, S, cover, nerve=None):
                   lower=zc)
     w = augment(_ascend(Sc[2], 2, zc, cover, "cancel"))
     if w is None:
-        w = LipschitzChain(complex_, 2, {}, 0, check_carrier=False)
+        w = LipschitzChain(complex_, 2, {}, 0)
     if not (w.boundary() == z):
         raise GeometryError("cancel verification failed: b(w) != z")
     return w

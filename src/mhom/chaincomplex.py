@@ -155,14 +155,6 @@ def homology_data(C: ChainComplexZ, k: int) -> HomologyData:
     return HomologyData(group, free_gens, tor_gens, torsion_orders, express)
 
 
-def homology(C: ChainComplexZ, k: int) -> HomologyGroup:
-    return homology_data(C, k).group
-
-
-def all_homology(C: ChainComplexZ):
-    return [homology(C, k) for k in range(len(C.dims))]
-
-
 class RelativePair:
     """Complex C with a boundary-closed subcomplex spanned by basis indices.
 

@@ -19,12 +19,11 @@ class LipschitzChain(WeightedSimplices):
 
     __slots__ = ("complex", "level")
 
-    def __init__(self, complex_, degree, terms=None, level=0, check_carrier=True):
+    def __init__(self, complex_, degree, terms=None, level=0):
         self.complex = complex_
         self.level = level
         super().__init__(degree, terms)
-        if check_carrier:
-            self.check_carrier()
+        self.check_carrier()
 
     @property
     def ambient_dim(self):
@@ -119,11 +118,6 @@ class LipschitzChain(WeightedSimplices):
         if plmap.target_dim != self.complex.ambient_dim:
             raise InputError("pushforward needs a self-map of the carrier")
         return self.refine_until_affine([plmap]).vertex_images(plmap)
-
-    def cone(self, vertex, check_carrier=True):
-        """Cone on a fixed point, each coned term certified on request."""
-        out = super().cone(vertex)
-        return out.check_carrier() if check_carrier else out
 
     def prism(self, h0, h1):
         """Staircase between two vertexwise images of this chain.

@@ -514,7 +514,7 @@ def _suite_cosheaf(args, rng):
         ker = _overlap_kernel(complex_, cover, nerve, deg, index=i)
         if ker is None:
             continue
-        level = next(iter(parts.values()), ch).level
+        first = next(iter(parts.values()), ch)
         diff = {}
         for A, p in parts.items():
             for tup, c in p.terms.items():
@@ -527,8 +527,7 @@ def _suite_cosheaf(args, rng):
                     t = diff.setdefault(ball, {})
                     t[tup] = t.get(tup, 0) + sign
         for A, t in diff.items():
-            extra = LipschitzChain(complex_, deg, t, level,
-                                   check_carrier=False)
+            extra = first.like(deg, t)
             ker[A] = ker[A] + extra if A in ker else extra
         ker = {A: k for A, k in ker.items() if not k.is_zero()}
         if not ker:

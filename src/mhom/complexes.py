@@ -25,7 +25,7 @@ from .geometry import (
 )
 from .intlinalg import IntMatrix
 from .chaincomplex import ChainComplexZ, RelativePair
-from .rational import dist2, dot, frac, integer_form, sqrt_lower, vsub
+from .rational import dist2, dot, frac, integer_form, sqrt_lower
 
 
 class MetricComplex:
@@ -36,11 +36,14 @@ class MetricComplex:
     indices, themselves face-closed.
 
     The object is immutable after construction, and it owns point
-    location.  It caches, each on first use: the top simplices; per depth,
-    the barycentric subdivision of the tops and its sorted vertex list;
-    one exact barycentric inverse per top simplex; and per depth, the top
-    simplices holding each subdivision vertex.  Methods hand out fresh
-    lists or read-only views, never the cached containers.
+    location.  It caches, each on first use and per depth d: the pieces of
+    the d-fold barycentric subdivision of the tops (d = 0: the tops
+    themselves) and their sorted vertex list; one exact barycentric
+    inverse per piece, which locates points for tops_holding(),
+    find_containing_simplex() (both at depth 0) and cellwise PLMaps (at
+    their own depth); and the top simplices holding each subdivision
+    vertex.  Methods hand out fresh lists or read-only views, never the
+    cached containers.
     """
 
     def __init__(self, ambient_dim, vertices, simplices, subcomplexes=None):
@@ -84,7 +87,7 @@ class MetricComplex:
                     if f and f not in chosen:
                         raise InputError(f"subcomplex {name!r} is not face-closed")
         self._tops = None
-        self._locs = None
+        self._locs = {}     # depth -> [locator per piece]
         self._pieces = {}   # depth -> [(top simplex index, piece)]
         self._samples = {}  # depth -> sorted subdivision vertices
         self._homes = {}    # depth -> {subdivision vertex: top positions}
@@ -114,16 +117,27 @@ class MetricComplex:
 
     # -- point location ----------------------------------------------------
 
-    def _locators(self):
-        if self._locs is None:
-            self._locs = [_TopLocator(self.points_of(t))
-                          for t in self._top_list()]
-        return self._locs
+    def _locators(self, depth):
+        """One exact locator per piece of subdivided_tops(depth), in order."""
+        locs = self._locs.get(depth)
+        if locs is None:
+            locs = [_TopLocator(tup) for _, tup in self._subdivision(depth)]
+            self._locs[depth] = locs
+        return locs
+
+    def _first_piece(self, depth, points):
+        """Position in subdivided_tops(depth) of the first piece holding
+        every given point, or None."""
+        qs = [integer_form(p) for p in points]
+        for j, loc in enumerate(self._locators(depth)):
+            if all(loc.holds(q) for q in qs):
+                return j
+        return None
 
     def tops_holding(self, p):
         """Positions in top_simplices() of the top simplices holding p."""
         q = integer_form(p)
-        return tuple(j for j, loc in enumerate(self._locators())
+        return tuple(j for j, loc in enumerate(self._locators(0))
                      if loc.holds(q))
 
     def find_containing_simplex(self, points):
@@ -132,11 +146,8 @@ class MetricComplex:
         A simplex holding the points is a face of a top simplex, which holds
         them too, so the first such top simplex is returned.
         """
-        qs = [integer_form(p) for p in points]
-        for t, loc in zip(self._top_list(), self._locators()):
-            if all(loc.holds(q) for q in qs):
-                return self._index[t]
-        return None
+        j = self._first_piece(0, points)
+        return None if j is None else self._subdivision(0)[j][0]
 
     # -- barycentric subdivision -------------------------------------------
 
@@ -290,37 +301,32 @@ class _TopLocator:
 class PLMap:
     """Piecewise-affine map into R^m.
 
-    Either globally affine (matrix plus offset) or interpolated from
-    vertex values over an explicit list of non-degenerate cells.  Cellwise
-    data must be continuous across shared faces; evaluation is exact over
-    Q, through one exact locator per cell built with the map.
+    Either globally affine (matrix plus offset) or cellwise: one value per
+    vertex of a MetricComplex's depth-fold barycentric subdivision, affine
+    on each piece.  Pieces that share a face share its vertices and so its
+    values, which makes a cellwise map continuous, and Lipschitz, by
+    construction.  Evaluation is exact over Q; the complex's locators for
+    that depth find the piece holding a point.
     """
 
-    def __init__(self, target_dim, matrix=None, offset=None, cells=None, cell_values=None):
+    def __init__(self, target_dim, matrix=None, offset=None, *,
+                 complex_=None, depth=None, values=None):
         self.target_dim = int(target_dim)
         self.matrix = None
         self.offset = None
-        self.cells = None
-        self.cell_values = None
-        self._locs = None
+        self.complex = complex_
+        self.depth = depth
+        self.values = None
         if matrix is not None:
             self.matrix = [tuple(frac(x) for x in row) for row in matrix]
             self.offset = tuple(frac(x) for x in (offset or [0] * self.target_dim))
             if len(self.matrix) != self.target_dim:
                 raise InputError("affine matrix has wrong number of rows")
         else:
-            self.cells = [tuple(tuple(frac(x) for x in p) for p in c) for c in cells]
-            self.cell_values = [tuple(tuple(frac(x) for x in v) for v in vals)
-                                for vals in cell_values]
-            for c, vals in zip(self.cells, self.cell_values):
-                if len(c) != len(vals):
-                    raise InputError("cell and value counts differ")
-                for v in vals:
-                    if len(v) != self.target_dim:
-                        raise InputError("cell value has wrong target dimension")
-                if is_degenerate(c):
-                    raise InputError(f"cell {c} is geometrically degenerate")
-            self._locs = [_TopLocator(c) for c in self.cells]
+            self.values = {p: tuple(frac(x) for x in v)
+                           for p, v in values.items()}
+            if any(len(v) != self.target_dim for v in self.values.values()):
+                raise InputError("vertex value has wrong target dimension")
 
     # constructors
 
@@ -343,23 +349,28 @@ class PLMap:
         return PLMap(1, matrix=[[1 if i == j else 0 for i in range(n)]])
 
     @staticmethod
-    def from_vertex_values(cells, value_fn, target_dim):
-        vals = [tuple(tuple(frac(x) for x in value_fn(p)) for p in c) for c in cells]
-        return PLMap(target_dim, cells=cells, cell_values=vals)
+    def from_vertex_values(complex_, depth, value_fn, target_dim):
+        """Cellwise map taking value_fn(v) at each vertex v of the
+        complex's depth-fold subdivision."""
+        values = {p: value_fn(p) for p in complex_._sample_list(depth)}
+        return PLMap(target_dim, complex_=complex_, depth=depth, values=values)
 
     @staticmethod
-    def scalar_from_vertex_values(cells, value_fn):
-        return PLMap.from_vertex_values(cells, lambda p: (value_fn(p),), 1)
+    def scalar_from_vertex_values(complex_, depth, value_fn):
+        return PLMap.from_vertex_values(complex_, depth,
+                                        lambda p: (value_fn(p),), 1)
 
     # evaluation
 
+    def _pieces(self):
+        """(piece, its vertex values) over the subdivision of a cellwise map."""
+        return [(tup, [self.values[v] for v in tup])
+                for _, tup in self.complex._subdivision(self.depth)]
+
     def find_cell(self, points):
-        """Index of a cell containing all the points, or None."""
-        qs = [integer_form(p) for p in points]
-        for i, loc in enumerate(self._locs):
-            if all(loc.holds(q) for q in qs):
-                return i
-        return None
+        """Position in complex.subdivided_tops(depth) of a piece containing
+        all the points, or None."""
+        return self.complex._first_piece(self.depth, points)
 
     def __call__(self, p):
         p = tuple(frac(x) for x in p)
@@ -368,14 +379,9 @@ class PLMap:
         i = self.find_cell([p])
         if i is None:
             raise GeometryError(f"point {p} is outside every cell of the map")
-        return self.value_on_cell(i, p)
-
-    def value_on_cell(self, i, p):
-        """Value at a point p of cell i, from the cell's vertex values."""
-        lam = self._locs[i].barycentric(integer_form(p))
-        if lam is None:
-            raise GeometryError(f"point {p} is outside cell {i} of the map")
-        vals = self.cell_values[i]
+        lam = self.complex._locators(self.depth)[i].barycentric(integer_form(p))
+        _, piece = self.complex._subdivision(self.depth)[i]
+        vals = [self.values[v] for v in piece]
         return tuple(sum((l * v[d] for l, v in zip(lam, vals)), Fraction(0))
                      for d in range(self.target_dim))
 
@@ -392,14 +398,6 @@ class PLMap:
 
     # Lipschitz data
 
-    def _cell_differential_gram(self, cell, vals):
-        """Pair (G_source, G_target) of Gram matrices of edge vectors."""
-        E = [vsub(p, cell[0]) for p in cell[1:]]
-        W = [vsub(v, vals[0]) for v in vals[1:]]
-        G = [[dot(a, b) for b in E] for a in E]
-        H = [[dot(a, b) for b in W] for a in W]
-        return G, H
-
     def scalar_lipschitz_squared(self) -> Fraction:
         """Exact squared Lipschitz constant of a scalar map, maximized over
         cells (restricted to each cell's tangent space)."""
@@ -408,13 +406,10 @@ class PLMap:
         if self.matrix is not None:
             return dot(self.matrix[0], self.matrix[0])
         best = Fraction(0)
-        for cell, vals in zip(self.cells, self.cell_values):
-            E = [vsub(p, cell[0]) for p in cell[1:]]
-            d = [v[0] - vals[0][0] for v in vals[1:]]
-            G = [[dot(a, b) for b in E] for a in E]
-            a = solve_fraction_system(G, d)
-            val = sum((ai * di for ai, di in zip(a, d)), Fraction(0))
-            best = max(best, val)
+        for cell, vals in self._pieces():
+            d = [w[0] for w in edge_matrix(vals)]
+            a = solve_fraction_system(gram_matrix(cell), d)
+            best = max(best, sum((ai * di for ai, di in zip(a, d)), Fraction(0)))
         return best
 
     def lipschitz_at_most(self, L) -> bool:
@@ -429,8 +424,8 @@ class PLMap:
             I = [[L2 if i == j else Fraction(0) for j in range(len(M))] for i in range(len(M))]
             diff = [[I[i][j] - M[i][j] for j in range(len(M))] for i in range(len(M))]
             return _psd(diff)
-        for cell, vals in zip(self.cells, self.cell_values):
-            G, H = self._cell_differential_gram(cell, vals)
+        for cell, vals in self._pieces():
+            G, H = gram_matrix(cell), gram_matrix(vals)
             diff = [[L2 * G[i][j] - H[i][j] for j in range(len(G))] for i in range(len(G))]
             if not _psd(diff):
                 return False
@@ -504,16 +499,8 @@ def mcshane_extension(complex_: MetricComplex, boundary_values, L, depth=2):
                 f"no rational value admissible at sample point {x}")
         assigned[x] = q
 
-    cells = [tup for _, tup in complex_.subdivided_tops(depth)]
-    values = []
-    for c in cells:
-        row = []
-        for p in c:
-            if p not in assigned:
-                raise GeometryError("subdivision vertex missed by the sampler")
-            row.append((assigned[p],))
-        values.append(tuple(row))
-    return PLMap(1, cells=cells, cell_values=values)
+    return PLMap.scalar_from_vertex_values(complex_, depth,
+                                           assigned.__getitem__)
 
 
 # -- covers by open balls ---------------------------------------------------

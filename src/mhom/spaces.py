@@ -31,12 +31,6 @@ def _enc_q(q):
     return [q.numerator, q.denominator]
 
 
-def _dec_q(pair):
-    if isinstance(pair, list):
-        return Fraction(pair[0], pair[1])
-    return Fraction(pair)
-
-
 def space_to_json(complex_: MetricComplex) -> dict:
     return {
         "ambient_dim": complex_.ambient_dim,
@@ -48,13 +42,8 @@ def space_to_json(complex_: MetricComplex) -> dict:
 
 
 def space_from_json(data: dict) -> MetricComplex:
-    return MetricComplex(
-        int(data["ambient_dim"]),
-        [tuple(_dec_q(x) for x in v) for v in data["vertices"]],
-        [tuple(s) for s in data["simplices"]],
-        {name: [int(i) for i in sub]
-         for name, sub in data.get("subcomplexes", {}).items()},
-    )
+    return MetricComplex(data["ambient_dim"], data["vertices"],
+                         data["simplices"], data.get("subcomplexes"))
 
 
 def cover_to_json(cover: BallCover) -> dict:
@@ -72,16 +61,7 @@ def cover_to_json(cover: BallCover) -> dict:
 
 
 def cover_from_json(complex_: MetricComplex, data: dict) -> BallCover:
-    balls = []
-    for b in data["balls"]:
-        entry = {"radius": _dec_q(b["radius"])}
-        if "center" in b:
-            entry["center"] = tuple(_dec_q(x) for x in b["center"])
-        else:
-            entry["center_simplex"] = int(b["center_simplex"])
-            entry["barycentric"] = [_dec_q(x) for x in b["barycentric"]]
-        balls.append(entry)
-    return BallCover(complex_, balls)
+    return BallCover(complex_, data["balls"])
 
 
 def save_space(complex_, path):
@@ -270,11 +250,9 @@ def circle_pairing_forms(s1: MetricComplex):
     equals half its winding, and vanishes on boundaries because the two
     gradients are parallel on every cell.
     """
-    cells = [s1.points_of(t) for t in s1.top_simplices()]
-
     def hat(v):
         return PLMap.scalar_from_vertex_values(
-            cells, lambda p: 1 if p == v else 0)
+            s1, 0, lambda p: 1 if p == v else 0)
 
     return [(hat(s1.vertices[0]), [hat(s1.vertices[1])])]
 
@@ -282,13 +260,12 @@ def circle_pairing_forms(s1: MetricComplex):
 def torus_pairing_forms(torus: MetricComplex):
     """Two form pairs detecting the two factor windings."""
     tri = circle_space()
-    cells = [torus.points_of(t) for t in torus.top_simplices()]
 
     def hat(factor, v):
         def val(p):
             part = p[:3] if factor == 0 else p[3:]
             return 1 if part == v else 0
-        return PLMap.scalar_from_vertex_values(cells, val)
+        return PLMap.scalar_from_vertex_values(torus, 0, val)
 
     out = []
     for factor in (0, 1):

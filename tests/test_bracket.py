@@ -12,7 +12,7 @@ from mhom.currents import PolyhedralCurrent
 from mhom.errors import InputError
 from mhom.geometry import det_fraction
 from mhom.rational import RadicalSum
-from mhom import spaces
+from mhom import complexes, spaces
 
 from test_chains import circle_cycle, random_chain
 
@@ -107,6 +107,24 @@ def test_generator_pairings(s1, torus):
     vals = sorted(sorted(abs(v) for v in row) for row in M2)
     assert vals == [[0, HALF], [0, HALF]]
     assert det_fraction(M2) != 0
+
+
+def test_torus_pairing_builds_no_locator(torus, monkeypatch):
+    # cellwise forms locate points with the torus's own locators
+    gens = brackets_of_generators(torus, 1,
+                                  homology_data(torus.chain_complex()[0], 1))
+    torus.tops_holding(torus.vertices[0])
+    built = []
+    real = complexes._TopLocator.__init__
+
+    def counted(self, verts):
+        built.append(verts)
+        real(self, verts)
+
+    monkeypatch.setattr(complexes._TopLocator, "__init__", counted)
+    M = pairing_matrix(gens, spaces.pairing_forms("torus", torus))
+    assert len(M) == 2 and det_fraction(M) != 0
+    assert built == []
 
 
 def test_singular_pairing_detected(s1):

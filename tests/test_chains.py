@@ -138,10 +138,10 @@ def test_prism_boundary_identity():
 def test_cone_boundary_identity(s1):
     z = circle_cycle(s1)
     apex = (Fraction(0), Fraction(0), Fraction(0))
-    # the apex lies off the carrier, so skip the containment check
-    cone = z.cone(apex, check_carrier=False)
+    # the apex lies off the carrier; cone() does not check the carrier
+    cone = z.cone(apex)
     back = cone.boundary()
-    assert back == z - z.boundary().cone(apex, check_carrier=False)
+    assert back == z - z.boundary().cone(apex)
     assert back == z
 
 

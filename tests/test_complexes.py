@@ -146,9 +146,8 @@ def test_plmap_lipschitz_exact():
 
 def test_plmap_hat_function():
     sq = unit_square()
-    cells = [sq.points_of(s) for s in sq.top_simplices()]
     hat = PLMap.scalar_from_vertex_values(
-        cells, lambda p: 1 if p == (0, 0) else 0)
+        sq, 0, lambda p: 1 if p == (0, 0) else 0)
     assert hat.scalar((Fraction(0), Fraction(0))) == 1
     assert hat.scalar((Fraction(1), Fraction(0))) == 0
     assert hat.scalar((Fraction(1, 2), Fraction(0))) == Fraction(1, 2)
@@ -156,7 +155,7 @@ def test_plmap_hat_function():
 
 @pytest.mark.parametrize("name,depth", [("s1", 2), ("s2", 1), ("torus", 0)])
 def test_cellwise_map_matches_barycentric_solve(name, depth):
-    # the map's own locators give the cell and the value that the generic
+    # the complex's locators give the piece and the value that the generic
     # point test and barycentric solve of geometry give
     X = spaces.load_space(name)
     rng = random.Random(11)
@@ -164,7 +163,7 @@ def test_cellwise_map_matches_barycentric_solve(name, depth):
     values = {p: (Fraction(rng.randrange(-9, 10), rng.randrange(1, 5)),
                   Fraction(rng.randrange(-9, 10)))
               for p in X.sample_vertices(depth)}
-    f = PLMap.from_vertex_values(cells, values.__getitem__, 2)
+    f = PLMap.from_vertex_values(X, depth, values.__getitem__, 2)
     points = X.sample_vertices(depth + 1) + [centroid(c) for c in cells]
     points += [_off_hull(c, Fraction(1, 9)) for c in cells[:5]]
     inside = 0
@@ -184,11 +183,12 @@ def test_cellwise_map_matches_barycentric_solve(name, depth):
     assert 0 < inside < len(points)
 
 
-def test_cellwise_map_rejects_a_degenerate_cell():
-    flat = ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(1)),
-            (Fraction(2), Fraction(2)))
-    with pytest.raises(InputError):
-        PLMap.scalar_from_vertex_values([flat], lambda p: p[0])
+def test_complex_rejects_a_degenerate_simplex():
+    # so no piece of any subdivision, hence no cell of a map, is degenerate
+    flat = [(0, 0), (1, 1), (2, 2)]
+    with pytest.raises(InputError, match="degenerate"):
+        MetricComplex(2, flat, [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2),
+                                (0, 1, 2)])
 
 
 def test_mcshane_two_point_interpolation():

@@ -80,7 +80,7 @@ def test_solve_matches_reference_elimination():
 def test_locator_rows_match_per_column_solves():
     for name in spaces.builtin_spaces():
         X = spaces.load_space(name)
-        for t, loc in zip(X.top_simplices(), X._locators()):
+        for t, loc in zip(X.top_simplices(), X._locators(0)):
             verts = X.points_of(t)
             E, G = edge_matrix(verts), gram_matrix(verts)
             cols = [ref_solve(G, [e[i] for e in E])

@@ -1,5 +1,6 @@
-"""Package-level properties: bundled data and import cost."""
+"""Package-level properties: bundled data, import cost and public names."""
 
+import ast
 import json
 import os
 import subprocess
@@ -51,3 +52,46 @@ def test_public_names_resolve_once_in_order():
     assert [n for n in names if not hasattr(mhom, n)] == []
     assert len(set(names)) == len(names)
     assert names == sorted(names)
+
+
+def _mhom_paths(tree):
+    """Dotted attribute paths read off mhom, or off a name bound to
+    something.mhom, in a parsed module: m.PolyhedralCurrent.from_tuples
+    gives ("PolyhedralCurrent", "from_tuples")."""
+    aliases = {"mhom"} | {
+        t.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+        and isinstance(node.value, ast.Attribute) and node.value.attr == "mhom"
+        for t in node.targets if isinstance(t, ast.Name)}
+    paths = set()
+    for node in ast.walk(tree):
+        chain = []
+        while isinstance(node, ast.Attribute):
+            chain.append(node.attr)
+            node = node.value
+        if not isinstance(node, ast.Name):
+            continue
+        chain = [node.id] + chain[::-1]
+        roots = [i for i, name in enumerate(chain) if name in aliases]
+        if roots and roots[-1] + 1 < len(chain):
+            paths.add(tuple(chain[roots[-1] + 1:]))
+    return paths
+
+
+def test_benchmark_entry_points_resolve():
+    # the benchmark worker drives mhom through these names; one that a
+    # change removes would stop every benchmark run before it starts
+    worker = Path(__file__).parents[1] / "perfbench" / "worker.py"
+    paths = _mhom_paths(ast.parse(worker.read_text()))
+    firsts = {path[0] for path in paths}
+    assert {"load_space", "load_cover", "pairing_forms", "pairing_matrix",
+            "zigzag_fill", "zigzag_cancel", "homology_data"} <= firsts
+
+    def resolves(path):
+        obj = mhom
+        for name in path:
+            if not hasattr(obj, name):
+                return False
+            obj = getattr(obj, name)
+        return True
+
+    assert sorted(p for p in paths if not resolves(p)) == []
