@@ -14,7 +14,7 @@ import sys
 
 import pytest
 
-from mhom import spaces
+from mhom import cli, spaces
 
 REPORTS = {
     "compare --space s1 --budget 3":
@@ -37,10 +37,14 @@ REPORTS = {
         "0de47ac5356324db7d447ed0f123c3e26626256f306821c0baaa0b311fb0d371",
     "verify mass --budget 4":
         "c5cb555c4549751d1c58c1e45290d2c1bf5834cd9f004f94ae8e6eaad7c4d209",
+    "verify green":
+        "dca3b925192a966d3ce742bd6411b7a36b50e9d44714e2930cb9b3b1f80a8b04",
     "verify degree0 --budget 8":
         "9923158070b6b3d8163159fdc0ac9791731168c0769372e874dcb1d28685a38b",
     "verify space --space s1":
         "134f6cac95bc2d09f2f97dedaf5bdd922494daed996694b0604c38afb6e72d8a",
+    "verify space --space annulus_pair":
+        "dea3a8fe5911e242e293e62837f9ba1403e3074856e3baed89d345ec8944aec0",
     "verify space --space torus":
         "3c9889c010e4e179be73c5d122d54d39c5acf610645e9f5c33039136e0140779",
     "homology --space klein --theory current":
@@ -100,6 +104,11 @@ def test_report_digest(command):
                          capture_output=True, env=dict(os.environ))
     assert res.returncode == 0, res.stderr.decode()
     assert _sha(res.stdout) == REPORTS[command]
+
+
+def test_every_suite_is_pinned():
+    pinned = {c.split()[1] for c in REPORTS if c.startswith("verify ")}
+    assert set(cli.SUITES) <= pinned
 
 
 def test_bundled_names_are_pinned():
