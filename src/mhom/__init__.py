@@ -22,7 +22,7 @@ from .bracket import (bracket, bracket_inverse_points,
                       brackets_of_generators, pairing_matrix)
 from .cech import (FillResult, Nerve, Staircase, augment, augment_nerve,
                    cech_boundary, conforming, cone_fill_chain,
-                   cone_fill_current, degree_zero_cancel, fill_zero_chain,
+                   cone_fill_current, fill_zero_chain,
                    solve_phi, split, zigzag_cancel, zigzag_descend,
                    zigzag_fill)
 from .spaces import (builtin_covers, builtin_spaces, load_cover, load_space,
@@ -39,7 +39,7 @@ __all__ = [
     "brackets_of_generators", "builtin_covers",
     "builtin_spaces", "cech_boundary", "chain_from_vector", "chain_to_vector",
     "cone_fill_chain", "cone_fill_current", "conforming",
-    "connecting_homomorphism", "degree_zero_cancel", "dist2",
+    "connecting_homomorphism", "dist2",
     "equicontinuity_gap", "fill_zero_chain", "homology_data",
     "integral_of_product", "load_cover", "load_space", "mcshane_extension",
     "pairing_forms", "pairing_matrix", "save_cover", "save_space", "solve_phi",

@@ -206,7 +206,7 @@ def solve_phi(Y, nerve, context=""):
         p = len(K)
         for g, part in parts.items():
             for i in K:
-                if not part.supported_in_ball(cover, i):
+                if not all(cover.simplex_inside(i, tup) for tup in part.terms):
                     raise GeometryError(
                         f"support certificate failed: a term leaves ball {i}")
             # deleting index j of B has sign (-1)^j; j = p gives K
@@ -518,14 +518,3 @@ def zigzag_cancel(z, S, cover, nerve=None):
     if not (w.boundary() == z):
         raise GeometryError("cancel verification failed: b(w) != z")
     return w
-
-
-# ---- degree zero ----
-
-def degree_zero_cancel(z, complex_, start_depth=1):
-    """Zero-chain whose current bounds -> a one-chain with that boundary.
-
-    Fills across each connected component of the whole carrier.
-    """
-    return fill_zero_chain(complex_, z, None, start_depth=start_depth,
-                           context="(global)")

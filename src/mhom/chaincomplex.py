@@ -173,7 +173,7 @@ class RelativePair:
             self.comp[k] = [i for i in range(C.dim(k)) if i not in s]
         self._check_closed()
         self.sub_complex = self._restrict(self.sub)
-        self.quotient_complex = self._project()
+        self.quotient_complex = self._restrict(self.comp)
 
     def _check_closed(self):
         for k in range(1, len(self.total.dims)):
@@ -199,9 +199,6 @@ class RelativePair:
                     M.set(pos_k1[i], pos_k[j], v)
             bnds[k] = M
         return ChainComplexZ(dims, bnds)
-
-    def _project(self):
-        return self._restrict(self.comp)
 
     def include_vector(self, k, a):
         """A-coordinates -> C-coordinates."""

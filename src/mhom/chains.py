@@ -10,7 +10,7 @@ coarser operand.
 """
 
 from .errors import GeometryError, InputError
-from .geometry import canonical_orientation
+from .geometry import barycentric_subdivide, canonical_orientation
 from .weighted import WeightedSimplices
 
 
@@ -162,34 +162,24 @@ def chain_from_vector(complex_, degree, vector):
 def chain_to_vector(chain):
     """Inverse of chain_from_vector up to refinement, or None.
 
-    Succeeds when the chain is a combination of the complex's own
-    degree-k simplices in the refinement limit.
+    Every basis simplex owns the pieces of its refinement, and canonical
+    forms and subdivision are linear, so a simplex's coefficient is the
+    weight of one of its pieces in the chain's refined canonical form: the
+    first piece of each barycentric round, with its sign.  The coefficients
+    are returned when their chain equals this one in the refinement limit.
     """
-    basis = chain.complex.chain_basis()
+    complex_ = chain.complex
+    basis = complex_.chain_basis()
     sims = basis[chain.degree] if chain.degree < len(basis) else []
     extra = max(2, chain.degree)
-    level = chain.level + extra
     target = chain.subdivide(extra).canonical()
-    columns = []
-    for s in sims:
-        unit = LipschitzChain.from_simplices(
-            chain.complex, [(1, chain.complex.points_of(s))])
-        columns.append(unit.subdivide(level).canonical())
     coeffs = []
-    residue = dict(target)
-    for col in columns:
-        # every basis simplex owns a private interior piece, so its
-        # coefficient can be read off any term of its refinement
-        probe = next(iter(col)) if col else None
-        c = 0
-        if probe is not None and probe in residue:
-            c = residue[probe] // col[probe]
-        coeffs.append(c)
-        if c:
-            for t, v in col.items():
-                residue[t] = residue.get(t, 0) - c * v
-                if residue[t] == 0:
-                    del residue[t]
-    if residue:
-        return None
-    return coeffs
+    for s in sims:
+        sign, piece = 1, complex_.points_of(s)
+        for _ in range(chain.level + extra):
+            s2, piece = barycentric_subdivide(piece)[0]
+            sign *= s2
+        key, s2 = canonical_orientation(piece)
+        coeffs.append(sign * s2 * target.get(key, 0))
+    back = chain_from_vector(complex_, chain.degree, coeffs)
+    return coeffs if chain.equal_in_limit(back) else None

@@ -263,8 +263,9 @@ def cmd_compare(args):
             back = bracket_inverse_points(T, complex_)
             if not (back == z):
                 raise GeometryError("degree-zero roundtrip failed")
-            w = cech.degree_zero_cancel(z, complex_,
-                                        start_depth=max(1, depth - 2))
+            w = cech.fill_zero_chain(complex_, z, None,
+                                     start_depth=max(1, depth - 2),
+                                     context="(global)")
             if not (w.boundary() == z):
                 raise GeometryError("degree-zero filling failed")
             runs.append({

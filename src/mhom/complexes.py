@@ -461,7 +461,7 @@ def _psd(M) -> bool:
 
 
 def mcshane_extension(complex_: MetricComplex, boundary_values, L, depth=2):
-    """Rational realization of the largest L-Lipschitz extension.
+    """Rational McShane extension, pairwise L-Lipschitz on sample vertices.
 
     boundary_values: list of (point, value) pairs with rational values,
     checked to be L-Lipschitz pairwise (exact squared comparison).  Sample
@@ -470,7 +470,9 @@ def mcshane_extension(complex_: MetricComplex, boundary_values, L, depth=2):
     assigned before it, every root rounded down to a multiple of 2^-prec
     for the first prec of 40, 80, 160 and 320 at which the value is exactly
     L-Lipschitz against all of them.  Boundary data is matched without
-    rounding.  Returns a scalar cellwise PLMap.
+    rounding.  Returns the scalar cellwise PLMap interpolating these
+    values; only they are L-Lipschitz, and on 2-cells the map's own
+    Lipschitz constant can exceed L.
     """
     L = frac(L)
     if L < 0:

@@ -20,8 +20,9 @@ the same current exactly when their difference reduces to nothing.
 """
 
 from fractions import Fraction
-from math import factorial, gcd
+from math import gcd
 
+from .complexes import PLMap
 from .errors import GeometryError, InputError
 from .geometry import (cut_simplex_by_values, canonical_orientation,
                        det_fraction, edge_matrix, gram_det,
@@ -92,14 +93,9 @@ class PolyhedralCurrent(WeightedSimplices):
         return total
 
     def mass(self):
-        """Total mass of the canonical form, as an exact radical sum."""
-        fk = factorial(self.degree)
-        out = RadicalSum()
-        for tup, w in self.reduce().terms.items():
-            g = gram_det(tup)
-            if g:
-                out = out + RadicalSum.sqrt_of(g).scale(Fraction(abs(w), fk))
-        return out
+        """Total mass, as an exact radical sum: the integral of 1 against
+        the mass measure of the canonical form."""
+        return integral_of_product(self, None, PLMap.constant((1,)))
 
     def mass_float(self):
         lo, hi = self.mass().bounds(40)
@@ -400,8 +396,5 @@ def _difference_map(pa, pb):
 
         def affine_on(self, pts):
             return pa.affine_on(pts) and pb.affine_on(pts)
-
-        def __call__(self, p):
-            return (self.scalar(p),)
 
     return _Diff()

@@ -78,9 +78,6 @@ class IntMatrix:
             return NotImplemented
         return (self.nrows, self.ncols, self.data) == (other.nrows, other.ncols, other.data)
 
-    def __hash__(self):
-        return hash((self.nrows, self.ncols, tuple(sorted(self.data.items()))))
-
     def __mul__(self, other):
         if isinstance(other, IntMatrix):
             if self.ncols != other.nrows:
@@ -96,8 +93,6 @@ class IntMatrix:
                     acc[(i, j)] = acc.get((i, j), 0) + a * b
             out.data = {k: v for k, v in acc.items() if v}
             return out
-        if isinstance(other, (list, tuple)):
-            return self.apply(other)
         return NotImplemented
 
     def apply(self, v):

@@ -155,9 +155,6 @@ class RadicalSum:
             other = RadicalSum.from_rational(other)
         return self + (-other)
 
-    def __rsub__(self, other):
-        return RadicalSum.from_rational(other) + (-self)
-
     def scale(self, q) -> "RadicalSum":
         q = frac(q)
         if not q:
@@ -224,25 +221,10 @@ class RadicalSum:
     def __le__(self, other):
         return (self - other).sign() <= 0
 
-    def __lt__(self, other):
-        return (self - other).sign() < 0
-
-    def __ge__(self, other):
-        return (self - other).sign() >= 0
-
-    def __gt__(self, other):
-        return (self - other).sign() > 0
-
     def __eq__(self, other):
         if not isinstance(other, (RadicalSum, int, Fraction)):
             return NotImplemented
         return (self - other).is_zero()
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.terms.items())))
-
-    def __float__(self):
-        return float(sum(c * math.sqrt(m) for m, c in self.terms.items()))
 
     def __repr__(self):
         if not self.terms:

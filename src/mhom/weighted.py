@@ -189,8 +189,5 @@ class WeightedSimplices:
         return self.like(self.degree + 1,
                          self._expand(lambda tup: ((1, (v,) + tup),)))
 
-    def supported_in_ball(self, cover, i):
-        return all(cover.simplex_inside(i, tup) for tup in self.terms)
-
     def __len__(self):
         return len(self.terms)

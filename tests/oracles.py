@@ -10,6 +10,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
+from mhom.chains import LipschitzChain
 from mhom.rational import dist2, dot, frac, vsub
 
 
@@ -465,3 +466,40 @@ def dense_smith_normal_form(M):
     return (IntMatrix.from_rows(U), D, IntMatrix.from_rows(V_t).transpose(),
             IntMatrix.from_rows(U_inv_t).transpose(),
             IntMatrix.from_rows(V_inv))
+
+
+def chain_to_vector(chain):
+    """Inverse of chain_from_vector up to refinement, or None.
+
+    Succeeds when the chain is a combination of the complex's own
+    degree-k simplices in the refinement limit.  Peels one refined unit
+    column per basis simplex off the chain's refined canonical form.
+    """
+    basis = chain.complex.chain_basis()
+    sims = basis[chain.degree] if chain.degree < len(basis) else []
+    extra = max(2, chain.degree)
+    level = chain.level + extra
+    target = chain.subdivide(extra).canonical()
+    columns = []
+    for s in sims:
+        unit = LipschitzChain.from_simplices(
+            chain.complex, [(1, chain.complex.points_of(s))])
+        columns.append(unit.subdivide(level).canonical())
+    coeffs = []
+    residue = dict(target)
+    for col in columns:
+        # every basis simplex owns a private interior piece, so its
+        # coefficient can be read off any term of its refinement
+        probe = next(iter(col)) if col else None
+        c = 0
+        if probe is not None and probe in residue:
+            c = residue[probe] // col[probe]
+        coeffs.append(c)
+        if c:
+            for t, v in col.items():
+                residue[t] = residue.get(t, 0) - c * v
+                if residue[t] == 0:
+                    del residue[t]
+    if residue:
+        return None
+    return coeffs

@@ -7,9 +7,9 @@ import pytest
 from mhom import cech, complexes, geometry, spaces
 from mhom.bracket import bracket, bracket_inverse_points
 from mhom.cech import (Nerve, augment, augment_nerve, cech_boundary,
-                       cone_fill_chain, conforming, degree_zero_cancel,
-                       fill_zero_chain, solve_phi, split, zigzag_cancel,
-                       zigzag_descend, zigzag_fill)
+                       cone_fill_chain, conforming, fill_zero_chain,
+                       solve_phi, split, zigzag_cancel, zigzag_descend,
+                       zigzag_fill)
 from mhom.chains import LipschitzChain
 from mhom.currents import PolyhedralCurrent
 from mhom.errors import GeometryError, InputError
@@ -278,7 +278,8 @@ def test_degree_zero_roundtrip(s1):
                                           degree=0)
         chain = bracket_inverse_points(T, s1)
         assert bracket(chain).equals(T)
-        w = degree_zero_cancel(chain, s1)
+        w = fill_zero_chain(s1, chain, None, start_depth=1,
+                            context="(global)")
         assert w.boundary() == chain
 
 

@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from mhom import spaces
 from mhom.cech import split
+from mhom.chaincomplex import homology_data
 from mhom.chains import LipschitzChain, chain_from_vector, chain_to_vector
 from mhom.complexes import PLMap
 from mhom.errors import InputError
@@ -157,7 +160,7 @@ def test_split_by_cover_buckets(s1, arcs2):
     parts = split(z, arcs2)
     assert set(parts) <= {(0,), (1,)}
     for (i,), part in parts.items():
-        assert part.supported_in_ball(arcs2, i)
+        assert all(arcs2.simplex_inside(i, tup) for tup in part.terms)
         assert not part.is_zero()
     total = LipschitzChain.zero(s1, 1)
     for part in parts.values():
@@ -187,6 +190,61 @@ def test_vector_roundtrip(torus):
     vec = [rng.randrange(-4, 5) for _ in basis]
     c = chain_from_vector(torus, 1, vec)
     assert chain_to_vector(c) == vec
+
+
+def _readback_cases(name, rng):
+    """Generators in every degree, as built and subdivided once, and one
+    seeded vector in degrees 1 and 2; each plus one piece of its first
+    refinement (a generator and its subdivision then give one chain); all
+    of them also negated."""
+    complex_ = spaces.load_space(name)
+    C, _ = complex_.chain_complex()
+    basis = complex_.chain_basis()
+    cases = []
+    for k in range(len(C.dims)):
+        for g in homology_data(C, k).generators():
+            c = chain_from_vector(complex_, k, g)
+            cases += [c, c.subdivide()]
+    for k in (1, 2):
+        if k < len(basis):
+            cases.append(chain_from_vector(
+                complex_, k, [rng.randrange(-3, 4) for _ in basis[k]]))
+    for c in [c for c in cases if c.level == 0]:
+        first = c.subdivide()
+        if first.terms:
+            piece = next(iter(first.terms))
+            cases.append(c + LipschitzChain(complex_, c.degree, {piece: 1},
+                                            first.level))
+    return cases + [-c for c in cases]
+
+
+@pytest.mark.parametrize("name", ["torus", "klein", "rp2", "wedge", "s2"])
+def test_readback_matches_column_peeling(name):
+    rng = random.Random(18)
+    results = []
+    for c in _readback_cases(name, rng):
+        got = chain_to_vector(c)
+        assert got == oracles.chain_to_vector(c)
+        results.append(got)
+    assert None in results
+    assert any(r is not None and any(r) for r in results)
+
+
+def test_readback_builds_no_unit_chains(torus, monkeypatch):
+    C, _ = torus.chain_complex()
+    gens = [chain_from_vector(torus, 1, g)
+            for g in homology_data(C, 1).generators()]
+    calls = []
+    real = LipschitzChain.from_simplices
+
+    def counted(complex_, items):
+        calls.append(1)
+        return real(complex_, items)
+
+    monkeypatch.setattr(LipschitzChain, "from_simplices",
+                        staticmethod(counted))
+    assert all(chain_to_vector(g) is not None for g in gens)
+    assert len(gens) == 2 and len(calls) <= 2
 
 
 @settings(max_examples=40, deadline=None)

@@ -153,6 +153,19 @@ def test_plmap_hat_function():
     assert hat.scalar((Fraction(1, 2), Fraction(0))) == Fraction(1, 2)
 
 
+def test_cellwise_lipschitz_on_s2(s2):
+    # s2 bounds the tetrahedron on 0, e1, e2, e3; on a coordinate triangle
+    # such as (0, e1, e2) the hat at 0 is 1 - x - y, whose gradient has
+    # squared length 2, and its depth-1 interpolation is the same map
+    v0 = s2.vertices[0]
+    hat = PLMap.scalar_from_vertex_values(s2, 0, lambda p: int(p == v0))
+    fine = PLMap.scalar_from_vertex_values(s2, 1, hat.scalar)
+    for f in (hat, fine):
+        assert f.scalar_lipschitz_squared() == 2
+        assert f.lipschitz_at_most(Fraction(142, 100))
+        assert not f.lipschitz_at_most(Fraction(141, 100))
+
+
 @pytest.mark.parametrize("name,depth", [("s1", 2), ("s2", 1), ("torus", 0)])
 def test_cellwise_map_matches_barycentric_solve(name, depth):
     # the complex's locators give the piece and the value that the generic
