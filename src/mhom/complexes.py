@@ -25,11 +25,12 @@ from .geometry import (
 )
 from .intlinalg import IntMatrix
 from .chaincomplex import ChainComplexZ, RelativePair
-from .rational import dist2, dot, frac, integer_form, sqrt_lower
+from .rational import coord, dist2, dot, frac, integer_form, sqrt_lower
 
 
 class MetricComplex:
-    """Geometric simplicial complex with Fraction vertex coordinates.
+    """Geometric simplicial complex with interned rational vertex
+    coordinates (rational.coord).
 
     simplices are sorted index tuples, closed under taking faces, each
     geometrically non-degenerate.  Named subcomplexes are lists of simplex
@@ -48,7 +49,7 @@ class MetricComplex:
 
     def __init__(self, ambient_dim, vertices, simplices, subcomplexes=None):
         self.ambient_dim = int(ambient_dim)
-        self.vertices = [tuple(frac(c) for c in v) for v in vertices]
+        self.vertices = [tuple(coord(c) for c in v) for v in vertices]
         for v in self.vertices:
             if len(v) != self.ambient_dim:
                 raise InputError("vertex coordinate count does not match ambient_dim")
@@ -517,8 +518,8 @@ class BallCover:
     and integer forms of the centers stored at construction; the balls do
     not change afterwards.  Per sample depth, the cover keeps one
     membership table: for each vertex of the complex's depth-fold
-    subdivision, the set of balls that hold it, built with contains() on
-    first use (members()).
+    subdivision, the set of balls that hold it, built on first use
+    (members()) from one integer form per vertex.
     """
 
     def __init__(self, complex_: MetricComplex, balls):
@@ -528,7 +529,7 @@ class BallCover:
         self.descriptions = []
         for b in balls:
             if "center" in b:
-                c = tuple(frac(x) for x in b["center"])
+                c = tuple(coord(x) for x in b["center"])
                 desc = None
             else:
                 si = int(b["center_simplex"])
@@ -539,7 +540,8 @@ class BallCover:
                 if sum(lam) != 1 or any(x < 0 for x in lam):
                     raise InputError("barycentric coordinates must be a convex combination")
                 pts = complex_.points_of(tup)
-                c = tuple(sum((l * p[d] for l, p in zip(lam, pts)), Fraction(0))
+                c = tuple(coord(sum((l * p[d] for l, p in zip(lam, pts)),
+                                    Fraction(0)))
                           for d in range(complex_.ambient_dim))
                 desc = (si, tuple(lam))
             r = frac(b["radius"])
@@ -562,15 +564,20 @@ class BallCover:
         table = self._members.get(depth)
         if table is None:
             balls = range(len(self.centers))
-            table = {p: frozenset(i for i in balls if self.contains(i, p))
-                     for p in self.complex._sample_list(depth)}
+            table = {}
+            for p in self.complex._sample_list(depth):
+                P, q = integer_form(p)
+                table[p] = frozenset(i for i in balls if self._holds(i, P, q))
             self._members[depth] = table
         return MappingProxyType(table)
 
     def contains(self, i, p) -> bool:
+        """Strict membership of the point p in ball i."""
+        return self._holds(i, *integer_form(p))
+
+    def _holds(self, i, P, q) -> bool:
         """Strict membership on integers: with p = P/q and the center C/c,
         |p - C/c|^2 < r^2 reads sum (P c - C q)^2 < r^2 (q c)^2."""
-        P, q = integer_form(p)
         C, c = self._centers_int[i]
         r2 = self._radii2[i]
         s = sum((x * c - y * q) ** 2 for x, y in zip(P, C))
@@ -583,7 +590,9 @@ class BallCover:
     def first_ball_containing(self, tup, balls):
         """The first of the listed balls that holds the whole simplex
         strictly, or None."""
-        return next((i for i in balls if self.simplex_inside(i, tup)), None)
+        qs = [integer_form(p) for p in tup]
+        return next((i for i in balls
+                     if all(self._holds(i, P, q) for P, q in qs)), None)
 
     def verify_covers(self, depth: int):
         """Every depth-subdivision piece must fit in one ball.

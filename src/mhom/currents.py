@@ -27,7 +27,7 @@ from .errors import GeometryError, InputError
 from .geometry import (cut_simplex_by_values, canonical_orientation,
                        det_fraction, edge_matrix, gram_det,
                        integrate_affine, integrate_affine_product, rref)
-from .rational import RadicalSum, dot, frac, integer_form
+from .rational import RadicalSum, coord, dot, frac, integer_form, vsub
 from .weighted import WeightedSimplices
 
 # bounds the fragments of one flat's hyperplane arrangement, which only
@@ -172,21 +172,30 @@ def _flat_chart(tup):
     to 1 at its pivot column P_i and 0 at every other pivot column.  A flat
     point's chart coordinates are therefore its coordinates at the pivot
     columns, and the anchor is the flat point whose pivot coordinates are 0.
+    On a segment p q, R is the direction q - p over its first nonzero entry.
+    Key, anchor and the points from_chart returns hold interned coordinates.
     """
-    R = rref(edge_matrix(tup))
+    if len(tup) == 2:
+        d = vsub(tup[1], tup[0])
+        j = next((i for i, x in enumerate(d) if x), None)
+        R = [] if j is None else [tuple(x / d[j] for x in d)]
+    else:
+        R = rref(edge_matrix(tup))
+    R = tuple(tuple(coord(x) for x in r) for r in R)
     pivots = [next(j for j, x in enumerate(r) if x) for r in R]
     anchor = tup[0]
     for j, r in zip(pivots, R):
         c = anchor[j]
         anchor = tuple(u - c * v for u, v in zip(anchor, r))
+    anchor = tuple(coord(u) for u in anchor)
 
     def from_chart(x):
         p = anchor
         for c, r in zip(x, R):
             p = tuple(u + c * v for u, v in zip(p, r))
-        return p
+        return tuple(coord(u) for u in p)
 
-    return (anchor, tuple(R)), (pivots, from_chart)
+    return (anchor, R), (pivots, from_chart)
 
 
 def _facet_hyperplanes(chart_tup):
@@ -322,34 +331,40 @@ def integral_of_product(current, u, v, nonzero_of=None):
     k = cur.degree
     maps = [m for m in (u, v, nonzero_of) if m is not None]
     cur = cur.refine_until_affine(maps) if maps else cur
+    n = cur.ambient_dim
+    iv = n + (u is not None)  # value columns: u, v, nonzero_of in order
     total = RadicalSum()
     for tup, w in cur.terms.items():
-        frags = [tup]
-        for m in maps:
+        # every vertex carries the maps' values after its coordinates; the
+        # maps are affine on the piece, so the cuts interpolate them exactly
+        frags = [tuple(p + tuple(m.scalar(p) for m in maps) for p in tup)]
+        for i in range(n, n + len(maps)):
             nxt = []
             for f in frags:
-                vals = [m.scalar(p) for p in f]
-                lo, hi = cut_simplex_by_values(f, vals, Fraction(0))
-                nxt.extend(lo)
-                nxt.extend(hi)
+                vals = [x[i] for x in f]
+                if min(vals) < 0 < max(vals):
+                    lo, hi = cut_simplex_by_values(f, vals, Fraction(0))
+                    nxt.extend(lo)
+                    nxt.extend(hi)
+                else:
+                    nxt.append(f)
             frags = nxt
         for f in frags:
             if k > 0:
-                g = gram_det(f)
+                g = gram_det(tuple(x[:n] for x in f))
                 if g == 0:
                     continue
                 scale = RadicalSum.sqrt_of(g)
             else:
                 scale = RadicalSum.from_rational(1)
-            if nonzero_of is not None:
-                if all(nonzero_of.scalar(p) == 0 for p in f):
-                    continue
-            uvals = [abs(u.scalar(p)) for p in f] if u is not None else None
-            vvals = [abs(v.scalar(p)) for p in f]
-            if uvals is None:
+            if nonzero_of is not None and all(x[iv + 1] == 0 for x in f):
+                continue
+            vvals = [abs(x[iv]) for x in f]
+            if u is None:
                 val = integrate_affine(f, vvals)
             else:
-                val = integrate_affine_product(f, uvals, vvals)
+                val = integrate_affine_product(f, [abs(x[n]) for x in f],
+                                               vvals)
             total = total + scale.scale(abs(w) * val)
     return total
 

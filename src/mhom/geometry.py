@@ -1,8 +1,10 @@
 """Exact affine-simplex utilities shared by chains and currents.
 
-Simplices are ordered tuples of points (tuples of Fraction).  Everything
-here is combinatorial or solved over Q; orientation travels with vertex
-order and permutation parity.
+Simplices are ordered tuples of points, and a point is a tuple of
+Fractions; the points built here (centroids, cut points) hold interned
+coordinates (rational.coord), as every point the algebra builds does.
+Everything here is combinatorial or solved over Q; orientation travels
+with vertex order and permutation parity.
 """
 
 from __future__ import annotations

@@ -1,6 +1,12 @@
 """Exact rational vectors and quadratic-radical arithmetic.
 
-All trusted-path geometry works over Q.  Points are tuples of Fraction.
+All trusted-path geometry works over Q.  Every point the algebra builds is
+a tuple of interned coordinates: coord(x) returns the one Q, a Fraction
+that stores its hash, for each value.  Dict lookups of points then hash
+no Fraction, and equal coordinates are one object, so tuple comparison
+stops at identity.  Q is a Fraction in value, order, hash and text, and
+its arithmetic returns plain Fractions.
+
 Square roots never enter comparisons directly: either both sides are
 squared first, or values are kept as exact sums of c*sqrt(n) with n
 squarefree (RadicalSum) where a genuine length is unavoidable.
@@ -11,7 +17,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-Vec = tuple  # tuple of Fraction
+Vec = tuple  # tuple of Fraction; every point the algebra builds holds Q
 
 
 def frac(x) -> Fraction:
@@ -22,17 +28,63 @@ def frac(x) -> Fraction:
     return Fraction(x)
 
 
+class Q(Fraction):
+    """A point coordinate: a Fraction that computed its hash once.
+
+    Build them with coord(), which keeps one Q per value, so equal
+    coordinates are the same object.  Equality, order and hash are those
+    of Fraction, arithmetic returns plain Fractions, and str and repr print
+    what Fraction prints.
+    """
+
+    __slots__ = ("_h",)
+
+    def __new__(cls, numerator=0, denominator=None):
+        # Fraction's own copies and conversions call the class; they intern too
+        return coord(Fraction(numerator, denominator))
+
+    def __hash__(self):
+        return self._h
+
+    def __repr__(self):
+        return f"Fraction({self._numerator}, {self._denominator})"
+
+    def __reduce__(self):
+        return (coord, (str(self),))
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+
+# (numerator, denominator) -> the Q of that value; it keeps every value a
+# point ever held, a few hundred in a zig-zag pass, and a second pass adds none
+_COORDS = {}
+
+
+def coord(x) -> Q:
+    """The interned Q equal to x, for anything frac() accepts."""
+    if type(x) is Q:
+        return x
+    f = frac(x)
+    key = (f.numerator, f.denominator)
+    q = _COORDS.get(key)
+    if q is None:
+        q = object.__new__(Q)
+        q._numerator, q._denominator = key
+        q._h = Fraction.__hash__(q)
+        _COORDS[key] = q
+    return q
+
+
 def vadd(a: Vec, b: Vec) -> Vec:
     return tuple(x + y for x, y in zip(a, b))
 
 
 def vsub(a: Vec, b: Vec) -> Vec:
     return tuple(x - y for x, y in zip(a, b))
-
-
-def vscale(s, a: Vec) -> Vec:
-    s = frac(s)
-    return tuple(s * x for x in a)
 
 
 def dot(a: Vec, b: Vec) -> Fraction:
@@ -46,7 +98,7 @@ def dist2(a: Vec, b: Vec) -> Fraction:
 
 def lerp(a: Vec, b: Vec, t) -> Vec:
     t = frac(t)
-    return tuple(x + t * (y - x) for x, y in zip(a, b))
+    return tuple(coord(x + t * (y - x)) for x, y in zip(a, b))
 
 
 def integer_form(p):
@@ -60,7 +112,7 @@ def centroid(points) -> Vec:
     acc = points[0]
     for p in points[1:]:
         acc = vadd(acc, p)
-    return vscale(Fraction(1, n), acc)
+    return tuple(coord(x / n) for x in acc)
 
 
 def sqrt_lower(q: Fraction, prec: int = 40) -> Fraction:

@@ -10,8 +10,9 @@ affine.  Subclasses fix the carrier the tuples live in and what it means
 for a sum to vanish.
 
 Who validates and who owns a terms dict: the constructors check input
-from outside (every point becomes a tuple of Fractions, every tuple has
-degree + 1 points of the ambient dimension) and build a dict of their own.
+from outside (every point becomes a tuple of interned coordinates, Q from
+rational.coord, and every tuple has degree + 1 points of the ambient
+dimension) and build a dict of their own.
 Everything the algebra derives from valid terms (sums, multiples,
 boundaries, subdivisions, cones, cover splits, canonical forms) goes
 through like(), which takes the fresh dict it is given as the new terms
@@ -20,19 +21,18 @@ terms dict belongs to one object and is never mutated after that object
 is built.
 """
 
-from fractions import Fraction
-
 from .errors import GeometryError, InputError
 from .geometry import (barycentric_subdivide, simplex_boundary_terms,
                        staircase_prism)
+from .rational import Q, coord
 
 MAX_SPLIT_ROUNDS = 8
 
 
 def _point(p):
-    if type(p) is tuple and all(type(x) is Fraction for x in p):
+    if type(p) is tuple and all(type(x) is Q for x in p):
         return p
-    return tuple(Fraction(x) for x in p)
+    return tuple(coord(x) for x in p)
 
 
 class WeightedSimplices:

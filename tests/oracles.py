@@ -11,7 +11,9 @@ from itertools import combinations
 from math import gcd
 
 from mhom.chains import LipschitzChain
-from mhom.rational import dist2, dot, frac, vsub
+from mhom.geometry import (cut_simplex_by_values, gram_det, integrate_affine,
+                           integrate_affine_product)
+from mhom.rational import RadicalSum, dist2, dot, frac, vsub
 
 
 def minor_gcds(rows):
@@ -468,23 +470,32 @@ def dense_smith_normal_form(M):
             IntMatrix.from_rows(V_inv))
 
 
+# (complex, degree, level) -> refined canonical unit column per basis simplex
+_UNIT_COLUMNS = {}
+
+
 def chain_to_vector(chain):
     """Inverse of chain_from_vector up to refinement, or None.
 
     Succeeds when the chain is a combination of the complex's own
     degree-k simplices in the refinement limit.  Peels one refined unit
-    column per basis simplex off the chain's refined canonical form.
+    column per basis simplex off the chain's refined canonical form; the
+    columns depend only on the complex, degree and level and are kept.
     """
     basis = chain.complex.chain_basis()
     sims = basis[chain.degree] if chain.degree < len(basis) else []
     extra = max(2, chain.degree)
     level = chain.level + extra
     target = chain.subdivide(extra).canonical()
-    columns = []
-    for s in sims:
-        unit = LipschitzChain.from_simplices(
-            chain.complex, [(1, chain.complex.points_of(s))])
-        columns.append(unit.subdivide(level).canonical())
+    key = (chain.complex, chain.degree, level)
+    columns = _UNIT_COLUMNS.get(key)
+    if columns is None:
+        columns = []
+        for s in sims:
+            unit = LipschitzChain.from_simplices(
+                chain.complex, [(1, chain.complex.points_of(s))])
+            columns.append(unit.subdivide(level).canonical())
+        _UNIT_COLUMNS[key] = columns
     coeffs = []
     residue = dict(target)
     for col in columns:
@@ -503,3 +514,34 @@ def chain_to_vector(chain):
     if residue:
         return None
     return coeffs
+
+
+def integral_of_product(current, u, v, nonzero_of=None):
+    """currents.integral_of_product with every map evaluated afresh at the
+    vertices of every fragment, where the cuts and the integrand read them."""
+    cur = current.reduce()
+    maps = [m for m in (u, v, nonzero_of) if m is not None]
+    cur = cur.refine_until_affine(maps)
+    total = RadicalSum()
+    for tup, w in cur.terms.items():
+        frags = [tup]
+        for m in maps:
+            nxt = []
+            for f in frags:
+                lo, hi = cut_simplex_by_values(
+                    f, [m.scalar(p) for p in f], Fraction(0))
+                nxt += lo + hi
+            frags = nxt
+        for f in frags:
+            g = gram_det(f)
+            if g == 0 or (nonzero_of is not None and
+                          all(nonzero_of.scalar(p) == 0 for p in f)):
+                continue
+            vvals = [abs(v.scalar(p)) for p in f]
+            if u is None:
+                val = integrate_affine(f, vvals)
+            else:
+                val = integrate_affine_product(
+                    f, [abs(u.scalar(p)) for p in f], vvals)
+            total = total + RadicalSum.sqrt_of(g).scale(abs(w) * val)
+    return total

@@ -259,6 +259,35 @@ def test_covers_verify(s1, arcs2, arcs3, torus, torus_balls):
     assert torus_balls.verify_covers(2) == []
 
 
+def test_cover_converts_each_point_to_integers_once(torus, monkeypatch):
+    """members() and first_ball_containing() take one integer form per
+    point and test every ball against it; contains() answers the same."""
+    cover = spaces.load_cover(torus, "torus_balls")
+    samples = torus.sample_vertices(2)
+    real = complexes.integer_form
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(complexes, "integer_form", counted)
+    table = cover.members(2)
+    assert len(calls) == len(samples) == 324  # not 18 balls * 324
+    pieces = [tup for _, tup in torus.subdivided_tops(1)]
+    calls.clear()
+    homes = [cover.first_ball_containing(tup, range(len(cover)))
+             for tup in pieces]
+    assert len(calls) == 3 * len(pieces)
+    monkeypatch.setattr(complexes, "integer_form", real)
+    for p in samples:
+        assert table[p] == {i for i in range(len(cover))
+                            if cover.contains(i, p)}
+    for tup, i in zip(pieces, homes):
+        inside = [j for j in range(len(cover)) if cover.simplex_inside(j, tup)]
+        assert i == (inside[0] if inside else None)
+
+
 def test_non_covering_family_reports_witness(s1):
     bad = BallCover(s1, [
         {"center_simplex": 0, "barycentric": [Fraction(1)],
