@@ -566,33 +566,35 @@ class BallCover:
             balls = range(len(self.centers))
             table = {}
             for p in self.complex._sample_list(depth):
-                P, q = integer_form(p)
-                table[p] = frozenset(i for i in balls if self._holds(i, P, q))
+                forms = [integer_form(p)]
+                table[p] = frozenset(i for i in balls
+                                     if self._holds(i, forms))
             self._members[depth] = table
         return MappingProxyType(table)
 
     def contains(self, i, p) -> bool:
         """Strict membership of the point p in ball i."""
-        return self._holds(i, *integer_form(p))
+        return self._holds(i, [integer_form(p)])
 
-    def _holds(self, i, P, q) -> bool:
-        """Strict membership on integers: with p = P/q and the center C/c,
-        |p - C/c|^2 < r^2 reads sum (P c - C q)^2 < r^2 (q c)^2."""
+    def _holds(self, i, forms) -> bool:
+        """Every point P/q of forms (integer_form) strictly in ball i, on
+        integers: with the center C/c, |P/q - C/c|^2 < r^2 reads
+        sum (P c - C q)^2 < r^2 (q c)^2."""
         C, c = self._centers_int[i]
         r2 = self._radii2[i]
-        s = sum((x * c - y * q) ** 2 for x, y in zip(P, C))
-        return s * r2.denominator < r2.numerator * (q * c) ** 2
+        return all(sum((x * c - y * q) ** 2 for x, y in zip(P, C))
+                   * r2.denominator < r2.numerator * (q * c) ** 2
+                   for P, q in forms)
 
     def simplex_inside(self, i, tup) -> bool:
         """Whole simplex strictly inside the open ball (convexity)."""
-        return all(self.contains(i, p) for p in tup)
+        return self._holds(i, [integer_form(p) for p in tup])
 
     def first_ball_containing(self, tup, balls):
         """The first of the listed balls that holds the whole simplex
         strictly, or None."""
-        qs = [integer_form(p) for p in tup]
-        return next((i for i in balls
-                     if all(self._holds(i, P, q) for P, q in qs)), None)
+        forms = [integer_form(p) for p in tup]
+        return next((i for i in balls if self._holds(i, forms)), None)
 
     def verify_covers(self, depth: int):
         """Every depth-subdivision piece must fit in one ball.

@@ -27,7 +27,7 @@ from .errors import GeometryError, InputError
 from .geometry import (cut_simplex_by_values, canonical_orientation,
                        det_fraction, edge_matrix, gram_det,
                        integrate_affine, integrate_affine_product, rref)
-from .rational import RadicalSum, coord, dot, frac, integer_form, vsub
+from .rational import RadicalSum, coord, dot, frac, integer_form
 from .weighted import WeightedSimplices
 
 # bounds the fragments of one flat's hyperplane arrangement, which only
@@ -172,16 +172,9 @@ def _flat_chart(tup):
     to 1 at its pivot column P_i and 0 at every other pivot column.  A flat
     point's chart coordinates are therefore its coordinates at the pivot
     columns, and the anchor is the flat point whose pivot coordinates are 0.
-    On a segment p q, R is the direction q - p over its first nonzero entry.
     Key, anchor and the points from_chart returns hold interned coordinates.
     """
-    if len(tup) == 2:
-        d = vsub(tup[1], tup[0])
-        j = next((i for i, x in enumerate(d) if x), None)
-        R = [] if j is None else [tuple(x / d[j] for x in d)]
-    else:
-        R = rref(edge_matrix(tup))
-    R = tuple(tuple(coord(x) for x in r) for r in R)
+    R = tuple(tuple(coord(x) for x in r) for r in rref(edge_matrix(tup)))
     pivots = [next(j for j, x in enumerate(r) if x) for r in R]
     anchor = tup[0]
     for j, r in zip(pivots, R):

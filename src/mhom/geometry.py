@@ -1,8 +1,9 @@
 """Exact affine-simplex utilities shared by chains and currents.
 
 Simplices are ordered tuples of points, and a point is a tuple of
-Fractions; the points built here (centroids, cut points) hold interned
-coordinates (rational.coord), as every point the algebra builds does.
+Fractions.  Centroids hold interned coordinates (rational.coord), as
+every point the algebra builds does; cut points stay plain Fractions
+until a caller that keeps them interns them.
 Everything here is combinatorial or solved over Q; orientation travels
 with vertex order and permutation parity.
 """

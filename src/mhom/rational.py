@@ -2,10 +2,11 @@
 
 All trusted-path geometry works over Q.  Every point the algebra builds is
 a tuple of interned coordinates: coord(x) returns the one Q, a Fraction
-that stores its hash, for each value.  Dict lookups of points then hash
-no Fraction, and equal coordinates are one object, so tuple comparison
-stops at identity.  Q is a Fraction in value, order, hash and text, and
-its arithmetic returns plain Fractions.
+that stores its hash, for each value, from a bounded table.  Dict lookups
+of points then hash no Fraction, and equal coordinates are one object, so
+tuple comparison stops at identity.  Scratch values (cut points, integrand
+values) stay plain Fractions and out of the table.  Q is a Fraction in
+value, order, hash and text, and its arithmetic returns plain Fractions.
 
 Square roots never enter comparisons directly: either both sides are
 squared first, or values are kept as exact sums of c*sqrt(n) with n
@@ -59,9 +60,12 @@ class Q(Fraction):
         return self
 
 
-# (numerator, denominator) -> the Q of that value; it keeps every value a
-# point ever held, a few hundred in a zig-zag pass, and a second pass adds none
+# (numerator, denominator) -> the Q of that value.  A zig-zag pass leaves a
+# few hundred values here; the table starts over when it reaches
+# COORDS_LIMIT, so it stays small whatever values pass through.  Q objects
+# made before a restart stay valid: they equal the new ones by value.
 _COORDS = {}
+COORDS_LIMIT = 1 << 14
 
 
 def coord(x) -> Q:
@@ -72,6 +76,8 @@ def coord(x) -> Q:
     key = (f.numerator, f.denominator)
     q = _COORDS.get(key)
     if q is None:
+        if len(_COORDS) >= COORDS_LIMIT:
+            _COORDS.clear()
         q = object.__new__(Q)
         q._numerator, q._denominator = key
         q._h = Fraction.__hash__(q)
@@ -97,8 +103,10 @@ def dist2(a: Vec, b: Vec) -> Fraction:
 
 
 def lerp(a: Vec, b: Vec, t) -> Vec:
+    """The point a + t (b - a), in plain Fractions: cut points are scratch
+    (chart coordinates, integrand values) until a caller interns them."""
     t = frac(t)
-    return tuple(coord(x + t * (y - x)) for x, y in zip(a, b))
+    return tuple(x + t * (y - x) for x, y in zip(a, b))
 
 
 def integer_form(p):

@@ -4,14 +4,13 @@ from fractions import Fraction
 
 import pytest
 
+from mhom import rational
 from mhom.complexes import PLMap
 from mhom.currents import (PolyhedralCurrent, _flat_chart, _reduce_in_chart,
                            _reduce_on_line, equicontinuity_gap,
                            integral_of_product)
 from mhom.errors import InputError
-from mhom.geometry import edge_matrix, rref
-from mhom.rational import Q, RadicalSum, dist2
-from mhom.weighted import _point
+from mhom.rational import RadicalSum, dist2
 
 import oracles
 from oracles import reduce_at_witness_points
@@ -212,40 +211,6 @@ def count_calls(monkeypatch, name):
     return calls, wrapped
 
 
-def test_segment_chart_matches_echelon_chart():
-    """A segment's chart divides its direction by its first nonzero entry,
-    without rref; key, pivots and chart equal those of the echelon form."""
-    rng = random.Random(63)
-    segs = []
-    for _ in range(60):
-        p = tuple(F(rng.randrange(-4, 5), rng.choice([1, 2, 3]))
-                  for _ in range(3))
-        d = [F(rng.randrange(-3, 4), rng.choice([1, 2])) for _ in range(3)]
-        roll = rng.randrange(3)
-        if roll == 0:  # axis-parallel
-            d = [F(0)] * 3
-            d[rng.randrange(3)] = F(rng.choice([-2, -1, 1, 3]))
-        elif roll == 1:  # negative and leading zero entries
-            d = [F(0)] + [-abs(x) or F(-1) for x in d[1:]]
-        segs.append((p, tuple(a + b for a, b in zip(p, d))))
-    segs.append((segs[0][0], segs[0][0]))
-    for seg in segs:
-        seg = tuple(_point(p) for p in seg)
-        (anchor, R), (pivots, from_chart) = _flat_chart(seg)
-        ref_R = tuple(rref(edge_matrix(seg)))
-        ref_pivots = [next(j for j, x in enumerate(r) if x) for r in ref_R]
-        ref_anchor = seg[0]
-        for j, r in zip(ref_pivots, ref_R):
-            c = ref_anchor[j]
-            ref_anchor = tuple(u - c * v for u, v in zip(ref_anchor, r))
-        assert (anchor, R) == (ref_anchor, ref_R) and pivots == ref_pivots
-        assert all(type(x) is Q for x in anchor + sum(R, ()))
-        for t in (F(0), F(-5, 3), F(7)):
-            x = (t,) * len(R)
-            assert from_chart(x) == tuple(
-                a + t * sum(r[i] for r in R) for i, a in enumerate(anchor))
-
-
 def test_integral_of_product_matches_fresh_evaluation():
     rng = random.Random(64)
 
@@ -266,6 +231,24 @@ def test_integral_of_product_matches_fresh_evaluation():
         nz = rng.choice([None, affine()])
         assert integral_of_product(T, u, v, nonzero_of=nz) == \
             oracles.integral_of_product(T, u, v, nonzero_of=nz)
+
+
+def test_integral_of_product_interns_nothing():
+    """Cut points and integrand values stay plain Fractions: on a reduced
+    current and affine maps, which need no refinement, the intern table of
+    point coordinates does not grow."""
+    rng = random.Random(65)
+    for _ in range(20):
+        T = PolyhedralCurrent.from_tuples(2, [
+            (1, tuple((F(rng.randrange(-3, 4)), F(rng.randrange(-3, 4)))
+                      for _ in range(3)))], degree=2).reduce()
+        u, v = (PLMap.affine([[F(rng.randrange(-50, 51), rng.randrange(1, 30))
+                               for _ in range(2)]],
+                             offset=(F(rng.randrange(-9, 10), 11),))
+                for _ in range(2))
+        before = dict(rational._COORDS)
+        integral_of_product(T, u, v, nonzero_of=u)
+        assert rational._COORDS == before
 
 
 def test_mass_evaluates_once_per_vertex(monkeypatch):

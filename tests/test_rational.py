@@ -3,7 +3,7 @@ import pickle
 import random
 from fractions import Fraction
 
-from mhom import spaces
+from mhom import rational, spaces
 from mhom.cech import Nerve, zigzag_cancel, zigzag_fill
 from mhom.chains import LipschitzChain
 from mhom.complexes import MetricComplex
@@ -76,17 +76,30 @@ def test_copies_and_pickles_are_the_interned_object():
 
 def test_built_points_hold_interned_coordinates(torus):
     a, b, c = (_point(p) for p in [(1, F(1, 2)), (F(-3, 4), 2), (0, F(5, 3))])
-    assert is_point(a) and _point(a) is a
-    assert is_point(lerp(a, b, F(2, 7))) and is_point(centroid((a, b, c)))
+    assert is_point(a) and _point(a) is a and is_point(centroid((a, b, c)))
     for _, tup in barycentric_subdivide((a, b, c)):
         assert all(is_point(p) for p in tup)
+    # cut points are scratch until a caller interns them
+    assert all(type(x) is F for x in lerp(a, b, F(2, 7)))
     lo, hi = cut_simplex_by_values((a, b, c), [F(-1), F(2), F(1)], F(0))
-    assert lo and hi and all(is_point(p) for f in lo + hi for p in f)
+    assert lo and hi and not all(is_point(p) for f in lo + hi for p in f)
     assert all(is_point(p) for p in torus.vertices)
     tri = MetricComplex(2, [(0, 0), ("1/2", 0), (F(1, 2), F(1, 2))],
                         [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)])
     assert all(is_point(p) for p in tri.vertices)
     assert all(is_point(p) for p in torus.sample_vertices(2))
+
+
+def test_intern_table_starts_over_at_its_limit(monkeypatch):
+    monkeypatch.setattr(rational, "_COORDS", {})
+    monkeypatch.setattr(rational, "COORDS_LIMIT", 50)
+    vals = seeded_values(random.Random(66), 400)
+    first = [coord(a) for a in vals]
+    assert 0 < len(rational._COORDS) <= 50
+    again = [coord(a) for a in vals]
+    assert again == first == vals and len(rational._COORDS) <= 50
+    assert [hash(q) for q in again] == [hash(a) for a in vals]
+    assert coord(vals[-1]) is again[-1]
 
 
 def test_circle_zigzag_hashes_few_plain_fractions(s1, arcs3):
