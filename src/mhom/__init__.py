@@ -16,8 +16,7 @@ from .chaincomplex import (ChainComplexZ, HomologyGroup, RelativePair,
 from .complexes import BallCover, MetricComplex, PLMap, mcshane_extension
 from .weighted import WeightedSimplices
 from .chains import LipschitzChain, chain_from_vector, chain_to_vector
-from .currents import (PolyhedralCurrent, equicontinuity_gap,
-                       integral_of_product)
+from .currents import PolyhedralCurrent
 from .bracket import (bracket, bracket_inverse_points,
                       brackets_of_generators, pairing_matrix)
 from .cech import (FillResult, Nerve, Staircase, augment, augment_nerve,
@@ -39,10 +38,9 @@ __all__ = [
     "brackets_of_generators", "builtin_covers",
     "builtin_spaces", "cech_boundary", "chain_from_vector", "chain_to_vector",
     "cone_fill_chain", "cone_fill_current", "conforming",
-    "connecting_homomorphism", "dist2",
-    "equicontinuity_gap", "fill_zero_chain", "homology_data",
-    "integral_of_product", "load_cover", "load_space", "mcshane_extension",
-    "pairing_forms", "pairing_matrix", "save_cover", "save_space", "solve_phi",
-    "split", "sqrt_lower", "sqrt_upper", "zigzag_cancel", "zigzag_descend",
+    "connecting_homomorphism", "dist2", "fill_zero_chain", "homology_data",
+    "load_cover", "load_space", "mcshane_extension", "pairing_forms",
+    "pairing_matrix", "save_cover", "save_space", "solve_phi", "split",
+    "sqrt_lower", "sqrt_upper", "zigzag_cancel", "zigzag_descend",
     "zigzag_fill",
 ]

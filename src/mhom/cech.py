@@ -60,9 +60,6 @@ class Nerve:
     def has(self, tup):
         return tuple(sorted(tup)) in self.witnesses
 
-    def witness(self, tup):
-        return self.witnesses.get(tuple(sorted(tup)))
-
     def tuples(self, arity):
         return sorted(t for t in self.witnesses if len(t) == arity)
 

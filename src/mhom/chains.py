@@ -119,16 +119,6 @@ class LipschitzChain(WeightedSimplices):
             raise InputError("pushforward needs a self-map of the carrier")
         return self.refine_until_affine([plmap]).vertex_images(plmap)
 
-    def prism(self, h0, h1):
-        """Staircase between two vertexwise images of this chain.
-
-        h0 and h1 are callables on points.  For the images to agree with
-        pushforwards the maps must be affine on the terms, which callers
-        arrange by refining first.
-        """
-        return LipschitzChain(self.complex, self.degree + 1,
-                              self._staircase(h0, h1), self.level)
-
     def vertex_images(self, fn):
         """Replace every vertex by fn(vertex), keeping coefficients."""
         return LipschitzChain(self.complex, self.degree, self._images(fn),

@@ -336,10 +336,6 @@ class PLMap:
         return PLMap(len(matrix), matrix=matrix, offset=offset)
 
     @staticmethod
-    def identity(n):
-        return PLMap(n, matrix=[[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @staticmethod
     def constant(point):
         n = len(point)
         return PLMap(n, matrix=[[0] * n for _ in range(n)], offset=point)
@@ -533,6 +529,9 @@ class BallCover:
                 desc = None
             else:
                 si = int(b["center_simplex"])
+                if not 0 <= si < len(complex_.simplices):
+                    raise InputError(f"center_simplex {si} is not a simplex "
+                                     f"index of the complex")
                 lam = [frac(x) for x in b["barycentric"]]
                 tup = complex_.simplices[si]
                 if len(lam) != len(tup):

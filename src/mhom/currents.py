@@ -20,13 +20,12 @@ the same current exactly when their difference reduces to nothing.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd
 
-from .complexes import PLMap
 from .errors import GeometryError, InputError
 from .geometry import (cut_simplex_by_values, canonical_orientation,
                        det_fraction, edge_matrix, gram_det,
-                       integrate_affine, integrate_affine_product, rref)
+                       integrate_affine, rref)
 from .rational import RadicalSum, coord, dot, frac, integer_form
 from .weighted import WeightedSimplices
 
@@ -93,9 +92,15 @@ class PolyhedralCurrent(WeightedSimplices):
         return total
 
     def mass(self):
-        """Total mass, as an exact radical sum: the integral of 1 against
-        the mass measure of the canonical form."""
-        return integral_of_product(self, None, PLMap.constant((1,)))
+        """Total mass, as an exact radical sum over the canonical form: a
+        k-piece of weight w adds |w| sqrt(gram det) / k!, a point adds |w|."""
+        cur = self.reduce()
+        k_factorial = factorial(cur.degree)
+        total = RadicalSum()
+        for tup, w in cur.terms.items():
+            total = total + RadicalSum.sqrt_of(gram_det(tup)).scale(
+                Fraction(abs(w), k_factorial))
+        return total
 
     def mass_float(self):
         lo, hi = self.mass().bounds(40)
@@ -310,99 +315,3 @@ def _reduce_in_chart(chart, members):
             key, sign = canonical_orientation(amb)
             out.append((key, sign * mult))
     return out
-
-
-def integral_of_product(current, u, v, nonzero_of=None):
-    """Exact integral of |u| * |v| against the mass measure of the current.
-
-    u may be None for the constant 1.  When nonzero_of is given, the
-    integration is restricted to the region where that scalar map is not
-    identically zero (a difference of measure zero from {nonzero_of != 0}).
-    Returns an exact radical sum.
-    """
-    cur = current.reduce()
-    k = cur.degree
-    maps = [m for m in (u, v, nonzero_of) if m is not None]
-    cur = cur.refine_until_affine(maps) if maps else cur
-    n = cur.ambient_dim
-    iv = n + (u is not None)  # value columns: u, v, nonzero_of in order
-    total = RadicalSum()
-    for tup, w in cur.terms.items():
-        # every vertex carries the maps' values after its coordinates; the
-        # maps are affine on the piece, so the cuts interpolate them exactly
-        frags = [tuple(p + tuple(m.scalar(p) for m in maps) for p in tup)]
-        for i in range(n, n + len(maps)):
-            nxt = []
-            for f in frags:
-                vals = [x[i] for x in f]
-                if min(vals) < 0 < max(vals):
-                    lo, hi = cut_simplex_by_values(f, vals, Fraction(0))
-                    nxt.extend(lo)
-                    nxt.extend(hi)
-                else:
-                    nxt.append(f)
-            frags = nxt
-        for f in frags:
-            if k > 0:
-                g = gram_det(tuple(x[:n] for x in f))
-                if g == 0:
-                    continue
-                scale = RadicalSum.sqrt_of(g)
-            else:
-                scale = RadicalSum.from_rational(1)
-            if nonzero_of is not None and all(x[iv + 1] == 0 for x in f):
-                continue
-            vvals = [abs(x[iv]) for x in f]
-            if u is None:
-                val = integrate_affine(f, vvals)
-            else:
-                val = integrate_affine_product(f, [abs(x[n]) for x in f],
-                                               vvals)
-            total = total + scale.scale(abs(w) * val)
-    return total
-
-
-def equicontinuity_gap(T, f, pis, pis2):
-    """Exact right-minus-left gap of the continuity estimate.
-
-    Compares |T(f, pis) - T(f, pis2)| against
-    sum_i [ int |f| |pi_i - pi2_i| d||bd T|| + Lip(f) int_{f != 0}
-    |pi_i - pi2_i| d||T|| ].  All entries must be scalar piecewise-affine
-    maps; the comparison entries need Lipschitz constant at most 1, checked
-    exactly.  Returns (lhs, rhs) as exact values; the
-    estimate holds when lhs <= rhs.
-    """
-    pis = list(pis)
-    pis2 = list(pis2)
-    if len(pis) != T.degree or len(pis2) != T.degree:
-        raise InputError("one-form entry count must match the degree")
-    for m in pis + pis2:
-        if m.scalar_lipschitz_squared() > 1:
-            raise InputError("comparison entries must be 1-Lipschitz")
-
-    lhs_q = T.evaluate(f, pis) - T.evaluate(f, pis2)
-    lhs = RadicalSum.from_rational(abs(lhs_q))
-
-    lipf = RadicalSum.sqrt_of(f.scalar_lipschitz_squared())
-    bdT = T.boundary()
-    rhs = RadicalSum()
-    for pa, pb in zip(pis, pis2):
-        diff = _difference_map(pa, pb)
-        rhs = rhs + integral_of_product(bdT, f, diff)
-        rhs = rhs + lipf * integral_of_product(T, None, diff, nonzero_of=f)
-    return lhs, rhs
-
-
-def _difference_map(pa, pb):
-    """Scalar map p -> pa(p) - pb(p) with affine_on delegated to both."""
-
-    class _Diff:
-        target_dim = 1
-
-        def scalar(self, p):
-            return pa.scalar(p) - pb.scalar(p)
-
-        def affine_on(self, pts):
-            return pa.affine_on(pts) and pb.affine_on(pts)
-
-    return _Diff()

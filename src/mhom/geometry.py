@@ -241,12 +241,3 @@ def integrate_affine(tup: Simplex, vertex_values) -> Fraction:
     simplex (volume 1/k! in parameter space)."""
     mean = sum(vertex_values, Fraction(0)) / len(vertex_values)
     return mean / factorial(len(tup) - 1)
-
-
-def integrate_affine_product(tup: Simplex, u_vals, v_vals) -> Fraction:
-    """Integral of a product of two affine functions over the standard
-    parameter simplex: vol * (sum u_i v_i + (sum u_i)(sum v_i)) / ((k+1)(k+2))."""
-    m = len(u_vals)
-    s = sum((u * v for u, v in zip(u_vals, v_vals)), Fraction(0))
-    s += sum(u_vals, Fraction(0)) * sum(v_vals, Fraction(0))
-    return s / (factorial(len(tup) - 1) * m * (m + 1))

@@ -65,11 +65,6 @@ class IntMatrix:
             rows[i][j] = v
         return rows
 
-    def transpose(self) -> "IntMatrix":
-        m = IntMatrix(self.ncols, self.nrows)
-        m.data = {(j, i): v for (i, j), v in self.data.items()}
-        return m
-
     def is_zero(self) -> bool:
         return not self.data
 

@@ -4,9 +4,10 @@ All trusted-path geometry works over Q.  Every point the algebra builds is
 a tuple of interned coordinates: coord(x) returns the one Q, a Fraction
 that stores its hash, for each value, from a bounded table.  Dict lookups
 of points then hash no Fraction, and equal coordinates are one object, so
-tuple comparison stops at identity.  Scratch values (cut points, integrand
-values) stay plain Fractions and out of the table.  Q is a Fraction in
-value, order, hash and text, and its arithmetic returns plain Fractions.
+tuple comparison stops at identity.  Scratch values (cut points in chart
+coordinates) stay plain Fractions and out of the table.  Q is a Fraction
+in value, order, hash and text, and its arithmetic returns plain
+Fractions.
 
 Square roots never enter comparisons directly: either both sides are
 squared first, or values are kept as exact sums of c*sqrt(n) with n
@@ -104,7 +105,7 @@ def dist2(a: Vec, b: Vec) -> Fraction:
 
 def lerp(a: Vec, b: Vec, t) -> Vec:
     """The point a + t (b - a), in plain Fractions: cut points are scratch
-    (chart coordinates, integrand values) until a caller interns them."""
+    (chart coordinates) until a caller interns them."""
     t = frac(t)
     return tuple(x + t * (y - x) for x, y in zip(a, b))
 

@@ -16,8 +16,8 @@ from .complexes import BallCover, MetricComplex, PLMap
 from .errors import InputError
 
 __all__ = [
-    "space_to_json", "space_from_json", "cover_to_json", "cover_from_json",
-    "load_space", "load_cover", "save_space", "save_cover",
+    "space_to_json", "cover_to_json", "load_space", "load_cover",
+    "save_space", "save_cover",
     "circle_space", "sphere_space", "torus_space", "projective_plane_space",
     "klein_bottle_space", "disc_pair_space", "annulus_pair_space",
     "wedge_space", "builtin_spaces", "builtin_covers",
@@ -41,11 +41,6 @@ def space_to_json(complex_: MetricComplex) -> dict:
     }
 
 
-def space_from_json(data: dict) -> MetricComplex:
-    return MetricComplex(data["ambient_dim"], data["vertices"],
-                         data["simplices"], data.get("subcomplexes"))
-
-
 def cover_to_json(cover: BallCover) -> dict:
     balls = []
     for c, r, desc in zip(cover.centers, cover.radii, cover.descriptions):
@@ -58,10 +53,6 @@ def cover_to_json(cover: BallCover) -> dict:
             balls.append({"center": [_enc_q(x) for x in c],
                           "radius": _enc_q(r)})
     return {"balls": balls}
-
-
-def cover_from_json(complex_: MetricComplex, data: dict) -> BallCover:
-    return BallCover(complex_, data["balls"])
 
 
 def save_space(complex_, path):
@@ -381,23 +372,37 @@ def load_space(name_or_path: str) -> MetricComplex:
     """Bundled space by name, or any space JSON file by path."""
     if name_or_path in _SPACE_BUILDERS:
         return _SPACE_BUILDERS[name_or_path]()
-    try:
-        with open(name_or_path) as fh:
-            return space_from_json(json.load(fh))
-    except OSError:
-        raise InputError(
-            f"unknown space {name_or_path!r}; builtin names are "
-            f"{', '.join(builtin_spaces())}") from None
+    return _load_file("space", name_or_path, builtin_spaces(),
+                      lambda data: MetricComplex(
+                          data["ambient_dim"], data["vertices"],
+                          data["simplices"], data.get("subcomplexes")))
 
 
 def load_cover(complex_: MetricComplex, name_or_path: str) -> BallCover:
     """Bundled cover of complex_ by name, or any cover JSON file by path."""
     if name_or_path in _COVER_BUILDERS:
         return _COVER_BUILDERS[name_or_path](complex_)
+    return _load_file("cover", name_or_path, builtin_covers(),
+                      lambda data: BallCover(complex_, data["balls"]))
+
+
+def _load_file(kind, path, names, build):
+    """build() on the JSON object in the file at path.  A missing file, one
+    that holds no JSON object, a missing key and content that build()
+    rejects are input errors that name the file."""
     try:
-        with open(name_or_path) as fh:
-            return cover_from_json(complex_, json.load(fh))
+        with open(path) as fh:
+            data = json.load(fh)
     except OSError:
-        raise InputError(
-            f"unknown cover {name_or_path!r}; builtin names are "
-            f"{', '.join(builtin_covers())}") from None
+        raise InputError(f"unknown {kind} {path!r}; builtin names are "
+                         f"{', '.join(names)}") from None
+    except ValueError as e:
+        raise InputError(f"{kind} file {path!r} is not JSON: {e}") from None
+    if not isinstance(data, dict):
+        raise InputError(f"{kind} file {path!r} holds no JSON object")
+    try:
+        return build(data)
+    except KeyError as e:
+        raise InputError(f"{kind} file {path!r} lacks key {e}") from None
+    except InputError as e:
+        raise InputError(f"{kind} file {path!r}: {e}") from None

@@ -8,11 +8,11 @@ correct on the small inputs the tests use.
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import factorial, gcd
 
 from mhom.chains import LipschitzChain
-from mhom.geometry import (cut_simplex_by_values, gram_det, integrate_affine,
-                           integrate_affine_product)
+from mhom.errors import InputError
+from mhom.geometry import cut_simplex_by_values, gram_det, integrate_affine
 from mhom.rational import RadicalSum, dist2, dot, frac, vsub
 
 
@@ -465,9 +465,8 @@ def dense_smith_normal_form(M):
                     row_negate(i + 1)
 
     D = IntMatrix(nr, nc, {(i, i): A[i][i] for i in range(rank)})
-    return (IntMatrix.from_rows(U), D, IntMatrix.from_rows(V_t).transpose(),
-            IntMatrix.from_rows(U_inv_t).transpose(),
-            IntMatrix.from_rows(V_inv))
+    return (IntMatrix.from_rows(U), D, IntMatrix.from_rows(zip(*V_t)),
+            IntMatrix.from_rows(zip(*U_inv_t)), IntMatrix.from_rows(V_inv))
 
 
 # (complex, degree, level) -> refined canonical unit column per basis simplex
@@ -516,9 +515,28 @@ def chain_to_vector(chain):
     return coeffs
 
 
+# Integrals against the mass measure of a polyhedral current, and the
+# continuity estimate of metric currents (Ambrosio-Kirchheim, Acta Math.
+# 2000) that reads them, exact for piecewise-affine data.
+
+def integrate_affine_product(tup, u_vals, v_vals):
+    """Integral of a product of two affine functions over the standard
+    parameter simplex: vol * (sum u_i v_i + (sum u_i)(sum v_i)) / ((k+1)(k+2))."""
+    m = len(u_vals)
+    s = sum((u * v for u, v in zip(u_vals, v_vals)), Fraction(0))
+    s += sum(u_vals, Fraction(0)) * sum(v_vals, Fraction(0))
+    return s / (factorial(len(tup) - 1) * m * (m + 1))
+
+
 def integral_of_product(current, u, v, nonzero_of=None):
-    """currents.integral_of_product with every map evaluated afresh at the
-    vertices of every fragment, where the cuts and the integrand read them."""
+    """Exact integral of |u| * |v| against the mass measure of the current.
+
+    u may be None for the constant 1.  When nonzero_of is given, the
+    integration is restricted to the region where that scalar map is not
+    identically zero (a difference of measure zero from {nonzero_of != 0}).
+    Every map is evaluated afresh at the vertices of every fragment, where
+    the cuts and the integrand read it.  Returns an exact radical sum.
+    """
     cur = current.reduce()
     maps = [m for m in (u, v, nonzero_of) if m is not None]
     cur = cur.refine_until_affine(maps)
@@ -545,3 +563,49 @@ def integral_of_product(current, u, v, nonzero_of=None):
                     f, [abs(u.scalar(p)) for p in f], vvals)
             total = total + RadicalSum.sqrt_of(g).scale(abs(w) * val)
     return total
+
+
+def equicontinuity_gap(T, f, pis, pis2):
+    """Exact right-minus-left gap of the continuity estimate.
+
+    Compares |T(f, pis) - T(f, pis2)| against
+    sum_i [ int |f| |pi_i - pi2_i| d||bd T|| + Lip(f) int_{f != 0}
+    |pi_i - pi2_i| d||T|| ].  All entries must be scalar piecewise-affine
+    maps; the comparison entries need Lipschitz constant at most 1, checked
+    exactly.  Returns (lhs, rhs) as exact values; the
+    estimate holds when lhs <= rhs.
+    """
+    pis = list(pis)
+    pis2 = list(pis2)
+    if len(pis) != T.degree or len(pis2) != T.degree:
+        raise InputError("one-form entry count must match the degree")
+    for m in pis + pis2:
+        if m.scalar_lipschitz_squared() > 1:
+            raise InputError("comparison entries must be 1-Lipschitz")
+
+    lhs_q = T.evaluate(f, pis) - T.evaluate(f, pis2)
+    lhs = RadicalSum.from_rational(abs(lhs_q))
+
+    lipf = RadicalSum.sqrt_of(f.scalar_lipschitz_squared())
+    bdT = T.boundary()
+    rhs = RadicalSum()
+    for pa, pb in zip(pis, pis2):
+        diff = _difference_map(pa, pb)
+        rhs = rhs + integral_of_product(bdT, f, diff)
+        rhs = rhs + lipf * integral_of_product(T, None, diff, nonzero_of=f)
+    return lhs, rhs
+
+
+def _difference_map(pa, pb):
+    """Scalar map p -> pa(p) - pb(p) with affine_on delegated to both."""
+
+    class _Diff:
+        target_dim = 1
+
+        def scalar(self, p):
+            return pa.scalar(p) - pb.scalar(p)
+
+        def affine_on(self, pts):
+            return pa.affine_on(pts) and pb.affine_on(pts)
+
+    return _Diff()

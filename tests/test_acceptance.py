@@ -19,9 +19,11 @@ from mhom.chaincomplex import homology_data
 from mhom.chains import LipschitzChain, chain_from_vector
 from mhom.cli import _overlap_kernel
 from mhom.complexes import PLMap, mcshane_extension
-from mhom.currents import PolyhedralCurrent, equicontinuity_gap
+from mhom.currents import PolyhedralCurrent
 from mhom.geometry import det_fraction
 from mhom.rational import dist2
+
+from oracles import equicontinuity_gap
 
 F = Fraction
 

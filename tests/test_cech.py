@@ -29,7 +29,7 @@ def test_nerve_three_arcs(arcs3):
     assert nerve.tuples(3) == []
     assert nerve.certified_empty((0, 1, 2))
     for tup in nerve.tuples(2):
-        w = nerve.witness(tup)
+        w = nerve.witnesses[tup]
         assert all(arcs3.contains(i, w) for i in tup)
 
 
@@ -137,7 +137,7 @@ def test_boundary_matching_across_overlaps(s1, arcs3):
 
 def test_boundary_matching_needs_balanced_input(arcs2):
     nerve = Nerve(arcs2, max_arity=2)
-    w = nerve.witness((0,))
+    w = nerve.witnesses[(0,)]
     Y = {(0,): PolyhedralCurrent.from_tuples(3, [(1, (w,))], degree=0)}
     with pytest.raises(GeometryError):
         solve_phi(Y, nerve)

@@ -99,7 +99,8 @@ def test_degenerate_simplex_vanishes_in_limit(s1):
 
 def test_pushforward_identity_and_constant(torus):
     rng = random.Random(13)
-    ident = PLMap.identity(torus.ambient_dim)
+    n = torus.ambient_dim
+    ident = PLMap.affine([[int(i == j) for j in range(n)] for i in range(n)])
     const = PLMap.constant(torus.vertices[0])
     for _ in range(5):
         c = random_chain(torus, 1, rng)
@@ -119,23 +120,6 @@ def test_pushforward_naturality_square():
         lhs = c.pushforward(shrink).boundary()
         rhs = c.boundary().pushforward(shrink)
         assert lhs.equal_in_limit(rhs)
-
-
-def test_prism_boundary_identity():
-    from test_complexes import unit_square
-    sq = unit_square()
-    center = (HALF, HALF)
-    h0 = lambda p: p
-    h1 = lambda p: center
-    rng = random.Random(15)
-    for k in (0, 1, 2):
-        for _ in range(6):
-            c = random_chain(sq, k, rng)
-            lhs = c.prism(h0, h1).boundary()
-            if k >= 1:
-                lhs = lhs + c.boundary().prism(h0, h1)
-            rhs = c.vertex_images(h1) - c.vertex_images(h0)
-            assert lhs == rhs
 
 
 def test_cone_boundary_identity(s1):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,7 @@ from mhom import cli, spaces
 from mhom.chaincomplex import HomologyGroup
 
 CMD = [sys.executable, "-m", "mhom.cli"]
+S1_FILE = Path(__file__).parent / "data" / "s1.json"
 
 
 def run_cli(*args, env_extra=None):
@@ -83,6 +85,43 @@ def test_unknown_names_exit_two():
                    "--cover", "nosuch").returncode == 2
     assert run_cli("homology", "--space", "s1",
                    "--degree", "7").returncode == 2
+
+
+def input_error(capsys, argv, path):
+    """Exit code of cli.main, having checked that stderr reports an input
+    error that names the file at path."""
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and str(path) in err, err
+    return code
+
+
+def test_space_file_without_key_exits_two(tmp_path, capsys):
+    data = json.loads(S1_FILE.read_text())
+    del data["ambient_dim"]
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(data))
+    argv = ["homology", "--space", str(path)]
+    assert input_error(capsys, argv, path) == 2
+
+
+def test_space_file_not_json_exits_two(tmp_path, capsys):
+    path = tmp_path / "f.json"
+    path.write_text(S1_FILE.read_text()[:-3])
+    argv = ["homology", "--space", str(path)]
+    assert input_error(capsys, argv, path) == 2
+
+
+@pytest.mark.parametrize("simplex", [99, -1])
+def test_cover_center_outside_the_simplices_exits_two(tmp_path, capsys,
+                                                      simplex):
+    # the barycentric coordinates fit the last simplex of s1, an edge
+    ball = {"center_simplex": simplex, "barycentric": [[1, 2], [1, 2]],
+            "radius": [1, 2]}
+    path = tmp_path / "cover.json"
+    path.write_text(json.dumps({"balls": [ball]}))
+    argv = ["verify", "space", "--space", "s1", "--cover", str(path)]
+    assert input_error(capsys, argv, path) == 2
 
 
 def test_failing_coverage_exits_one(tmp_path):

@@ -129,7 +129,7 @@ def test_sample_vertices_grow(s1):
 
 
 def test_plmap_affine_identity_constant():
-    ident = PLMap.identity(2)
+    ident = PLMap.affine([[1, 0], [0, 1]])
     const = PLMap.constant((1, 2))
     p = (Fraction(1, 3), Fraction(2, 7))
     assert ident(p) == p

@@ -3,7 +3,9 @@
 Each digest is the sha256 of a fixed command's stdout, or of the sorted
 JSON serialization of a bundled space or cover.  A refactor that keeps the
 certificates and the reports the same keeps every digest; the digests do
-not depend on PYTHONHASHSEED.
+not depend on PYTHONHASHSEED.  Commands run in the tests directory, so a
+space file named by a relative path, and the report that prints it, are
+the same wherever pytest starts.
 """
 
 import hashlib
@@ -11,10 +13,14 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import mhom
 from mhom import cli, spaces
+
+TESTS = Path(__file__).parent
 
 REPORTS = {
     "compare --space s1 --budget 3":
@@ -47,6 +53,8 @@ REPORTS = {
         "dea3a8fe5911e242e293e62837f9ba1403e3074856e3baed89d345ec8944aec0",
     "verify space --space torus":
         "3c9889c010e4e179be73c5d122d54d39c5acf610645e9f5c33039136e0140779",
+    "homology --space data/s1.json --theory current":
+        "9a6914cea43a8f47a8e782ee2206ffb7e3925780a813f1ab3ffcb05f1bb990f0",
     "homology --space klein --theory current":
         "da246dd2b6be3f1fa78b110f6a09ea09a9e1d515a68845f31d81aa4a962bc7d0",
     "homology --space torus --theory current":
@@ -100,8 +108,11 @@ def _json_sha(payload) -> str:
 
 @pytest.mark.parametrize("command", sorted(REPORTS))
 def test_report_digest(command):
+    src = str(Path(mhom.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     res = subprocess.run([sys.executable, "-m", "mhom.cli"] + command.split(),
-                         capture_output=True, env=dict(os.environ))
+                         capture_output=True, cwd=TESTS,
+                         env=dict(os.environ, PYTHONPATH=path))
     assert res.returncode == 0, res.stderr.decode()
     assert _sha(res.stdout) == REPORTS[command]
 
