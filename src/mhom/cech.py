@@ -269,13 +269,9 @@ def fill_zero_chain(complex_, chain, region, start_depth=SAMPLE_DEPTH,
         num = {v: k for k, v in enumerate(order)}
         # edge when two nodes share a containing top simplex; the segment
         # then stays inside the carrier, and inside the region by convexity
-        homes = complex_.sample_homes(depth)
         by_top = {}
         for v in nodes:
-            tops = homes.get(v)
-            if tops is None:
-                tops = complex_.tops_holding(v)
-            for j in tops:
+            for j in complex_.tops_holding(v):
                 by_top.setdefault(j, []).append(num[v])
         adj = [set() for _ in order]
         for home in by_top.values():

@@ -27,6 +27,16 @@ from .intlinalg import IntMatrix
 from .chaincomplex import ChainComplexZ, RelativePair
 from .rational import coord, dist2, dot, frac, integer_form, sqrt_lower
 
+# The per-point location memos of MetricComplex and BallCover start over
+# when they hold this many points, as rational.coord's table does.
+LOCATE_LIMIT = 1 << 14
+
+
+def _remember(memo, p, value):
+    if len(memo) >= LOCATE_LIMIT:
+        memo.clear()
+    memo[p] = value
+
 
 class MetricComplex:
     """Geometric simplicial complex with interned rational vertex
@@ -39,12 +49,13 @@ class MetricComplex:
     The object is immutable after construction, and it owns point
     location.  It caches, each on first use and per depth d: the pieces of
     the d-fold barycentric subdivision of the tops (d = 0: the tops
-    themselves) and their sorted vertex list; one exact barycentric
-    inverse per piece, which locates points for tops_holding(),
-    find_containing_simplex() (both at depth 0) and cellwise PLMaps (at
-    their own depth); and the top simplices holding each subdivision
-    vertex.  Methods hand out fresh lists or read-only views, never the
-    cached containers.
+    themselves) and their sorted vertex list; and one exact barycentric
+    inverse per piece, which locates points for tops_holding() (at depth
+    0) and cellwise PLMaps (at their own depth).  tops_holding() keeps
+    its answer per point, so the locators see each distinct point once;
+    find_containing_simplex() reads those answers.  That memo starts over
+    when it holds LOCATE_LIMIT points.  Methods hand out fresh lists,
+    tuples or read-only views, never the cached containers.
     """
 
     def __init__(self, ambient_dim, vertices, simplices, subcomplexes=None):
@@ -91,7 +102,7 @@ class MetricComplex:
         self._locs = {}     # depth -> [locator per piece]
         self._pieces = {}   # depth -> [(top simplex index, piece)]
         self._samples = {}  # depth -> sorted subdivision vertices
-        self._homes = {}    # depth -> {subdivision vertex: top positions}
+        self._held = {}     # point -> top positions holding it
 
     # -- basic queries ---------------------------------------------------
 
@@ -126,20 +137,23 @@ class MetricComplex:
             self._locs[depth] = locs
         return locs
 
-    def _first_piece(self, depth, points):
+    def _first_piece(self, depth, forms):
         """Position in subdivided_tops(depth) of the first piece holding
-        every given point, or None."""
-        qs = [integer_form(p) for p in points]
+        every point of forms (integer_form), or None."""
         for j, loc in enumerate(self._locators(depth)):
-            if all(loc.holds(q) for q in qs):
+            if all(loc.holds(q) for q in forms):
                 return j
         return None
 
     def tops_holding(self, p):
         """Positions in top_simplices() of the top simplices holding p."""
-        q = integer_form(p)
-        return tuple(j for j, loc in enumerate(self._locators(0))
-                     if loc.holds(q))
+        tops = self._held.get(p)
+        if tops is None:
+            q = integer_form(p)
+            tops = tuple(j for j, loc in enumerate(self._locators(0))
+                         if loc.holds(q))
+            _remember(self._held, p, tops)
+        return tops
 
     def find_containing_simplex(self, points):
         """Index of a simplex containing every given point, or None.
@@ -147,7 +161,9 @@ class MetricComplex:
         A simplex holding the points is a face of a top simplex, which holds
         them too, so the first such top simplex is returned.
         """
-        j = self._first_piece(0, points)
+        held = [self.tops_holding(p) for p in points]
+        first = held[0] if held else range(len(self._top_list()))
+        j = next((j for j in first if all(j in h for h in held)), None)
         return None if j is None else self._subdivision(0)[j][0]
 
     # -- barycentric subdivision -------------------------------------------
@@ -182,15 +198,6 @@ class MetricComplex:
     def sample_vertices(self, depth: int):
         """Deduplicated vertex points of the depth-fold subdivision, sorted."""
         return list(self._sample_list(depth))
-
-    def sample_homes(self, depth: int):
-        """Read-only map from each vertex of the depth-fold subdivision to
-        tops_holding() of it; built in full on the first call per depth."""
-        homes = self._homes.get(depth)
-        if homes is None:
-            homes = {p: self.tops_holding(p) for p in self._sample_list(depth)}
-            self._homes[depth] = homes
-        return MappingProxyType(homes)
 
     # -- simplicial chain complex ----------------------------------------
 
@@ -367,16 +374,18 @@ class PLMap:
     def find_cell(self, points):
         """Position in complex.subdivided_tops(depth) of a piece containing
         all the points, or None."""
-        return self.complex._first_piece(self.depth, points)
+        return self.complex._first_piece(
+            self.depth, [integer_form(p) for p in points])
 
     def __call__(self, p):
         p = tuple(frac(x) for x in p)
         if self.matrix is not None:
             return tuple(dot(row, p) + off for row, off in zip(self.matrix, self.offset))
-        i = self.find_cell([p])
+        q = integer_form(p)
+        i = self.complex._first_piece(self.depth, [q])
         if i is None:
             raise GeometryError(f"point {p} is outside every cell of the map")
-        lam = self.complex._locators(self.depth)[i].barycentric(integer_form(p))
+        lam = self.complex._locators(self.depth)[i].barycentric(q)
         _, piece = self.complex._subdivision(self.depth)[i]
         vals = [self.values[v] for v in piece]
         return tuple(sum((l * v[d] for l, v in zip(lam, vals)), Fraction(0))
@@ -512,10 +521,13 @@ class BallCover:
     barycentrically inside a named simplex) and a rational radius.
     Membership tests compare squared distances, against the squared radii
     and integer forms of the centers stored at construction; the balls do
-    not change afterwards.  Per sample depth, the cover keeps one
-    membership table: for each vertex of the complex's depth-fold
-    subdivision, the set of balls that hold it, built on first use
-    (members()) from one integer form per vertex.
+    not change afterwards.  balls_holding() keeps, per point, the set of
+    balls that hold it strictly, found on first ask from one integer form
+    and one test per ball, and every membership question reads it:
+    contains(), simplex_inside() and first_ball_containing() (a simplex is
+    inside a ball when all its vertices are, by convexity), and the
+    members() table of each sample depth.  That memo starts over when it
+    holds LOCATE_LIMIT points.
     """
 
     def __init__(self, complex_: MetricComplex, balls):
@@ -552,6 +564,7 @@ class BallCover:
         self._radii2 = [r * r for r in self.radii]
         self._centers_int = [integer_form(c) for c in self.centers]
         self._near = None
+        self._inside = {}   # point -> balls holding it
         self._members = {}  # depth -> {sample vertex: balls holding it}
 
     def __len__(self):
@@ -562,38 +575,44 @@ class BallCover:
         in that order, to the frozenset of balls holding it strictly."""
         table = self._members.get(depth)
         if table is None:
-            balls = range(len(self.centers))
-            table = {}
-            for p in self.complex._sample_list(depth):
-                forms = [integer_form(p)]
-                table[p] = frozenset(i for i in balls
-                                     if self._holds(i, forms))
+            table = {p: self.balls_holding(p)
+                     for p in self.complex._sample_list(depth)}
             self._members[depth] = table
         return MappingProxyType(table)
 
+    def balls_holding(self, p):
+        """Frozenset of the balls holding the point p strictly."""
+        inside = self._inside.get(p)
+        if inside is None:
+            form = integer_form(p)
+            inside = frozenset(i for i in range(len(self.centers))
+                               if self._holds(i, form))
+            _remember(self._inside, p, inside)
+        return inside
+
     def contains(self, i, p) -> bool:
         """Strict membership of the point p in ball i."""
-        return self._holds(i, [integer_form(p)])
+        return i in self.balls_holding(p)
 
-    def _holds(self, i, forms) -> bool:
-        """Every point P/q of forms (integer_form) strictly in ball i, on
+    def _holds(self, i, form) -> bool:
+        """The point P/q = form (integer_form) strictly in ball i, on
         integers: with the center C/c, |P/q - C/c|^2 < r^2 reads
         sum (P c - C q)^2 < r^2 (q c)^2."""
+        P, q = form
         C, c = self._centers_int[i]
         r2 = self._radii2[i]
-        return all(sum((x * c - y * q) ** 2 for x, y in zip(P, C))
-                   * r2.denominator < r2.numerator * (q * c) ** 2
-                   for P, q in forms)
+        return (sum((x * c - y * q) ** 2 for x, y in zip(P, C))
+                * r2.denominator < r2.numerator * (q * c) ** 2)
 
     def simplex_inside(self, i, tup) -> bool:
         """Whole simplex strictly inside the open ball (convexity)."""
-        return self._holds(i, [integer_form(p) for p in tup])
+        return all(i in self.balls_holding(p) for p in tup)
 
     def first_ball_containing(self, tup, balls):
-        """The first of the listed balls that holds the whole simplex
-        strictly, or None."""
-        forms = [integer_form(p) for p in tup]
-        return next((i for i in balls if self._holds(i, forms)), None)
+        """The first of the listed balls, in their order, that holds the
+        whole simplex strictly, or None."""
+        common = frozenset.intersection(*map(self.balls_holding, tup))
+        return next((i for i in balls if i in common), None)
 
     def verify_covers(self, depth: int):
         """Every depth-subdivision piece must fit in one ball.

@@ -383,6 +383,53 @@ def test_cover_membership_table(torus, monkeypatch):
     assert res.filling.terms == again.filling.terms
 
 
+def test_zigzag_locates_each_point_once(monkeypatch):
+    """A seeded circle fill and cancel tests each top locator, and
+    converts to integers, at most once per distinct point that the complex
+    or the cover locates: the carrier and cover tests read per-point memos.
+    Wall-clock is not gated."""
+    s1 = spaces.load_space("s1")
+    cover = spaces.load_cover(s1, "s1_arcs3")
+    located = {"tops": set(), "balls": set()}
+    work = {"scaled": 0, "integer_form": 0}
+
+    def recorded(real, key):
+        def wrapper(self, p):
+            located[key].add(p)
+            return real(self, p)
+        return wrapper
+
+    def counted(real, key):
+        def wrapper(*args):
+            work[key] += 1
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(complexes.MetricComplex, "tops_holding",
+                        recorded(complexes.MetricComplex.tops_holding, "tops"))
+    monkeypatch.setattr(complexes.BallCover, "balls_holding",
+                        recorded(complexes.BallCover.balls_holding, "balls"))
+    monkeypatch.setattr(complexes._TopLocator, "_scaled",
+                        counted(complexes._TopLocator._scaled, "scaled"))
+    monkeypatch.setattr(complexes, "integer_form",
+                        counted(complexes.integer_form, "integer_form"))
+    rng = random.Random(44)
+    nerve = Nerve(cover, max_arity=3)
+    for _ in range(3):
+        items = spaces.random_circle_cycle(s1, rng)
+        T = PolyhedralCurrent.from_tuples(3, items, 1)
+        res = zigzag_fill(T, cover, nerve=nerve)
+        z = res.chain - LipschitzChain.from_simplices(s1, items)
+        w = zigzag_cancel(z, res.filling, cover, nerve=nerve)
+        assert w.boundary() == z
+    tops, balls = len(located["tops"]), len(located["balls"])
+    assert tops and balls
+    n = len(s1.top_simplices())
+    assert work["scaled"] <= n * tops
+    # besides one per located point, one per locator built
+    assert work["integer_form"] <= tops + balls + n
+
+
 def test_cancel_without_triples_names_the_triple_step(torus, torus_balls):
     # cancel eliminates up to triples; a pair-only nerve leaves a residual
     nerve = Nerve(torus_balls, max_arity=2)

@@ -58,7 +58,7 @@ def _off_hull(verts, step):
 
 
 @pytest.mark.parametrize("name", ["torus", "s1", "s2", "klein"])
-def test_point_location_matches_reference(name):
+def test_point_location_matches_reference(name, monkeypatch):
     X = spaces.load_space(name)
     tops = X.top_simplices()
     cells = [X.points_of(t) for t in tops]
@@ -69,15 +69,24 @@ def test_point_location_matches_reference(name):
         points.append(_off_hull(verts, Fraction(1, 10 ** 6)))
         # on the line through an edge, beyond its end
         points.append(tuple(2 * b - a for a, b in zip(verts[0], verts[1])))
-    points.append(tuple(Fraction(5) for _ in range(X.ambient_dim)))
+    outside = tuple(Fraction(5) for _ in range(X.ambient_dim))
+    points.append(outside)
     homes = []
     for p in points:
         ref = tuple(j for j, verts in enumerate(cells)
                     if point_in_simplex(p, verts))
-        assert X.tops_holding(p) == ref
         first = X.simplices.index(tops[ref[0]]) if ref else None
-        assert X.find_containing_simplex([p]) == first
+        # the second ask reads the memo, as does the plain-Fraction twin
+        twin = tuple(Fraction(x.numerator, x.denominator) for x in p)
+        for q in (p, p, twin):
+            assert X.tops_holding(q) == ref
+            assert X.find_containing_simplex([q]) == first
         homes.append(set(ref))
+    assert len(X._held) == len(set(points))
+    assert X.tops_holding(outside) == ()
+    assert X.find_containing_simplex([outside]) is None
+    # every top holds the empty point set; the first one answers
+    assert X.find_containing_simplex([]) == X.simplices.index(tops[0])
     # every kind of point occurs: inside one top, on shared faces, outside
     sizes = {min(len(h), 2) for h in homes}
     assert sizes == {0, 1, 2}
@@ -85,6 +94,13 @@ def test_point_location_matches_reference(name):
         both = sorted(homes[i] & homes[i + 1])
         first = X.simplices.index(tops[both[0]]) if both else None
         assert X.find_containing_simplex(points[i:i + 2]) == first
+    # a memo that starts over at two points answers the same, and never
+    # holds more
+    monkeypatch.setattr(complexes, "LOCATE_LIMIT", 2)
+    Y = spaces.load_space(name)
+    for p, home in zip(points, homes):
+        assert Y.tops_holding(p) == tuple(sorted(home))
+        assert len(Y._held) <= 2
 
 
 def test_subdivision_is_built_once(monkeypatch):
@@ -260,10 +276,14 @@ def test_covers_verify(s1, arcs2, arcs3, torus, torus_balls):
 
 
 def test_cover_converts_each_point_to_integers_once(torus, monkeypatch):
-    """members() and first_ball_containing() take one integer form per
-    point and test every ball against it; contains() answers the same."""
+    """members(), first_ball_containing(), contains() and simplex_inside()
+    read one per-point memo, so each distinct point is converted to
+    integers once; the answers match the ball-by-ball tests."""
     cover = spaces.load_cover(torus, "torus_balls")
     samples = torus.sample_vertices(2)
+    pieces = [tup for _, tup in torus.subdivided_tops(1)]
+    # the depth-1 vertices are depth-2 vertices
+    assert {p for tup in pieces for p in tup} <= set(samples)
     real = complexes.integer_form
     calls = []
 
@@ -273,19 +293,33 @@ def test_cover_converts_each_point_to_integers_once(torus, monkeypatch):
 
     monkeypatch.setattr(complexes, "integer_form", counted)
     table = cover.members(2)
-    assert len(calls) == len(samples) == 324  # not 18 balls * 324
-    pieces = [tup for _, tup in torus.subdivided_tops(1)]
-    calls.clear()
     homes = [cover.first_ball_containing(tup, range(len(cover)))
              for tup in pieces]
-    assert len(calls) == 3 * len(pieces)
+    held = {p: {i for i in range(len(cover)) if cover.contains(i, p)}
+            for p in samples}
+    inside = [[j for j in range(len(cover)) if cover.simplex_inside(j, tup)]
+              for tup in pieces]
+    assert len(calls) == len(set(calls)) == len(samples) == 324
     monkeypatch.setattr(complexes, "integer_form", real)
     for p in samples:
-        assert table[p] == {i for i in range(len(cover))
-                            if cover.contains(i, p)}
-    for tup, i in zip(pieces, homes):
-        inside = [j for j in range(len(cover)) if cover.simplex_inside(j, tup)]
-        assert i == (inside[0] if inside else None)
+        assert table[p] == held[p] == {
+            i for i, (c, r) in enumerate(zip(cover.centers, cover.radii))
+            if dist2(p, c) < r * r}
+    for tup, i, ins in zip(pieces, homes, inside):
+        assert i == (ins[0] if ins else None)
+
+
+def test_first_ball_follows_the_given_order(arcs3):
+    # solve_phi lists its admissible balls; the first of them that holds
+    # the simplex wins, whatever the cover's own order
+    p, inside = next((p, held) for p, held in arcs3.members(2).items()
+                     if len(held) > 1)
+    a, b = sorted(inside)[:2]
+    assert arcs3.first_ball_containing((p,), [a, b]) == a
+    assert arcs3.first_ball_containing((p,), [b, a]) == b
+    others = [i for i in range(len(arcs3)) if i not in inside]
+    assert arcs3.first_ball_containing((p,), others) is None
+    assert arcs3.first_ball_containing((p,), others + [b]) == b
 
 
 def test_non_covering_family_reports_witness(s1):
