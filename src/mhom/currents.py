@@ -10,13 +10,15 @@ reduce() computes a canonical representative: pieces are merged per affine
 k-flat through a common refinement, each region's multiplicity is summed
 over the pieces that cover it, and each flat is retriangulated
 deterministically.  A flat's chart reads points at the pivot columns of its
-echelon basis, so entering it solves nothing.  On a line (k = 1) the
-refinement is one sorted sweep over the pieces' endpoint coordinates at
-the single pivot column.  In higher degree it is the arrangement of the
-pieces' facet hyperplanes: a cut keeps every fragment non-degenerate,
-oriented like its piece and on one side, so the sides chosen while cutting
-name its region and nothing is re-checked.  Two representations describe
-the same current exactly when their difference reduces to nothing.
+echelon basis, so entering it solves nothing; each simplex's flat is
+charted once, into a memo that starts over at FLATS_LIMIT simplices.  On a
+line (k = 1) the refinement is one sweep over the sorted endpoint
+coordinates at the single pivot column, whatever the pieces' order.  In
+higher degree it is the arrangement of the pieces' facet hyperplanes: a
+cut keeps every fragment non-degenerate, oriented like its piece and on
+one side, so the sides chosen while cutting name its region and nothing is
+re-checked.  Two representations describe the same current exactly when
+their difference reduces to nothing.
 """
 
 from fractions import Fraction
@@ -32,6 +34,10 @@ from .weighted import WeightedSimplices
 # bounds the fragments of one flat's hyperplane arrangement, which only
 # degree >= 2 builds; the degree-one sweep makes no fragments
 MAX_FRAGMENTS = 50000
+
+# simplex -> ((anchor, R), pivots), kept by _flat_chart
+_FLATS = {}
+FLATS_LIMIT = 1 << 14
 
 
 class PolyhedralCurrent(WeightedSimplices):
@@ -155,45 +161,54 @@ class PolyhedralCurrent(WeightedSimplices):
         if k == 0:
             return self.like(0, merged)
 
+        # only the arrangement (k >= 2) reads the members' order
         groups = {}
-        for tup, w in sorted(merged.items()):
-            fkey, chart = _flat_chart(tup)
-            if len(fkey[1]) == k:  # else the piece is degenerate
-                groups.setdefault(fkey, (chart, []))[1].append((tup, w))
+        for tup, w in merged.items() if k == 1 else sorted(merged.items()):
+            fkey, pivots = _flat_chart(tup)
+            if len(pivots) == k:  # else the piece is degenerate
+                groups.setdefault(fkey, (pivots, []))[1].append((tup, w))
 
         on_flat = _reduce_on_line if k == 1 else _reduce_in_chart
         out = {}
         for fkey in sorted(groups):
-            chart, members = groups[fkey]
-            for tup, w in on_flat(chart, members):
+            pivots, members = groups[fkey]
+            for tup, w in on_flat(fkey, pivots, members):
                 out[tup] = out.get(tup, 0) + w
         return self.like(k, out)
 
 
 def _flat_chart(tup):
-    """Canonical key, pivot columns and map back for a simplex's flat.
+    """Canonical key (anchor, R) and pivot columns of a simplex's flat.
 
     R is the reduced echelon basis of the flat's directions, with R_i equal
     to 1 at its pivot column P_i and 0 at every other pivot column.  A flat
     point's chart coordinates are therefore its coordinates at the pivot
     columns, and the anchor is the flat point whose pivot coordinates are 0.
-    Key, anchor and the points from_chart returns hold interned coordinates.
+    Key and anchor hold interned coordinates.  Each answer is kept in
+    _FLATS, which starts over when it holds FLATS_LIMIT simplices.
     """
+    hit = _FLATS.get(tup)
+    if hit is not None:
+        return hit
     R = tuple(tuple(coord(x) for x in r) for r in rref(edge_matrix(tup)))
-    pivots = [next(j for j, x in enumerate(r) if x) for r in R]
+    pivots = tuple(next(j for j, x in enumerate(r) if x) for r in R)
     anchor = tup[0]
     for j, r in zip(pivots, R):
         c = anchor[j]
         anchor = tuple(u - c * v for u, v in zip(anchor, r))
     anchor = tuple(coord(u) for u in anchor)
+    if len(_FLATS) >= FLATS_LIMIT:
+        _FLATS.clear()
+    _FLATS[tup] = hit = ((anchor, R), pivots)
+    return hit
 
-    def from_chart(x):
-        p = anchor
-        for c, r in zip(x, R):
-            p = tuple(u + c * v for u, v in zip(p, r))
-        return tuple(coord(u) for u in p)
 
-    return (anchor, R), (pivots, from_chart)
+def _from_chart(fkey, x):
+    """The point of the flat keyed fkey at chart coordinates x, interned."""
+    p, R = fkey
+    for c, r in zip(x, R):
+        p = tuple(u + c * v for u, v in zip(p, r))
+    return tuple(coord(u) for u in p)
 
 
 def _facet_hyperplanes(chart_tup):
@@ -217,17 +232,18 @@ def _facet_hyperplanes(chart_tup):
     return out
 
 
-def _reduce_on_line(chart, members):
+def _reduce_on_line(fkey, pivots, members):
     """Canonical weighted segments of one line's non-degenerate pieces.
 
     Each piece adds its signed weight between its endpoints' coordinates
     at the line's pivot column.  The multiplicity is constant between
     consecutive distinct endpoints, so one sweep over the sorted endpoints
     yields every interval with a nonzero multiplicity, left to right: the
-    regions, order and terms of _reduce_in_chart.  Every breakpoint is a
-    piece's endpoint, so no point is mapped back from the chart.
+    regions, order and terms of _reduce_in_chart, whatever the members'
+    order.  Every breakpoint is a piece's endpoint, so no point is mapped
+    back from the chart.
     """
-    (j,), _ = chart
+    (j,) = pivots
     at = {}
     step = {}
     for (p, q), w in members:
@@ -248,7 +264,7 @@ def _reduce_on_line(chart, members):
     return out
 
 
-def _reduce_in_chart(chart, members):
+def _reduce_in_chart(fkey, pivots, members):
     """Canonical weighted triangulation of one flat's non-degenerate pieces.
 
     reduce calls it in degree 2 and up; on a line it gives the terms of
@@ -259,7 +275,6 @@ def _reduce_in_chart(chart, members):
     tuple of sides it was cut to and no fragment is tested again.  Only
     the hyperplanes that cross a piece's interior cut its fragments.
     """
-    pivots, from_chart = chart
     cpieces = []
     for tup, w in members:
         ctup = tuple(tuple(p[j] for j in pivots) for p in tup)
@@ -311,7 +326,7 @@ def _reduce_in_chart(chart, members):
         first = min(pieces)
         for f in pieces[first]:
             fpos = f if cpieces[first][2] > 0 else (f[1], f[0]) + f[2:]
-            amb = tuple(from_chart(p) for p in fpos)
+            amb = tuple(_from_chart(fkey, p) for p in fpos)
             key, sign = canonical_orientation(amb)
             out.append((key, sign * mult))
     return out

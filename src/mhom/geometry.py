@@ -162,6 +162,9 @@ def staircase_prism(bottom, top):
 
 def canonical_orientation(tup: Simplex):
     """(sorted tuple, parity sign) under stable lexicographic vertex sort."""
+    if len(tup) == 2:  # a segment: the stable sort swaps only q < p
+        p, q = tup
+        return ((q, p), -1) if q < p else (tup, 1)
     order = sorted(range(len(tup)), key=lambda i: (tup[i], i))
     # count inversions of the permutation for parity
     inv = 0

@@ -140,18 +140,22 @@ class WeightedSimplices:
             raise InputError("operands differ in ambient dimension or degree")
         return self, other
 
-    def __add__(self, other):
+    def _combine(self, other, n):
+        """self + n * other in one pass over the aligned operands."""
         a, b = self.align(other)
         terms = dict(a.terms)
         for tup, w in b.terms.items():
-            terms[tup] = terms.get(tup, 0) + w
+            terms[tup] = terms.get(tup, 0) + n * w
         return a.like(a.degree, terms)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     def __neg__(self):
         return self.scale(-1)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._combine(other, -1)
 
     def scale(self, n):
         n = int(n)

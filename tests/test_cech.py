@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from mhom import cech, complexes, geometry, spaces
+from mhom import cech, complexes, currents, geometry, spaces
 from mhom.bracket import bracket, bracket_inverse_points
 from mhom.cech import (Nerve, augment, augment_nerve, cech_boundary,
                        cone_fill_chain, conforming, fill_zero_chain,
@@ -428,6 +428,40 @@ def test_zigzag_locates_each_point_once(monkeypatch):
     assert work["scaled"] <= n * tops
     # besides one per located point, one per locator built
     assert work["integer_form"] <= tops + balls + n
+
+
+def test_zigzag_charts_each_segment_once(monkeypatch):
+    """A seeded circle fill and cancel runs one echelon form per distinct
+    simplex that reduce charts: flat keys are kept per simplex, so the
+    zero tests re-read them.  Wall-clock is not gated."""
+    s1 = spaces.load_space("s1")
+    cover = spaces.load_cover(s1, "s1_arcs3")
+    charted = set()
+    echelons = []
+    real_chart, real_rref = currents._flat_chart, currents.rref
+
+    def chart(tup):
+        charted.add(tup)
+        return real_chart(tup)
+
+    def rref(*args):
+        echelons.append(args)
+        return real_rref(*args)
+
+    monkeypatch.setattr(currents, "_FLATS", {}, raising=False)
+    monkeypatch.setattr(currents, "_flat_chart", chart)
+    monkeypatch.setattr(currents, "rref", rref)
+    rng = random.Random(44)
+    nerve = Nerve(cover, max_arity=3)
+    for _ in range(3):
+        items = spaces.random_circle_cycle(s1, rng)
+        T = PolyhedralCurrent.from_tuples(3, items, 1)
+        res = zigzag_fill(T, cover, nerve=nerve)
+        z = res.chain - LipschitzChain.from_simplices(s1, items)
+        w = zigzag_cancel(z, res.filling, cover, nerve=nerve)
+        assert w.boundary() == z
+    assert charted
+    assert len(echelons) <= len(charted)
 
 
 def test_cancel_without_triples_names_the_triple_step(torus, torus_balls):

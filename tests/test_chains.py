@@ -59,6 +59,20 @@ def test_algebra_keeps_the_dicts_it_builds(torus, torus_balls, validations):
                                 validations)
 
 
+def test_difference_is_sum_with_the_negative(torus):
+    """a - b is built in one pass, with the terms of a + (-b) in their
+    order, also when align must first subdivide one side."""
+    rng = random.Random(16)
+    for _ in range(8):
+        a, b = random_chain(torus, 1, rng), random_chain(torus, 1, rng)
+        for x, y in ((a, b), (a.subdivide(), b), (a, b.subdivide(2)),
+                     (a, a), (a + b, a)):
+            diff = x - y
+            assert list(diff.terms.items()) == \
+                list((x + (-y)).terms.items())
+            assert diff.level == max(x.level, y.level)
+
+
 def test_boundary_squares_to_zero_seeded(torus, s2):
     rng = random.Random(11)
     for _ in range(25):

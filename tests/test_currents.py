@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from mhom import rational
+from mhom import currents, rational
 from mhom.complexes import PLMap
 from mhom.currents import (PolyhedralCurrent, _flat_chart, _reduce_in_chart,
                            _reduce_on_line)
@@ -138,11 +138,61 @@ def test_line_sweep_matches_arrangement_in_order():
         items = line_pieces(rng, rng.randrange(1, 4), rng.randrange(10, 31))
         groups = {}
         for w, tup in items:
-            fkey, chart = _flat_chart(tup)
-            groups.setdefault(fkey, (chart, []))[1].append((tup, w))
-        for chart, members in groups.values():
-            assert _reduce_on_line(chart, members) == \
-                _reduce_in_chart(chart, members)
+            fkey, pivots = _flat_chart(tup)
+            groups.setdefault(fkey, (pivots, []))[1].append((tup, w))
+        for fkey, (pivots, members) in groups.items():
+            assert _reduce_on_line(fkey, pivots, members) == \
+                _reduce_in_chart(fkey, pivots, members)
+
+
+def test_line_sweep_ignores_member_order():
+    """reduce does not sort a degree-one current's pieces: currents built
+    from shuffled copies of the same items reduce to the same terms, in the
+    same order."""
+    rng = random.Random(52)
+    for _ in range(20):
+        items = line_pieces(rng, rng.randrange(1, 4), rng.randrange(5, 25))
+        want = list(PolyhedralCurrent.from_tuples(3, items).reduce()
+                    .terms.items())
+        assert want
+        for _ in range(3):
+            rng.shuffle(items)
+            got = PolyhedralCurrent.from_tuples(3, items).reduce()
+            assert list(got.terms.items()) == want
+
+
+def test_flat_memo_stays_within_its_limit(monkeypatch):
+    """With the flat memo's limit at 2, reduce gives the same terms in the
+    same order, and the memo never holds more than 2 simplices."""
+    rng = random.Random(53)
+    cases = [flat_current(rng, k) for k in (1, 1, 2, 2, 3)]
+    cases.append(PolyhedralCurrent.from_tuples(3, line_pieces(rng, 2, 20)))
+    want = [list(T.reduce().terms.items()) for T in cases]
+    monkeypatch.setattr(currents, "_FLATS", {})
+    monkeypatch.setattr(currents, "FLATS_LIMIT", 2)
+    sizes = []
+    real = currents._flat_chart
+
+    def watched(tup):
+        out = real(tup)
+        sizes.append(len(currents._FLATS))
+        return out
+
+    monkeypatch.setattr(currents, "_flat_chart", watched)
+    assert [list(T.reduce().terms.items()) for T in cases] == want
+    assert len(sizes) > 2 and max(sizes) <= 2
+
+
+def test_current_difference_is_sum_with_the_negative():
+    """a - b is built in one pass, with the terms of a + (-b) in their
+    order."""
+    rng = random.Random(66)
+    for _ in range(30):
+        k = rng.choice((0, 1, 2))
+        a, b = random_current(rng, k), random_current(rng, k)
+        for x, y in ((a, b), (b, a), (a, a), (a + b, a)):
+            assert list((x - y).terms.items()) == \
+                list((x + (-y)).terms.items())
 
 
 def test_long_line_reduces_within_the_fragment_budget():

@@ -3,10 +3,11 @@ from fractions import Fraction
 from math import lcm
 
 from mhom import spaces
-from mhom.geometry import (cut_simplex_by_values, det_fraction, edge_matrix,
-                           gram_matrix, is_degenerate, point_simplex_dist2,
+from mhom.geometry import (canonical_orientation, cut_simplex_by_values,
+                           det_fraction, edge_matrix, gram_matrix,
+                           is_degenerate, point_simplex_dist2,
                            solve_fraction_system)
-from mhom.rational import dot
+from mhom.rational import coord, dot
 
 from oracles import point_simplex_dist2 as ref_dist2
 from oracles import solve_fraction_system as ref_solve
@@ -111,3 +112,24 @@ def test_point_simplex_dist2_matches_reference():
         assert point_simplex_dist2(p, verts) == ref_dist2(p, verts)
         degenerate += is_degenerate(verts)
     assert degenerate > 50
+
+
+def test_segment_orientation_matches_the_stable_sort():
+    """A two-point tuple is oriented as the stable sort of the general rule
+    orients it: the same points, the same objects and the same sign, also
+    for equal points and for plain-Fraction twins of interned ones."""
+    rng = random.Random(55)
+    pool = [coord(F(n, d)) for n in range(-3, 4) for d in (1, 2)]
+    for _ in range(400):
+        dim = rng.randrange(1, 4)
+        p = tuple(rng.choice(pool) for _ in range(dim))
+        q = p if rng.randrange(4) == 0 else \
+            tuple(rng.choice(pool) for _ in range(dim))
+        if rng.randrange(3) == 0:  # equal values, other objects
+            q = tuple(F(x) for x in q)
+        for tup in ((p, q), (q, p)):
+            order = sorted(range(2), key=lambda i: (tup[i], i))
+            key, sign = canonical_orientation(tup)
+            assert type(key) is tuple
+            assert all(a is tup[i] for a, i in zip(key, order))
+            assert sign == (1 if order == [0, 1] else -1)
