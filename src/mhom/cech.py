@@ -49,7 +49,6 @@ class Nerve:
 
     def __init__(self, cover, max_arity=3):
         self.cover = cover
-        self.max_arity = max_arity
         self.witnesses = {}
         for p, inside in cover.members(SAMPLE_DEPTH).items():
             inside = sorted(inside)
@@ -233,22 +232,20 @@ def fill_zero_chain(complex_, chain, region, start_depth=SAMPLE_DEPTH,
     intersection of the listed open balls of the cover; such a region is
     closed under segments inside single carrier simplices.  Sample vertices
     enter by the cover's membership table at each depth (cover.members),
-    and any other chain point is tested with cover.contains.  Builds a path
-    graph on sampled region vertices, routes each weighted point to its
-    component root along a spanning tree, and retries one depth deeper, up
-    to MAX_FILL_DEPTH, while some component carries nonzero total weight.
+    and chain points by the memo it is built from (cover.balls_holding).
+    Builds a path graph on sampled region vertices, routes each weighted
+    point to its component root along a spanning tree, and retries one
+    depth deeper, up to MAX_FILL_DEPTH, while some component carries
+    nonzero total weight.
     """
     if chain.degree != 0:
         raise InputError("only zero-chains are filled by paths")
     cover, balls = region if region is not None else (None, ())
     balls = frozenset(balls)
-    held = cover.members(start_depth) if cover is not None else {}
     weights = {}
     for tup, c in chain.terms.items():
         p = tup[0]
-        inside = held.get(p)
-        if not (balls <= inside if inside is not None
-                else all(cover.contains(i, p) for i in balls)):
+        if cover is not None and not balls <= cover.balls_holding(p):
             raise GeometryError(f"chain point {p} escapes the region {context}")
         weights[p] = weights.get(p, 0) + c
     weights = {p: c for p, c in weights.items() if c}

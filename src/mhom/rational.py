@@ -10,8 +10,9 @@ in value, order, hash and text, and its arithmetic returns plain
 Fractions.
 
 Square roots never enter comparisons directly: either both sides are
-squared first, or values are kept as exact sums of c*sqrt(n) with n
-squarefree (RadicalSum) where a genuine length is unavoidable.
+squared first, or values are kept as exact sums of c*sqrt(n), one key n
+per square class and n squarefree when trial division proves it
+(RadicalSum), where a genuine length is unavoidable.
 """
 
 from __future__ import annotations
@@ -150,30 +151,56 @@ def sqrt_upper(q: Fraction, prec: int = 40) -> Fraction:
     return lo + Fraction(1, 1 << prec)
 
 
-def _square_split(n: int) -> tuple[int, int]:
-    """n = s*s*m with m squarefree; returns (s, m).  n >= 1."""
-    from sympy import factorint  # slow to import, and only needed here
+def _primes_below(n: int) -> list[int]:
+    sieve = bytearray([1]) * n
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n, p)))
+    return [p for p in range(2, n) if sieve[p]]
 
-    s, m = 1, 1
-    for p, e in factorint(n).items():
-        s *= p ** (e // 2)
-        if e % 2:
+
+SMALL_PRIMES = _primes_below(1000)
+# a cofactor free of SMALL_PRIMES and below this has at most two prime
+# factors (1009**3 > 10**9), so one isqrt test proves it squarefree
+SQUAREFREE_BELOW = 10 ** 9
+
+
+def _square_split(n: int) -> tuple[int, int]:
+    """n = s*s*m; returns (s, m).  n >= 1.
+
+    Trial division by SMALL_PRIMES, until p*p exceeds what is left, then
+    one isqrt test of that cofactor.  m is squarefree whenever the
+    cofactor, or m itself, is below SQUAREFREE_BELOW; a larger cofactor
+    may keep the square of a prime above 1000.
+    """
+    s = m = 1
+    for p in SMALL_PRIMES:
+        if p * p > n:
+            break
+        while n % (p * p) == 0:
+            n //= p * p
+            s *= p
+        if n % p == 0:
+            n //= p
             m *= p
-    return s, m
+    r = math.isqrt(n)
+    return (s * r, m) if r * r == n else (s, m * n)
 
 
 class RadicalSum:
-    """Exact number of the form sum_i c_i * sqrt(n_i), c_i in Q, n_i squarefree.
+    """Exact number of the form sum_i c_i * sqrt(n_i), c_i in Q.
 
-    Distinct squarefree radicands are linearly independent over Q, so the
-    representation is canonical and equality testing is exact.  Sign of a
-    nonzero value is decided by interval refinement, which terminates.
+    A key n_i is squarefree when trial division proves it, as it does below
+    SQUAREFREE_BELOW, and otherwise no two keys share a square class.  Roots
+    of distinct classes are linearly independent over Q (Besicovitch 1940),
+    so equality testing is exact, and the sign of a nonzero value is
+    decided by interval refinement, which terminates.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        # terms: dict squarefree int -> Fraction, no zero coefficients
+        # terms: dict key -> nonzero Fraction, one key per square class
         self.terms = dict(terms) if terms else {}
 
     @staticmethod
@@ -199,9 +226,18 @@ class RadicalSum:
             other = RadicalSum.from_rational(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            c2 = out.get(m, Fraction(0)) + c
-            if c2:
-                out[m] = c2
+            # k*m a square puts m in k's class: sqrt(m) = isqrt(km)/k sqrt(k);
+            # keys below SQUAREFREE_BELOW are squarefree and need no test
+            if m not in out:
+                for k in (1, *out):
+                    if max(k, m) >= SQUAREFREE_BELOW:
+                        r = math.isqrt(k * m)
+                        if r * r == k * m:
+                            c, m = c * Fraction(r, k), k
+                            break
+            c = out.get(m, 0) + c
+            if c:
+                out[m] = c
             else:
                 out.pop(m, None)
         return RadicalSum(out)
@@ -225,19 +261,17 @@ class RadicalSum:
     def __mul__(self, other):
         if not isinstance(other, RadicalSum):
             return self.scale(other)
-        out = {}
+        total = RadicalSum()
         for m, c in self.terms.items():
             for n, d in other.terms.items():
-                # m, n squarefree: mn = g^2 * (m/g)(n/g) with the cofactors
-                # coprime and squarefree
+                # mn = g^2 * (m/g)(n/g), the cofactors coprime, so squarefree
+                # when m and n are; split a product of larger keys again
                 g = math.gcd(m, n)
-                key = (m // g) * (n // g)
-                c2 = out.get(key, Fraction(0)) + c * d * g
-                if c2:
-                    out[key] = c2
-                else:
-                    out.pop(key, None)
-        return RadicalSum(out)
+                s, key = 1, (m // g) * (n // g)
+                if max(m, n) >= SQUAREFREE_BELOW:
+                    s, key = _square_split(key)
+                total = total + RadicalSum({key: c * d * g * s})
+        return total
 
     __rmul__ = __mul__
 
@@ -262,7 +296,7 @@ class RadicalSum:
         return lo, hi
 
     def sign(self) -> int:
-        """Exact sign: zero only in the canonical all-coefficients-zero case."""
+        """Exact sign: zero exactly when there are no terms."""
         if not self.terms:
             return 0
         if self.is_rational():

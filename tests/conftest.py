@@ -4,6 +4,8 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+# the package needs no sympy: any import of it in a test fails
+sys.modules["sympy"] = None
 
 from mhom import spaces
 from mhom.weighted import WeightedSimplices

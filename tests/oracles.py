@@ -16,6 +16,21 @@ from mhom.geometry import cut_simplex_by_values, gram_det, integrate_affine
 from mhom.rational import RadicalSum, dist2, dot, frac, vsub
 
 
+def square_split(n):
+    """(s, m) with n = s*s*m and m squarefree, n >= 1, by trial division of
+    n by every d up to its square root."""
+    s, m, d = 1, 1, 2
+    while d * d <= n:
+        while n % (d * d) == 0:
+            n //= d * d
+            s *= d
+        if n % d == 0:
+            n //= d
+            m *= d
+        d += 1
+    return s, m * n
+
+
 def minor_gcds(rows):
     """d_k = gcd of all k x k minors, for k = 1..rank bound."""
     n = len(rows)

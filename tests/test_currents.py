@@ -313,6 +313,23 @@ def test_mass_evaluates_once_per_vertex(monkeypatch):
     assert calls == []
 
 
+def test_mass_of_a_form_that_reduces_again():
+    """The first degree-2 pushforward that test_acceptance_mass_estimates
+    draws has 3 pieces and a 58-piece reduced form, whose own canonical
+    form has 1,508 pieces (reduce is not idempotent in degree 2).  mass
+    splits each piece's Gram determinant by trial division, where
+    factoring all 1,508 of them took over a minute."""
+    rng = random.Random(103)
+    for k in (1, 2):
+        T = random_current(rng, k)
+        phi = PLMap.affine([[rng.randrange(-3, 4) for _ in range(2)]
+                            for _ in range(2)])
+    img = T.pushforward(phi)
+    once = img.reduce()
+    assert (len(img.terms), len(once.terms)) == (3, 58)
+    assert once.mass() == img.mass() == RadicalSum.from_rational(190)
+
+
 def test_reduce_solves_no_linear_system(monkeypatch):
     """reduce reads chart coordinates off the pivot columns of each flat's
     echelon basis, so no degree calls solve_fraction_system."""

@@ -1,6 +1,7 @@
 """Package-level properties: bundled data, import cost and public names."""
 
 import ast
+import hashlib
 import json
 import os
 import subprocess
@@ -9,6 +10,8 @@ from pathlib import Path
 
 import mhom
 from mhom import spaces
+
+from test_golden import REPORTS
 
 DATA = Path(__file__).parent / "data"
 
@@ -45,6 +48,15 @@ def test_import_skips_heavy_modules():
                          text=True, env=dict(os.environ))
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+    # exact masses need no sympy: a current homology report runs with it
+    # blocked and prints its pinned digest
+    command = "homology --space torus --theory current"
+    code = ("import sys; sys.modules['sympy'] = None; from mhom import cli; "
+            f"sys.exit(cli.main({command.split()!r}))")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         env=dict(os.environ))
+    assert res.returncode == 0, res.stderr.decode()
+    assert hashlib.sha256(res.stdout).hexdigest() == REPORTS[command]
 
 
 def test_public_names_resolve_once_in_order():

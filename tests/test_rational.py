@@ -9,14 +9,22 @@ from mhom.chains import LipschitzChain
 from mhom.complexes import MetricComplex
 from mhom.currents import PolyhedralCurrent
 from mhom.geometry import barycentric_subdivide, cut_simplex_by_values
-from mhom.rational import Q, centroid, coord, lerp
+from mhom.rational import Q, RadicalSum, centroid, coord, lerp
 from mhom.weighted import _point
+
+from oracles import square_split
 
 F = Fraction
 
 # plain Fraction.__hash__ calls of the fill and cancel below when every
 # point coordinate was a plain Fraction
 FRACTION_KEYED_HASHES = 15712
+
+
+# primes above the trial-division table: P*P*R has no small factor and is
+# no square, so its key keeps P*P and only the square class merge ties
+# sqrt(P*P*R) to sqrt(R)
+P, R = 1_000_003, 1_000_033
 
 
 def seeded_values(rng, count=200):
@@ -121,3 +129,41 @@ def test_circle_zigzag_hashes_few_plain_fractions(s1, arcs3):
     finally:
         Fraction.__hash__ = real
     assert len(calls) * 10 <= FRACTION_KEYED_HASHES
+
+
+def test_square_split_matches_trial_division():
+    for n in range(1, 20000):
+        assert rational._square_split(n) == square_split(n)
+    assert rational._square_split(P * P * R) == (1, P * P * R)
+
+
+def test_radicals_of_one_square_class_cancel():
+    diff = RadicalSum.sqrt_of(P * P * R) - RadicalSum.sqrt_of(R).scale(P)
+    assert diff.is_zero() and diff == 0
+
+
+def test_radicals_of_one_square_class_add_to_one_term():
+    total = RadicalSum.sqrt_of(P * P * R) + RadicalSum.sqrt_of(R).scale(P)
+    assert len(total.terms) == 1
+    assert total == RadicalSum.sqrt_of(4 * R).scale(P)
+
+
+def test_sign_of_radicals_of_one_square_class_terminates():
+    big, small = RadicalSum.sqrt_of(P * P * R), RadicalSum.sqrt_of(R)
+    assert (big + small.scale(P) + 1).sign() == 1
+    assert (big - small.scale(P)).sign() == 0
+    assert (-big - small.scale(P) + 1).sign() == -1
+
+
+def test_products_keep_one_key_per_square_class():
+    big, small = RadicalSum.sqrt_of(P * P * R), RadicalSum.sqrt_of(R)
+    assert big * small == P * R and (big * small).terms == {1: P * R}
+    # sqrt(1009**2 * 1013) keeps its square; the product's key 1009**2 is
+    # below the squarefree bound, so the product splits it again
+    odd = RadicalSum.sqrt_of(1009 ** 2 * 1013) * RadicalSum.sqrt_of(1013)
+    assert odd.terms == {1: 1009 * 1013}
+    # sqrt(P*P*R)*sqrt(2) and sqrt(2)*sqrt(R) land in one class
+    two = RadicalSum.sqrt_of(2)
+    prod = (big + two) * (small + two)
+    assert len(prod.terms) == 2
+    assert prod == RadicalSum.sqrt_of(2 * R).scale(P + 1) + (P * R + 2)
