@@ -1,12 +1,19 @@
 """Chain complexes of finitely generated free Z-modules and their homology.
 
 Homology groups are presented as betti number plus elementary divisors,
-with explicit cycle vectors generating the free and torsion parts.
+with explicit cycle vectors generating the free and torsion parts.  H_k
+is computed from the window C_{k+1} -> C_k -> C_{k-1} alone: a
+coreduction pairs off most of its cells, the Smith normal form runs only
+on the Morse complex of the critical cells left over, and the gradient
+flow and its inverse carry cycles between the window and that complex.
 Relative (quotient) complexes and the snake-lemma connecting map are
 computed index-wise from a distinguished subcomplex basis.
 """
 
 from __future__ import annotations
+
+from collections import deque
+from heapq import heapify, heappop, heappush
 
 from .intlinalg import (IntMatrix, kernel_basis, smith_normal_form,
                         solve_integer)
@@ -104,7 +111,219 @@ class HomologyData:
 
 
 def homology_data(C: ChainComplexZ, k: int) -> HomologyData:
-    """H_k with generators, from one SNF of each of two matrices.
+    """H_k with generators, from the critical cells of a coreduction.
+
+    H_k depends only on the window C_{k+1} -> C_k -> C_{k-1}, so that is
+    all _Coreduction reads.  It pairs off most of the window's cells and
+    leaves a Morse complex on the critical ones, whose k-cells are often
+    as few as the group's generators; _smith_homology solves that small
+    complex.  class_vector checks d_k x = 0 and carries x down to the
+    critical k-cells by the gradient flow; each generator is carried back
+    up by the inverse flow.  Nothing is kept between calls.
+    """
+    nk = C.dim(k)
+    dk = C.boundary(k)
+    red = _Coreduction(dk, C.boundary(k + 1))
+    small = _smith_homology(*red.morse_boundaries())
+
+    def express(cycle):
+        if len(cycle) != nk:
+            raise ValueError("cycle vector has wrong length")
+        if any(dk.apply(list(cycle))):
+            raise ValueError("vector is not a cycle")
+        return small.class_vector(red.project(cycle))
+
+    return HomologyData(small.group,
+                        [red.lift(g) for g in small.free_generators],
+                        [red.lift(g) for g in small.torsion_generators],
+                        small.torsion_orders, express)
+
+
+class _Coreduction:
+    """Acyclic matching of the window C_{k+1} -> C_k -> C_{k-1} by
+    coreduction (Mrozek-Batko, "Coreduction homology algorithm", 2009).
+
+    Cells are numbered from the bottom: the degree-(k-1) cells, which have
+    no boundary here, then the degree-k cells from `mid`, then the
+    degree-(k+1) cells from `top`.  A live cell b whose only live face is
+    a, with coefficient eps = +-1, is paired with a and both are removed;
+    when no such cell is left, the lowest live cell becomes critical and
+    is removed.  Every face of b other than a was removed before the pair,
+    so eliminating paired cells latest first, y -= (y_a / eps) * d(b), is
+    a gradient flow that ends on critical cells.
+
+    Degree-k chains flow through the pairs (k-cell, (k+1)-cell).  Those
+    are applied once each, in removal order, to tabulate the flow of every
+    k-cell onto the critical k-cells (`proj`).  Degree-(k-1) chains flow
+    through the pairs ((k-1)-cell, k-cell) by `_sweep`, latest pair first.
+    """
+
+    def __init__(self, dk: IntMatrix, dk1: IntMatrix):
+        mid = dk.nrows
+        top = mid + dk.ncols
+        n = top + dk1.ncols
+        faces = [[] for _ in range(n)]
+        cofaces = [[] for _ in range(n)]
+        for (i, j), v in sorted(dk.data.items()):
+            faces[mid + j].append((i, v))
+            cofaces[i].append(mid + j)
+        for (i, j), v in sorted(dk1.data.items()):
+            faces[top + j].append((mid + i, v))
+            cofaces[mid + i].append(top + j)
+        self.mid, self.top, self.faces = mid, top, faces
+        # pairs (a, b, eps) with a of degree k-1, in removal order, and the
+        # position of each such a in that list
+        self.pairs = []
+        self.order = {}
+        # critical cells of each degree, in the order they were chosen
+        self.critical = ([], [], [])
+        # each k-cell's image under the flow, {critical index: coefficient};
+        # cells flowing to zero are absent
+        self.proj = {}
+
+        live = list(map(len, faces))
+        alive = [True] * n
+        queue = deque(c for c, m in enumerate(live) if m == 1)
+
+        def remove(c):
+            alive[c] = False
+            for b in cofaces[c]:
+                if alive[b]:
+                    live[b] -= 1
+                    if live[b] == 1:
+                        queue.append(b)
+
+        lowest = 0
+        while True:
+            while queue:
+                b = queue.popleft()
+                if not alive[b] or live[b] != 1:
+                    continue
+                a, eps = next((f, v) for f, v in faces[b] if alive[f])
+                if eps == 1 or eps == -1:
+                    self._pair(a, b, eps)
+                    remove(b)
+                    remove(a)
+            while lowest < n and not alive[lowest]:
+                lowest += 1
+            if lowest == n:
+                break
+            self._make_critical(lowest)
+            remove(lowest)
+
+    def _pair(self, a, b, eps):
+        if a < self.mid:
+            self.order[a] = len(self.pairs)
+            self.pairs.append((a, b, eps))
+            return
+        # a is a k-cell: its flow is that of a - eps * d(b), whose other
+        # cells were all removed, and so tabulated, before a
+        flow = self._flow_sum((f, -eps * v) for f, v in self.faces[b]
+                              if f != a)
+        if flow:
+            self.proj[a] = flow
+
+    def _flow_sum(self, terms):
+        """The flow of the k-chain sum c * f over (f, c) in terms, read off
+        the table: {critical index: coefficient}, zeros left out."""
+        proj = self.proj
+        acc = {}
+        for f, c in terms:
+            if f in proj:
+                for i, x in proj[f].items():
+                    acc[i] = acc.get(i, 0) + c * x
+        return {i: x for i, x in acc.items() if x}
+
+    def _make_critical(self, c):
+        degree = (c >= self.mid) + (c >= self.top)
+        cells = self.critical[degree]
+        if degree == 1:
+            self.proj[c] = {len(cells): 1}
+        cells.append(c)
+
+    def _sweep(self, w):
+        """Flow the degree-(k-1) chain w ({cell: coefficient}) in place onto
+        critical cells, latest pair first; returns the steps (b, q) taken,
+        each w -= q * d(b)."""
+        pairs, order, faces = self.pairs, self.order, self.faces
+        heap = [-order[a] for a in w if a in order]
+        heapify(heap)
+        steps = []
+        while heap:
+            a, b, eps = pairs[-heappop(heap)]
+            q = w.get(a, 0) * eps
+            if not q:
+                continue
+            steps.append((b, q))
+            for f, v in faces[b]:
+                x = w.get(f, 0) - q * v
+                if not x:
+                    del w[f]
+                    continue
+                if f not in w and f in order:
+                    heappush(heap, -order[f])
+                w[f] = x
+        return steps
+
+    def _boundary(self, y):
+        """d_k of a k-chain {cell: coefficient}, as {cell: coefficient}."""
+        w = {}
+        for c, x in y.items():
+            for f, v in self.faces[c]:
+                w[f] = w.get(f, 0) + x * v
+        return {f: x for f, x in w.items() if x}
+
+    def morse_boundaries(self):
+        """(d_k, d_{k+1}) of the Morse complex, in critical k-cell order.
+
+        Critical (k-1)-cells that no critical k-cell's boundary flows onto
+        are left out as zero rows of d_k, and critical (k+1)-cells whose
+        boundary flows to zero as zero columns of d_{k+1}: neither changes
+        the cycles or the boundaries in degree k.
+        """
+        low, mid_cells, high = self.critical
+        row = {c: i for i, c in enumerate(low)}
+        columns = []
+        for c in mid_cells:
+            w = self._boundary({c: 1})
+            self._sweep(w)
+            columns.append({row[f]: v for f, v in w.items()})
+        used = sorted({i for col in columns for i in col})
+        pos = {i: p for p, i in enumerate(used)}
+        dk = IntMatrix(len(used), len(mid_cells),
+                       {(pos[i], j): v for j, col in enumerate(columns)
+                        for i, v in col.items()})
+        images = [flow for flow in map(self._flow_sum,
+                                       (self.faces[c] for c in high)) if flow]
+        dk1 = IntMatrix(len(mid_cells), len(images),
+                        {(i, j): x for j, col in enumerate(images)
+                         for i, x in col.items()})
+        return dk, dk1
+
+    def project(self, x):
+        """Coordinates on the critical k-cells of the flow of the k-chain x."""
+        flow = self._flow_sum((self.mid + j, v) for j, v in enumerate(x) if v)
+        return [flow.get(i, 0) for i in range(len(self.critical[1]))]
+
+    def lift(self, z):
+        """The k-chain, over the window's k-cells, that the inverse flow
+        makes of a Morse cycle z on the critical k-cells: y -= (<d(y), a> /
+        eps) * b, latest pair first.  Raises if its boundary is not zero."""
+        mid = self.mid
+        y = {c: x for c, x in zip(self.critical[1], z) if x}
+        w = self._boundary(y)
+        for b, q in self._sweep(w):
+            y[b] = y.get(b, 0) - q
+        if w:
+            raise ValueError("lifted generator is not a cycle")
+        out = [0] * (self.top - mid)
+        for c, x in y.items():
+            out[c - mid] = x
+        return out
+
+
+def _smith_homology(dk: IntMatrix, dk1: IntMatrix) -> HomologyData:
+    """H_k of C_{k+1} -dk1-> C_k -dk-> C_{k-1} from one SNF of each matrix.
 
     With U*d_k*V = D of rank r, the cycles are the chains whose
     coordinates V_inv*x vanish in rows 0..r-1, and columns r.. of V are a
@@ -112,8 +331,7 @@ def homology_data(C: ChainComplexZ, k: int) -> HomologyData:
     V_inv*d_{k+1}; with U'*Y*V' = D', the generators are columns of
     B*U'_inv and a cycle's class coordinates are U'*(rows r.. of V_inv*x).
     """
-    nk = C.dim(k)
-    dk = C.boundary(k)
+    nk = dk.ncols
     _, D, V, _, V_inv = smith_normal_form(dk)
     r = len(D.data)
     z = nk - r
@@ -121,7 +339,7 @@ def homology_data(C: ChainComplexZ, k: int) -> HomologyData:
                           if j >= r})
 
     # image of the next boundary, in cycle-basis coordinates
-    P = V_inv * C.boundary(k + 1)
+    P = V_inv * dk1
     if any(i < r for i, _ in P.data):
         raise ValueError("boundary image does not lie in the cycle lattice")
     Y = IntMatrix(z, P.ncols, {(i - r, j): v for (i, j), v in P.data.items()})

@@ -1,9 +1,11 @@
 """Sparse integer matrices and Smith normal form over Z.
 
 Plain Python ints carry arbitrary precision, so no overflow is possible.
-The normal form drives every homology computation downstream; it returns
-both transforms together with their inverses, so that one factorization
-answers every kernel, image and coordinate question about its matrix.
+Homology runs the normal form only on the small Morse complex that a
+coreduction leaves (chaincomplex.homology_data); the subgroup questions
+about induced maps run it on class matrices.  It returns both transforms
+together with their inverses, so that one factorization answers every
+kernel, image and coordinate question about its matrix.
 It works on sparse rows ({col: value} dicts) plus, for the matrix being
 reduced, an index of the rows holding a nonzero in each column, so an
 operation costs in proportion to the entries it touches.  The pivot rule

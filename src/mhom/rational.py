@@ -252,6 +252,9 @@ class RadicalSum:
             other = RadicalSum.from_rational(other)
         return self + (-other)
 
+    def __rsub__(self, other):
+        return -self + other
+
     def scale(self, q) -> "RadicalSum":
         q = frac(q)
         if not q:

@@ -41,14 +41,14 @@ def minor_gcds(rows):
         for ri in combinations(range(n), k):
             for ci in combinations(range(m), k):
                 sub = [[rows[i][j] for j in ci] for i in ri]
-                g = gcd(g, _det(sub))
+                g = gcd(g, det(sub))
         out.append(abs(g))
         if out[-1] == 0:
             break
     return out
 
 
-def _det(sq):
+def det(sq):
     n = len(sq)
     if n == 1:
         return sq[0][0]
@@ -56,7 +56,7 @@ def _det(sq):
     for j in range(n):
         if sq[0][j]:
             sub = [row[:j] + row[j + 1:] for row in sq[1:]]
-            term = sq[0][j] * _det(sub)
+            term = sq[0][j] * det(sub)
             total += term if j % 2 == 0 else -term
     return total
 
@@ -158,7 +158,7 @@ def point_simplex_dist2(p, verts):
     E = [vsub(v, verts[0]) for v in verts[1:]]
     G = [[dot(a, b) for b in E] for a in E]
     lam = solve_fraction_system(G, [dot(e, vsub(p, verts[0])) for e in E])
-    if lam is not None and _det(G) != 0 and min(lam) >= 0 and sum(lam) <= 1:
+    if lam is not None and det(G) != 0 and min(lam) >= 0 and sum(lam) <= 1:
         proj = verts[0]
         for c, e in zip(lam, E):
             proj = tuple(a + c * b for a, b in zip(proj, e))

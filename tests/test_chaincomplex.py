@@ -1,14 +1,16 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from mhom import chaincomplex, intlinalg, spaces
-from mhom.chaincomplex import (connecting_homomorphism, exact_at,
-                               hom_matrix_columns, homology_data)
+from mhom.chaincomplex import (ChainComplexZ, connecting_homomorphism,
+                               exact_at, hom_matrix_columns, homology_data)
 from mhom.complexes import MetricComplex
+from mhom.intlinalg import IntMatrix, kernel_basis
 
-from oracles import (betti_numbers, dense_smith_normal_form,
+from oracles import (betti_numbers, dense_smith_normal_form, det,
                      simplicial_boundary_rows)
 
 GOLDEN = {
@@ -199,6 +201,12 @@ def test_large_polygon_product_generators_and_classes():
     _check_generators_and_classes(C)
 
 
+def test_polygon_product_at_scale_generators_and_classes():
+    C = _polygon_product(40)
+    assert sum(C.dims) == 9600
+    _check_generators_and_classes(C)
+
+
 def test_polygon_product_snf_matches_dense_reference(monkeypatch):
     """Every factorization homology_data makes on the 726-simplex product,
     of boundaries and of boundary images in cycle coordinates, returns the
@@ -219,20 +227,174 @@ def test_polygon_product_snf_matches_dense_reference(monkeypatch):
         assert real(M) == dense_smith_normal_form(M), (M.nrows, M.ncols)
 
 
-def test_polygon_product_transform_row_work(monkeypatch):
-    """Entries read by the row operations on the four transforms, over
-    homology_data in every degree of the 726-simplex product.  Sparse rows
-    read 109,071 of them; dense rows of full length read 6,013,232."""
+def test_polygon_product_reduced_work(monkeypatch):
+    """On the 726-simplex product, every factorization homology_data makes
+    sees at most the critical k-cells of its window (1, 2 and 1), and the
+    flow steps, each y -= (y_a / eps) * d(b) for one pair (a, b), number at
+    most the window's cells."""
     C = _polygon_product(11)
-    read = []
-    real = intlinalg._add_row
+    windows = []
 
-    def counted(rows, i, k, c):
-        read.append(len(rows[k]))
-        real(rows, i, k, c)
+    class Counted(chaincomplex._Coreduction):
+        def __init__(self, dk, dk1):
+            self.steps = 0
+            super().__init__(dk, dk1)
+            windows.append(self)
 
-    monkeypatch.setattr(intlinalg, "_add_row", counted)
+        def _pair(self, a, b, eps):
+            self.steps += a >= self.mid
+            super()._pair(a, b, eps)
+
+        def _sweep(self, w):
+            taken = super()._sweep(w)
+            self.steps += len(taken)
+            return taken
+
+    shapes = []
+    real = intlinalg.smith_normal_form
+
+    def recorded(M):
+        shapes.append((M.nrows, M.ncols))
+        return real(M)
+
+    monkeypatch.setattr(chaincomplex, "_Coreduction", Counted)
+    monkeypatch.setattr(chaincomplex, "smith_normal_form", recorded)
     for k in range(len(C.dims)):
-        homology_data(C, k)
-    assert read
-    assert sum(read) <= 600_000
+        shapes.clear()
+        data = homology_data(C, k)
+        for g in data.generators():
+            data.class_vector(g)
+        red = windows[-1]
+        critical = len(red.critical[1])
+        assert critical == [1, 2, 1][k]
+        assert len(shapes) == 2
+        assert all(max(shape) <= critical for shape in shapes), shapes
+        assert 0 < red.steps <= len(red.faces), (red.steps, len(red.faces))
+
+
+def _simplicial(tops):
+    """Chain complex of the closure of `tops`, over sorted simplex bases."""
+    sims = {}
+    for t in tops:
+        t = tuple(sorted(t))
+        for r in range(1, len(t) + 1):
+            sims.setdefault(r - 1, set()).update(combinations(t, r))
+    sims = [sorted(sims[k]) for k in range(len(sims))]
+    return ChainComplexZ([len(s) for s in sims], {
+        k: IntMatrix.from_rows(simplicial_boundary_rows(sims[k - 1], sims[k]))
+        for k in range(1, len(sims))})
+
+
+def _klein_grid(n):
+    """n x n staircase grid with (i, j + n) ~ (i, j) and (i + n, j) ~
+    (0, -j): a Klein bottle."""
+    def vid(i, j):
+        if i == n:
+            i, j = 0, -j
+        return i * n + j % n
+
+    tops = []
+    for i in range(n):
+        for j in range(n):
+            tops.append((vid(i, j), vid(i + 1, j), vid(i + 1, j + 1)))
+            tops.append((vid(i, j), vid(i, j + 1), vid(i + 1, j + 1)))
+    return _simplicial(tops)
+
+
+def _scrambled_simplicial(rng):
+    """A seeded simplicial complex on up to 8 vertices, its bases changed by
+    random elementary operations, so that boundary entries leave +-1."""
+    verts = range(rng.randint(4, 8))
+    cells = list(combinations(verts, 3)) + list(combinations(verts, 4))
+    C = _simplicial(rng.sample(cells, rng.randint(3, 12)))
+    dims = C.dims
+    rows = {k: C.boundary(k).to_rows() for k in range(1, len(dims))}
+    for _ in range(rng.randint(0, 20)):
+        k = rng.randrange(len(dims))
+        if dims[k] < 2:
+            continue
+        i, j = rng.sample(range(dims[k]), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        # basis vector j of degree k becomes e_j + c e_i
+        if k:
+            for r in rows[k]:
+                r[j] += c * r[i]
+        if k + 1 < len(dims):
+            rows[k + 1][i] = [x - c * y for x, y in
+                              zip(rows[k + 1][i], rows[k + 1][j])]
+    return ChainComplexZ(dims, {k: IntMatrix.from_rows(r)
+                                for k, r in rows.items()})
+
+
+def _random_integer_complex(rng):
+    """Z^a <- Z^b <- Z^c with d_1 random and d_2 a random combination of
+    d_1's kernel basis: torsion of any order in H_0 and H_1."""
+    a, b = rng.randint(1, 4), rng.randint(2, 6)
+    d1 = IntMatrix.from_rows([[rng.randint(-2, 2) for _ in range(b)]
+                              for _ in range(a)])
+    kernel = kernel_basis(d1)
+    c = max(1, len(kernel) + rng.randint(-1, 1))
+    mix = [[rng.randint(-3, 3) for _ in range(c)] for _ in kernel]
+    d2 = IntMatrix.from_rows([[sum(v[i] * m[j] for v, m in zip(kernel, mix))
+                               for j in range(c)] for i in range(b)])
+    return ChainComplexZ([a, b, c], {1: d1, 2: d2})
+
+
+def _differential_cases():
+    cases = []
+    for name in sorted(GOLDEN):
+        cases.append(pytest.param(spaces.load_space(name).chain_complex()[0],
+                                  id=name))
+    for name, sub in sorted(GOLDEN_RELATIVE):
+        pair = spaces.load_space(name).relative_pair(sub)
+        cases.append(pytest.param(pair.sub_complex, id=f"{name}/{sub}"))
+        cases.append(pytest.param(pair.quotient_complex, id=f"{name}:{sub}"))
+    for n in (6, 12):
+        cases.append(pytest.param(_klein_grid(n), id=f"klein{n}"))
+    for seed in range(12):
+        rng = random.Random(seed)
+        cases.append(pytest.param(_scrambled_simplicial(rng),
+                                  id=f"scrambled{seed}"))
+        cases.append(pytest.param(_random_integer_complex(rng),
+                                  id=f"integer{seed}"))
+    return cases
+
+
+def _assert_classes_correspond(src, dst):
+    """The classes of src's generators, in dst's coordinates, generate the
+    same group: a unimodular free block, torsion of the right orders, and
+    each class read back unchanged."""
+    betti = src.group.betti
+    vectors = [dst.class_vector(g) for g in src.generators()]
+    assert abs(det([v[:betti] for v in vectors[:betti]])) == 1 or betti == 0
+    for order, v in zip(src.torsion_orders, vectors[betti:]):
+        assert v[:betti] == [0] * betti
+        assert all(order * x % d == 0
+                   for x, d in zip(v[betti:], dst.torsion_orders))
+    # and back: dst's generators, weighted by those coordinates, give
+    # src's classes again
+    gens = dst.generators()
+    for i, (g, v) in enumerate(zip(src.generators(), vectors)):
+        back = [sum(x * h[j] for x, h in zip(v, gens)) for j in range(len(g))]
+        assert src.class_vector(back) == [int(j == i)
+                                          for j in range(len(vectors))]
+
+
+@pytest.mark.parametrize("C", _differential_cases())
+def test_homology_matches_full_complex_reference(C):
+    """homology_data against the two-SNF solver run on the full complex."""
+    for k in range(len(C.dims)):
+        dk = C.boundary(k)
+        new = homology_data(C, k)
+        old = chaincomplex._smith_homology(dk, C.boundary(k + 1))
+        assert new.group == old.group, k
+        for g in new.generators():
+            assert len(g) == C.dim(k) and not any(dk.apply(g))
+        _assert_classes_correspond(old, new)
+        _assert_classes_correspond(new, old)
+        with pytest.raises(ValueError):
+            new.class_vector([0] * (C.dim(k) + 1))
+        bad = next((j for j in range(C.dim(k)) if dk.get(0, j)), None)
+        if bad is not None:
+            with pytest.raises(ValueError):
+                new.class_vector([int(j == bad) for j in range(C.dim(k))])

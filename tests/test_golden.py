@@ -28,9 +28,9 @@ REPORTS = {
     "compare --space s1 --budget 40":
         "6ae2cb8b4704b3759441f086fe6165fedfdc9b82b2445c098e240ef105d82632",
     "compare --space torus --budget 1":
-        "1675c88bea04b6c96bb2fa1ab08280e2465ed051b51d7d2957fd1d605d785ca8",
+        "556eeaa7e99168008fded5fa469c96ba537af193ce85e07b5c81b9dbc51a1bf1",
     "compare --space annulus_pair --pair outer --degree 0 --budget 2":
-        "e8ca159f8e0189cb4aca5626174a191c37f5214494a1d0af5a627f349f947db9",
+        "188e57abf7f44024d0e3e429369351b305d69bb6a7bcba5087585f6512e5d00f",
     "verify cosheaf --space s1 --cover arcs2 --budget 4":
         "5d9956aeb90ac2a8320101e346d7034679a0889accd9ea8894e8a1688ccfeebe",
     "verify cosheaf --space s1 --budget 4":
@@ -56,9 +56,9 @@ REPORTS = {
     "homology --space data/s1.json --theory current":
         "9a6914cea43a8f47a8e782ee2206ffb7e3925780a813f1ab3ffcb05f1bb990f0",
     "homology --space klein --theory current":
-        "da246dd2b6be3f1fa78b110f6a09ea09a9e1d515a68845f31d81aa4a962bc7d0",
+        "6bfd9730a515f46c42b5490973f93e97b33fbaf8d2b5711746952215f88e177f",
     "homology --space torus --theory current":
-        "e828e2b7a3e6a997ff3f2906dfcd59e81736b98ef6bc5c1ac55a25f08e16cf5c",
+        "55b27787fb4a83ae195f160ef596728fade348712ce564fc62e511716e744457",
     "verify mcshane --budget 4":
         "9b0ee1cdd79c24c1467693170df6f27c7dd73f18536a9282aa12df15f81473d2",
     "verify mcshane --space s1 --budget 4":

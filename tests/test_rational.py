@@ -167,3 +167,10 @@ def test_products_keep_one_key_per_square_class():
     prod = (big + two) * (small + two)
     assert len(prod.terms) == 2
     assert prod == RadicalSum.sqrt_of(2 * R).scale(P + 1) + (P * R + 2)
+
+
+def test_number_minus_radical_sum():
+    x = RadicalSum.sqrt_of(2)
+    assert 1 - x == -x + 1
+    assert (1 - x).sign() == -1 and (2 - x).sign() == 1
+    assert Fraction(3, 2) - x == -x + Fraction(3, 2)
