@@ -1,12 +1,12 @@
 """Interleaved base/change runs of perfbench/run.py; medians to BENCH_e2e.json.
 
-    python3 tools/bench_pairs.py --base REV [--workloads a,b] [--pairs N]
-        [--first-seed N]
+    python3 tools/bench_pairs.py --base REV [--workloads a,b] [--first-seed N]
 
 The base revision is exported with `git archive` into a temporary
 directory; the change is this checkout as it stands, uncommitted edits
 included.  Each side runs its own perfbench/run.py with --trace 0, one
-process at a time, for the benchmark's run_seconds.  Pair i uses seed
+process at a time, for the benchmark's run_seconds, in PAIRS pairs (ten,
+the fewest on which a gain may be claimed).  Pair i uses seed
 first-seed + i on both sides, and the side that goes first alternates from
 pair to pair, so a drift in the machine's speed falls on both.  Every
 run's metrics are printed as they come; at the end one entry is appended
@@ -29,6 +29,7 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 OUT = os.path.join(ROOT, "BENCH_e2e.json")
+PAIRS = 10
 
 
 def git(*args):
@@ -64,7 +65,6 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", required=True, help="git revision to compare")
     ap.add_argument("--workloads", help="comma-separated; default all")
-    ap.add_argument("--pairs", type=int, default=5)
     ap.add_argument("--first-seed", type=int, default=1)
     args = ap.parse_args(argv)
 
@@ -80,8 +80,8 @@ def main(argv=None):
 
     entry = {"base": base_rev,
              "head": head_rev + ("+uncommitted" if dirty else ""),
-             "seconds": seconds, "pairs": args.pairs,
-             "seeds": [args.first_seed + i for i in range(args.pairs)],
+             "seconds": seconds, "pairs": PAIRS,
+             "seeds": [args.first_seed + i for i in range(PAIRS)],
              "python": platform.python_version(), "cpus": os.cpu_count(),
              "workloads": {}}
     with tempfile.TemporaryDirectory() as tmp:
