@@ -24,12 +24,14 @@ split part in ball i sits at (i,) and a pair component at (i, j).
 """
 
 import heapq
+from bisect import insort
 from itertools import combinations
 
 from .bracket import bracket, bracket_inverse_points
 from .chains import LipschitzChain
 from .currents import PolyhedralCurrent
 from .errors import GeometryError, InputError, LocalityError
+from .rational import point
 from .weighted import MAX_SPLIT_ROUNDS
 
 MAX_FILL_DEPTH = 5
@@ -230,13 +232,15 @@ def fill_zero_chain(complex_, chain, region, start_depth=SAMPLE_DEPTH,
 
     region is None for the whole carrier, or a pair (cover, balls) for the
     intersection of the listed open balls of the cover; such a region is
-    closed under segments inside single carrier simplices.  Sample vertices
-    enter by the cover's membership table at each depth (cover.members),
-    and chain points by the memo it is built from (cover.balls_holding).
-    Builds a path graph on sampled region vertices, routes each weighted
-    point to its component root along a spanning tree, and retries one
-    depth deeper, up to MAX_FILL_DEPTH, while some component carries
-    nonzero total weight.
+    closed under segments inside single carrier simplices.  The nodes at
+    each depth are the region's sample vertices in sample order, read
+    from the node list the cover keeps per (balls, depth)
+    (cover.region), then the chain points that are not among them, which
+    the cover's per-point memo placed in the region (cover.balls_holding).
+    Builds a path graph on these nodes, routes each weighted point to its
+    component root along a spanning tree, and retries one depth deeper,
+    up to MAX_FILL_DEPTH, while some component carries nonzero total
+    weight.
     """
     if chain.degree != 0:
         raise InputError("only zero-chains are filled by paths")
@@ -254,15 +258,20 @@ def fill_zero_chain(complex_, chain, region, start_depth=SAMPLE_DEPTH,
 
     last_err = "no admissible depth"
     for depth in range(start_depth, MAX_FILL_DEPTH + 1):
-        nodes = complex_.sample_vertices(depth)
-        if cover is not None:
-            table = cover.members(depth).values()
-            nodes = [v for v, inside in zip(nodes, table) if balls <= inside]
-        seen = set(nodes)
-        nodes.extend(p for p in weights if p not in seen)
-        # nodes are numbered in point order, so sorted numbers are sorted
-        # points
-        order = sorted(nodes)
+        if cover is None:
+            nodes = complex_.sample_vertices(depth)
+            known = set(nodes)
+        else:
+            known = cover.region(balls, depth)
+            nodes = list(known)
+        # sample vertices come sorted, so each point that is not one of
+        # them is inserted in place: nodes are numbered in point order, and
+        # sorted numbers are sorted points
+        order = nodes[:]
+        for p in weights:
+            if p not in known:
+                insort(order, p)
+                nodes.append(p)
         num = {v: k for k, v in enumerate(order)}
         # edge when two nodes share a containing top simplex; the segment
         # then stays inside the carrier, and inside the region by convexity
@@ -312,7 +321,7 @@ def fill_zero_chain(complex_, chain, region, start_depth=SAMPLE_DEPTH,
 
 def _certify_cone(x, apex, complex_, context):
     for tup in x.terms:
-        if complex_.find_containing_simplex(tup + (tuple(apex),)) is None:
+        if complex_.find_containing_simplex(tup + (point(apex),)) is None:
             raise GeometryError(
                 f"cone certificate failed {context}: no simplex holds "
                 f"{tup} and the apex")

@@ -25,11 +25,14 @@ from .geometry import (
 )
 from .intlinalg import IntMatrix
 from .chaincomplex import ChainComplexZ, RelativePair
-from .rational import coord, dist2, dot, frac, integer_form, sqrt_lower
+from .rational import dist2, dot, frac, integer_form, point, sqrt_lower
 
 # The per-point location memos of MetricComplex and BallCover start over
 # when they hold this many points, as rational.coord's table does.
 LOCATE_LIMIT = 1 << 14
+# A BallCover keeps the node list of each fill region (balls, depth) it is
+# asked for, and starts that table over when it holds this many regions.
+REGIONS_LIMIT = 1 << 10
 
 
 def _remember(memo, p, value):
@@ -39,8 +42,8 @@ def _remember(memo, p, value):
 
 
 class MetricComplex:
-    """Geometric simplicial complex with interned rational vertex
-    coordinates (rational.coord).
+    """Geometric simplicial complex with interned rational vertices
+    (rational.point).
 
     simplices are sorted index tuples, closed under taking faces, each
     geometrically non-degenerate.  Named subcomplexes are lists of simplex
@@ -60,7 +63,7 @@ class MetricComplex:
 
     def __init__(self, ambient_dim, vertices, simplices, subcomplexes=None):
         self.ambient_dim = int(ambient_dim)
-        self.vertices = [tuple(coord(c) for c in v) for v in vertices]
+        self.vertices = [point(v) for v in vertices]
         for v in self.vertices:
             if len(v) != self.ambient_dim:
                 raise InputError("vertex coordinate count does not match ambient_dim")
@@ -527,7 +530,8 @@ class BallCover:
     contains(), simplex_inside() and first_ball_containing() (a simplex is
     inside a ball when all its vertices are, by convexity), and the
     members() table of each sample depth.  That memo starts over when it
-    holds LOCATE_LIMIT points.
+    holds LOCATE_LIMIT points.  region() filters a members() table once
+    per fill region and keeps the result.
     """
 
     def __init__(self, complex_: MetricComplex, balls):
@@ -537,7 +541,7 @@ class BallCover:
         self.descriptions = []
         for b in balls:
             if "center" in b:
-                c = tuple(coord(x) for x in b["center"])
+                c = point(b["center"])
                 desc = None
             else:
                 si = int(b["center_simplex"])
@@ -551,8 +555,8 @@ class BallCover:
                 if sum(lam) != 1 or any(x < 0 for x in lam):
                     raise InputError("barycentric coordinates must be a convex combination")
                 pts = complex_.points_of(tup)
-                c = tuple(coord(sum((l * p[d] for l, p in zip(lam, pts)),
-                                    Fraction(0)))
+                c = point(sum((l * p[d] for l, p in zip(lam, pts)),
+                              Fraction(0))
                           for d in range(complex_.ambient_dim))
                 desc = (si, tuple(lam))
             r = frac(b["radius"])
@@ -566,6 +570,7 @@ class BallCover:
         self._near = None
         self._inside = {}   # point -> balls holding it
         self._members = {}  # depth -> {sample vertex: balls holding it}
+        self._regions = {}  # (balls, depth) -> {sample vertex: None}
 
     def __len__(self):
         return len(self.centers)
@@ -579,6 +584,23 @@ class BallCover:
                      for p in self.complex._sample_list(depth)}
             self._members[depth] = table
         return MappingProxyType(table)
+
+    def region(self, balls, depth: int):
+        """Read-only ordered set (a dict keys view) of the vertices of
+        complex.sample_vertices(depth), in that order, that every ball of
+        the frozenset balls holds strictly.  Filtered from members(depth)
+        on the first ask and kept; the table starts over when it holds
+        REGIONS_LIMIT regions."""
+        key = (balls, depth)
+        nodes = self._regions.get(key)
+        if nodes is None:
+            table = self.members(depth)
+            nodes = dict.fromkeys(p for p, inside in table.items()
+                                  if balls <= inside)
+            if len(self._regions) >= REGIONS_LIMIT:
+                self._regions.clear()
+            self._regions[key] = nodes
+        return nodes.keys()
 
     def balls_holding(self, p):
         """Frozenset of the balls holding the point p strictly."""

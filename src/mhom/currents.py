@@ -28,7 +28,7 @@ from .errors import GeometryError, InputError
 from .geometry import (cut_simplex_by_values, canonical_orientation,
                        det_fraction, edge_matrix, gram_det,
                        integrate_affine, rref)
-from .rational import RadicalSum, coord, dot, frac, integer_form
+from .rational import RadicalSum, dot, frac, integer_form, point
 from .weighted import WeightedSimplices
 
 # bounds the fragments of one flat's hyperplane arrangement, which only
@@ -184,19 +184,20 @@ def _flat_chart(tup):
     to 1 at its pivot column P_i and 0 at every other pivot column.  A flat
     point's chart coordinates are therefore its coordinates at the pivot
     columns, and the anchor is the flat point whose pivot coordinates are 0.
-    Key and anchor hold interned coordinates.  Each answer is kept in
+    The anchor and the rows of R are interned Points, so a key hashes
+    from stored hashes.  Each answer is kept in
     _FLATS, which starts over when it holds FLATS_LIMIT simplices.
     """
     hit = _FLATS.get(tup)
     if hit is not None:
         return hit
-    R = tuple(tuple(coord(x) for x in r) for r in rref(edge_matrix(tup)))
+    R = tuple(point(r) for r in rref(edge_matrix(tup)))
     pivots = tuple(next(j for j, x in enumerate(r) if x) for r in R)
     anchor = tup[0]
     for j, r in zip(pivots, R):
         c = anchor[j]
         anchor = tuple(u - c * v for u, v in zip(anchor, r))
-    anchor = tuple(coord(u) for u in anchor)
+    anchor = point(anchor)
     if len(_FLATS) >= FLATS_LIMIT:
         _FLATS.clear()
     _FLATS[tup] = hit = ((anchor, R), pivots)
@@ -208,7 +209,7 @@ def _from_chart(fkey, x):
     p, R = fkey
     for c, r in zip(x, R):
         p = tuple(u + c * v for u, v in zip(p, r))
-    return tuple(coord(u) for u in p)
+    return point(p)
 
 
 def _facet_hyperplanes(chart_tup):

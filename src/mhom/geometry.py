@@ -1,8 +1,8 @@
 """Exact affine-simplex utilities shared by chains and currents.
 
 Simplices are ordered tuples of points, and a point is a tuple of
-Fractions.  Centroids hold interned coordinates (rational.coord), as
-every point the algebra builds does; cut points stay plain Fractions
+Fractions.  Centroids are interned Points (rational.point), as every
+point the algebra builds is; cut points stay plain tuples of Fractions
 until a caller that keeps them interns them.
 Everything here is combinatorial or solved over Q; orientation travels
 with vertex order and permutation parity.

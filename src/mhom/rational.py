@@ -1,13 +1,16 @@
 """Exact rational vectors and quadratic-radical arithmetic.
 
 All trusted-path geometry works over Q.  Every point the algebra builds is
-a tuple of interned coordinates: coord(x) returns the one Q, a Fraction
-that stores its hash, for each value, from a bounded table.  Dict lookups
-of points then hash no Fraction, and equal coordinates are one object, so
-tuple comparison stops at identity.  Scratch values (cut points in chart
-coordinates) stay plain Fractions and out of the table.  Q is a Fraction
-in value, order, hash and text, and its arithmetic returns plain
-Fractions.
+a Point from point(): a tuple of interned coordinates that stores its
+hash.  coord(x) returns the one Q, a Fraction that stores its hash, for
+each value, and point(xs) the one Point for each tuple of values, each
+from a bounded table.  A dict lookup of a point then makes one call that
+returns a stored hash, equal coordinates are one object, and tuple
+comparison stops at identity.  Q and Point are a Fraction and a tuple in
+value, order, hash and text, so plain tuples of Fractions find them in
+dicts and are found by them; Q arithmetic returns plain Fractions, and
+Point slices and sums are plain tuples.  Scratch values (cut points in
+chart coordinates) stay plain and out of the tables.
 
 Square roots never enter comparisons directly: either both sides are
 squared first, or values are kept as exact sums of c*sqrt(n), one key n
@@ -20,7 +23,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-Vec = tuple  # tuple of Fraction; every point the algebra builds holds Q
+Vec = tuple  # tuple of Fraction; every point the algebra builds is a Point
 
 
 def frac(x) -> Fraction:
@@ -75,7 +78,12 @@ def coord(x) -> Q:
     if type(x) is Q:
         return x
     f = frac(x)
-    key = (f.numerator, f.denominator)
+    return _q(f.numerator, f.denominator)
+
+
+def _q(num, den) -> Q:
+    """The interned Q of num/den, in lowest terms with den > 0."""
+    key = (num, den)
     q = _COORDS.get(key)
     if q is None:
         if len(_COORDS) >= COORDS_LIMIT:
@@ -87,8 +95,56 @@ def coord(x) -> Q:
     return q
 
 
-def vadd(a: Vec, b: Vec) -> Vec:
-    return tuple(x + y for x, y in zip(a, b))
+class Point(tuple):
+    """A point: a tuple of interned coordinates that computed its hash once.
+
+    Build them with point(), which keeps one Point per value.  The stored
+    hash is that of the plain tuple of the same coordinates, and equality
+    and order are a tuple's, so plain tuples of Fractions and Points key
+    the same dict entries.  str and repr print what a tuple prints, and
+    copies and pickles give back the interned point.
+    """
+
+    def __new__(cls, xs=()):
+        return point(xs)
+
+    def __hash__(self):
+        return self._h
+
+    def __reduce__(self):
+        return (point, (tuple(self),))
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+
+# Every interned Point, keyed by itself, so a plain tuple of equal value
+# finds it; bounded and started over like _COORDS.  A zig-zag pass meets a
+# few hundred points.
+_POINTS = {}
+POINTS_LIMIT = 1 << 14
+
+
+def _intern(qs) -> Point:
+    """The interned Point of a plain tuple of Q."""
+    p = _POINTS.get(qs)
+    if p is None:
+        if len(_POINTS) >= POINTS_LIMIT:
+            _POINTS.clear()
+        p = tuple.__new__(Point, qs)
+        p._h = hash(qs)
+        _POINTS[p] = p
+    return p
+
+
+def point(xs) -> Point:
+    """The interned Point with coordinates xs, each anything frac() accepts."""
+    if type(xs) is Point:
+        return xs
+    return _intern(tuple(map(coord, xs)))
 
 
 def vsub(a: Vec, b: Vec) -> Vec:
@@ -117,12 +173,19 @@ def integer_form(p):
     return tuple(x.numerator * (q // x.denominator) for x in p), q
 
 
-def centroid(points) -> Vec:
+def centroid(points) -> Point:
+    """The barycentre of the points, interned.  Per coordinate: one lcm
+    of the denominators, a sum of scaled numerators and one gcd, on
+    integers."""
     n = len(points)
-    acc = points[0]
-    for p in points[1:]:
-        acc = vadd(acc, p)
-    return tuple(coord(x / n) for x in acc)
+    out = []
+    for xs in zip(*map(point, points)):
+        den = math.lcm(*[x._denominator for x in xs])
+        num = sum([x._numerator * (den // x._denominator) for x in xs])
+        den *= n
+        g = math.gcd(num, den)
+        out.append(_q(num // g, den // g))
+    return _intern(tuple(out))
 
 
 def sqrt_lower(q: Fraction, prec: int = 40) -> Fraction:

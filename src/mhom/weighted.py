@@ -10,29 +10,24 @@ affine.  Subclasses fix the carrier the tuples live in and what it means
 for a sum to vanish.
 
 Who validates and who owns a terms dict: the constructors check input
-from outside (every point becomes a tuple of interned coordinates, Q from
-rational.coord, and every tuple has degree + 1 points of the ambient
-dimension) and build a dict of their own.
+from outside (every point becomes an interned rational.Point, a tuple of
+interned coordinates that stores its hash, and every tuple has degree + 1
+points of the ambient dimension) and build a dict of their own.
 Everything the algebra derives from valid terms (sums, multiples,
 boundaries, subdivisions, cones, cover splits, canonical forms) goes
 through like(), which takes the fresh dict it is given as the new terms
-without checking or copying it, so no surviving key is hashed again.  A
-terms dict belongs to one object and is never mutated after that object
-is built.
+without checking or copying it.  Derived tuples hold the same Points, so
+keying a term reads one stored hash per point and hashes no coordinate.
+A terms dict belongs to one object and is never mutated after that
+object is built.
 """
 
 from .errors import GeometryError, InputError
 from .geometry import (barycentric_subdivide, simplex_boundary_terms,
                        staircase_prism)
-from .rational import Q, coord
+from .rational import point
 
 MAX_SPLIT_ROUNDS = 8
-
-
-def _point(p):
-    if type(p) is tuple and all(type(x) is Q for x in p):
-        return p
-    return tuple(coord(x) for x in p)
 
 
 class WeightedSimplices:
@@ -50,7 +45,7 @@ class WeightedSimplices:
                 w = int(w)
                 if w == 0:
                     continue
-                tup = tuple(_point(p) for p in tup)
+                tup = tuple(point(p) for p in tup)
                 if len(tup) != degree + 1:
                     raise InputError(
                         f"a degree-{degree} simplex needs {degree + 1} points")
@@ -87,7 +82,7 @@ class WeightedSimplices:
         terms = {}
         degree = None
         for w, tup in items:
-            tup = tuple(_point(p) for p in tup)
+            tup = tuple(point(p) for p in tup)
             if degree is None:
                 degree = len(tup) - 1
             elif len(tup) - 1 != degree:
@@ -106,7 +101,7 @@ class WeightedSimplices:
     def _images(self, fn):
         """Terms with every vertex replaced by fn(vertex)."""
         return self._expand(
-            lambda tup: ((1, tuple(_point(fn(p)) for p in tup)),))
+            lambda tup: ((1, tuple(point(fn(p)) for p in tup)),))
 
     def _staircase(self, h0, h1):
         """Prism terms between the vertexwise images under h0 and h1.
@@ -115,8 +110,8 @@ class WeightedSimplices:
         on representations, for any vertex data.
         """
         return self._expand(lambda tup: staircase_prism(
-            tuple(_point(h0(p)) for p in tup),
-            tuple(_point(h1(p)) for p in tup)))
+            tuple(point(h0(p)) for p in tup),
+            tuple(point(h1(p)) for p in tup)))
 
     # ---- algebra ----
 
@@ -189,7 +184,7 @@ class WeightedSimplices:
 
         boundary(cone z) = z - cone(boundary z), so cones fill cycles.
         """
-        v = _point(apex)
+        v = point(apex)
         return self.like(self.degree + 1,
                          self._expand(lambda tup: ((1, (v,) + tup),)))
 

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from mhom import cech, complexes, currents, geometry, spaces
+from mhom import cech, complexes, currents, geometry, rational, spaces
 from mhom.bracket import bracket, bracket_inverse_points
 from mhom.cech import (Nerve, augment, augment_nerve, cech_boundary,
                        cone_fill_chain, conforming, fill_zero_chain,
@@ -561,3 +561,91 @@ def test_every_column_is_keyed_by_sorted_ball_tuples(s1, arcs3, torus,
         columns = cech._descend(x, cover, nerve, ("(test)",) * x.degree)
         assert len(columns) == x.degree + 1
         assert_keys(columns)
+
+
+def _zigzag_terms(complex_, cover, items):
+    """Terms of the fill chain, its filling current and the cancelling
+    chain of one loop, as lists of items in dict order."""
+    nerve = Nerve(cover, max_arity=3)
+    T = PolyhedralCurrent.from_tuples(complex_.ambient_dim, items, 1)
+    res = zigzag_fill(T, cover, nerve=nerve)
+    z = res.chain - LipschitzChain.from_simplices(complex_, items)
+    w = zigzag_cancel(z, res.filling, cover, nerve=nerve)
+    return [list(x.terms.items()) for x in (res.chain, res.filling, w)]
+
+
+def _seeded_loops(s1, torus):
+    return ((s1, "s1_arcs3",
+             spaces.random_circle_cycle(s1, random.Random(9))),
+            (torus, "torus_balls",
+             spaces.random_torus_cycle(torus, random.Random(9))))
+
+
+def test_zigzag_terms_are_found_by_plain_fraction_tuples(s1, torus):
+    # a point's stored hash is the plain tuple's: callers key their own
+    # dicts by tuples of plain Fractions next to the terms returned
+    for X, name, items in _seeded_loops(s1, torus):
+        for terms in _zigzag_terms(X, spaces.load_cover(X, name), items):
+            assert terms
+            found = dict(terms)
+            plain = {}
+            for tup, w in terms:
+                key = tuple(tuple(F(x) for x in p) for p in tup)
+                assert all(type(x) is F for p in key for x in p)
+                assert found[key] == w and key in found
+                plain[key] = w
+            assert all(plain[tup] == w for tup, w in terms)
+
+
+def test_zigzag_terms_survive_table_restarts(s1, torus, monkeypatch):
+    # with the point and region tables started over every 8 entries, a
+    # circle and a torus fill and cancel give the same terms in the same
+    # order
+    loops = _seeded_loops(s1, torus)
+    want = [_zigzag_terms(X, spaces.load_cover(X, name), items)
+            for X, name, items in loops]
+    asked = set()
+    real = complexes.BallCover.region
+
+    def region(self, balls, depth):
+        asked.add((balls, depth))
+        return real(self, balls, depth)
+
+    monkeypatch.setattr(complexes.BallCover, "region", region)
+    monkeypatch.setattr(rational, "_POINTS", {})
+    monkeypatch.setattr(rational, "POINTS_LIMIT", 8)
+    monkeypatch.setattr(complexes, "REGIONS_LIMIT", 8)
+    for (X, name, items), terms in zip(loops, want):
+        cover = spaces.load_cover(X, name)
+        assert _zigzag_terms(X, cover, items) == terms
+        assert len(cover._regions) <= 8
+    assert len(rational._POINTS) <= 8
+    points = {p for run in want for terms in run for tup, _ in terms
+              for p in tup}
+    assert len(asked) > 8 and len(points) > 8
+
+
+def test_second_fill_on_a_cover_filters_no_region(torus, monkeypatch):
+    # a cover keeps each fill region's node list: a second fill reads them
+    # and filters no membership table again
+    cover = spaces.load_cover(torus, "torus_balls")
+    nerve = Nerve(cover, max_arity=3)
+    tables = []
+    real = complexes.BallCover.members
+
+    def members(self, depth):
+        tables.append(depth)
+        return real(self, depth)
+
+    monkeypatch.setattr(complexes.BallCover, "members", members)
+    T = PolyhedralCurrent.from_tuples(
+        torus.ambient_dim, spaces.random_torus_cycle(torus, random.Random(6)),
+        1)
+    first = zigzag_fill(T, cover, nerve=nerve)
+    assert tables
+    tables.clear()
+    again = zigzag_fill(T, cover, nerve=nerve)
+    assert tables == []
+    assert list(again.chain.terms.items()) == list(first.chain.terms.items())
+    assert list(again.filling.terms.items()) == \
+        list(first.filling.terms.items())

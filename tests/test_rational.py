@@ -1,6 +1,8 @@
 import copy
+import os
 import pickle
 import random
+import sys
 from fractions import Fraction
 
 from mhom import rational, spaces
@@ -9,8 +11,7 @@ from mhom.chains import LipschitzChain
 from mhom.complexes import MetricComplex
 from mhom.currents import PolyhedralCurrent
 from mhom.geometry import barycentric_subdivide, cut_simplex_by_values
-from mhom.rational import Q, RadicalSum, centroid, coord, lerp
-from mhom.weighted import _point
+from mhom.rational import Point, Q, RadicalSum, centroid, coord, lerp, point
 
 from oracles import square_split
 
@@ -35,7 +36,8 @@ def seeded_values(rng, count=200):
 
 
 def is_point(p):
-    return type(p) is tuple and all(type(x) is Q for x in p)
+    return (type(p) is Point and all(type(x) is Q for x in p)
+            and hash(p) == hash(tuple(p)))
 
 
 def test_coordinates_agree_with_fraction():
@@ -63,12 +65,14 @@ def test_points_find_each_other_in_dicts():
     rng = random.Random(61)
     vals = seeded_values(rng, 40)
     plain = [tuple(rng.choice(vals) for _ in range(3)) for _ in range(50)]
-    interned = [_point(p) for p in plain]
+    interned = [point(p) for p in plain]
     assert all(is_point(p) for p in interned)
     by_plain = {p: i for i, p in enumerate(plain)}
     by_interned = {p: i for i, p in enumerate(interned)}
     for p, q in zip(plain, interned):
         assert by_plain[q] == by_plain[p] and by_interned[p] == by_interned[q]
+        assert q == p and p == q and hash(q) == hash(p) and point(p) is q
+        assert str(q) == str(p) and repr(q) == repr(p)
     assert sorted(interned) == sorted(plain)
 
 
@@ -77,14 +81,15 @@ def test_copies_and_pickles_are_the_interned_object():
         q = coord(a)
         assert copy.copy(q) is q and copy.deepcopy(q) is q
         assert pickle.loads(pickle.dumps(q)) is q
-    p = _point((F(1, 3), F(-2)))
-    assert pickle.loads(pickle.dumps(p)) == p
+    p = point((F(1, 3), F(-2)))
+    assert pickle.loads(pickle.dumps(p)) is p
+    assert copy.copy(p) is p and copy.deepcopy(p) is p
     assert all(a is b for a, b in zip(copy.deepcopy(p), p))
 
 
 def test_built_points_hold_interned_coordinates(torus):
-    a, b, c = (_point(p) for p in [(1, F(1, 2)), (F(-3, 4), 2), (0, F(5, 3))])
-    assert is_point(a) and _point(a) is a and is_point(centroid((a, b, c)))
+    a, b, c = (point(p) for p in [(1, F(1, 2)), (F(-3, 4), 2), (0, F(5, 3))])
+    assert is_point(a) and point(a) is a and is_point(centroid((a, b, c)))
     for _, tup in barycentric_subdivide((a, b, c)):
         assert all(is_point(p) for p in tup)
     # cut points are scratch until a caller interns them
@@ -108,6 +113,45 @@ def test_intern_table_starts_over_at_its_limit(monkeypatch):
     assert again == first == vals and len(rational._COORDS) <= 50
     assert [hash(q) for q in again] == [hash(a) for a in vals]
     assert coord(vals[-1]) is again[-1]
+
+
+def test_point_table_starts_over_at_its_limit(monkeypatch):
+    monkeypatch.setattr(rational, "_POINTS", {})
+    monkeypatch.setattr(rational, "POINTS_LIMIT", 8)
+    rng = random.Random(67)
+    vals = seeded_values(rng, 40)
+    plain = [tuple(rng.choice(vals) for _ in range(3)) for _ in range(60)]
+    first = [point(p) for p in plain]
+    assert 0 < len(rational._POINTS) <= 8
+    again = [point(p) for p in plain]
+    assert again == first == plain and len(rational._POINTS) <= 8
+    assert [hash(p) for p in again] == [hash(p) for p in plain]
+    assert all(is_point(p) for p in again) and point(plain[-1]) is again[-1]
+    # a point made before a restart keys the same entry as one made after
+    assert {p: 1 for p in first} == {p: 1 for p in again}
+
+
+def test_circle_zigzag_hashes_no_coordinate_in_weighted(s1, arcs3,
+                                                        monkeypatch):
+    # term keys hold Points, whose stored hash the tuple algebra reads: no
+    # coordinate is hashed from weighted.py, only where points are interned
+    nerve = Nerve(arcs3, max_arity=3)
+    items = spaces.random_circle_cycle(s1, random.Random(3))
+    real = Q.__hash__
+    callers = []
+
+    def counted(self):
+        callers.append(os.path.basename(sys._getframe(1).f_code.co_filename))
+        return real(self)
+
+    monkeypatch.setattr(Q, "__hash__", counted)
+    T = PolyhedralCurrent.from_tuples(s1.ambient_dim, items, 1)
+    res = zigzag_fill(T, arcs3, nerve=nerve)
+    z = res.chain - LipschitzChain.from_simplices(s1, items)
+    zigzag_cancel(z, res.filling, arcs3, nerve=nerve)
+    monkeypatch.undo()
+    assert "rational.py" in callers
+    assert "weighted.py" not in callers
 
 
 def test_circle_zigzag_hashes_few_plain_fractions(s1, arcs3):

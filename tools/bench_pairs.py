@@ -1,19 +1,22 @@
-"""Interleaved base/change runs of perfbench/run.py; medians to BENCH_e2e.json.
+"""Interleaved base/change runs of perfbench/run.py; medians to BENCH_*.json.
 
     python3 tools/bench_pairs.py --base REV [--workloads a,b] [--first-seed N]
+                                 [--trace 0|1]
 
 The base revision is exported with `git archive` into a temporary
 directory; the change is this checkout as it stands, uncommitted edits
-included.  Each side runs its own perfbench/run.py with --trace 0, one
-process at a time, for the benchmark's run_seconds, in PAIRS pairs (ten,
-the fewest on which a gain may be claimed).  Pair i uses seed
+included.  Each side runs its own perfbench/run.py with the given --trace,
+one process at a time, for the benchmark's run_seconds, in PAIRS pairs
+(ten, the fewest on which a gain may be claimed).  Pair i uses seed
 first-seed + i on both sides, and the side that goes first alternates from
 pair to pair, so a drift in the machine's speed falls on both.  Every
 run's metrics are printed as they come; at the end one entry is appended
-to BENCH_e2e.json (a JSON list): per workload and end-to-end metric, the
-median of each side and the number of pairs in which the change was
-better, with the failed operations of each side.  Workloads, metrics and
-their directions come from BENCHMARK.json.
+to a JSON list: per workload and metric, the median of each side and the
+number of pairs in which the change was better, with the failed
+operations of each side.  With --trace 0 (the default) the metrics are the
+end-to-end ones and the list is BENCH_e2e.json; with --trace 1 they are
+the per-layer ones of a traced run and the list is BENCH_layers.json.
+Workloads, metrics and their directions come from BENCHMARK.json.
 """
 
 import argparse
@@ -28,7 +31,9 @@ import tarfile
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-OUT = os.path.join(ROOT, "BENCH_e2e.json")
+# output list and BENCHMARK.json metric list, by --trace
+MODES = {0: ("BENCH_e2e.json", "end_to_end"),
+         1: ("BENCH_layers.json", "per_layer")}
 PAIRS = 10
 
 
@@ -43,12 +48,12 @@ def export(rev, dest):
         tar.extractall(dest)
 
 
-def run(root, workload, seed, seconds):
+def run(root, workload, seed, seconds, trace):
     """The last JSON line of perfbench/run.py in the checkout at root."""
     res = subprocess.run(
         [sys.executable, os.path.join("perfbench", "run.py"),
          "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=root, capture_output=True, text=True)
     lines = res.stdout.strip().splitlines()
     if res.returncode or not lines:
@@ -66,11 +71,14 @@ def main(argv=None):
     ap.add_argument("--base", required=True, help="git revision to compare")
     ap.add_argument("--workloads", help="comma-separated; default all")
     ap.add_argument("--first-seed", type=int, default=1)
+    ap.add_argument("--trace", type=int, choices=sorted(MODES), default=0)
     args = ap.parse_args(argv)
 
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
-    metrics = bench["end_to_end"]
+    name, section = MODES[args.trace]
+    out_path = os.path.join(ROOT, name)
+    metrics = bench[section]
     seconds = bench["run_seconds"]
     workloads = (args.workloads.split(",") if args.workloads
                  else [w["name"] for w in bench["workloads"]])
@@ -80,7 +88,7 @@ def main(argv=None):
 
     entry = {"base": base_rev,
              "head": head_rev + ("+uncommitted" if dirty else ""),
-             "seconds": seconds, "pairs": PAIRS,
+             "seconds": seconds, "pairs": PAIRS, "trace": args.trace,
              "seeds": [args.first_seed + i for i in range(PAIRS)],
              "python": platform.python_version(), "cpus": os.cpu_count(),
              "workloads": {}}
@@ -92,7 +100,8 @@ def main(argv=None):
             for i, seed in enumerate(entry["seeds"]):
                 order = ("base", "head") if i % 2 == 0 else ("head", "base")
                 for side in order:
-                    out = run(roots[side], workload, seed, seconds)
+                    out = run(roots[side], workload, seed, seconds,
+                              args.trace)
                     runs[side].append(out)
                     values = " ".join(
                         f"{m['name']}={out['metrics'][m['name']]['value']:.4g}"
@@ -118,11 +127,11 @@ def main(argv=None):
             entry["workloads"][workload] = summary
 
     history = []
-    if os.path.exists(OUT):
-        with open(OUT, encoding="utf-8") as fh:
+    if os.path.exists(out_path):
+        with open(out_path, encoding="utf-8") as fh:
             history = json.load(fh)
     history.append(entry)
-    with open(OUT, "w", encoding="utf-8") as fh:
+    with open(out_path, "w", encoding="utf-8") as fh:
         json.dump(history, fh, indent=1)
         fh.write("\n")
     print(json.dumps(entry["workloads"], indent=1))
