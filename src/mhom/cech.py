@@ -233,14 +233,13 @@ def fill_zero_chain(complex_, chain, region, start_depth=SAMPLE_DEPTH,
     region is None for the whole carrier, or a pair (cover, balls) for the
     intersection of the listed open balls of the cover; such a region is
     closed under segments inside single carrier simplices.  The nodes at
-    each depth are the region's sample vertices in sample order, read
-    from the node list the cover keeps per (balls, depth)
-    (cover.region), then the chain points that are not among them, which
-    the cover's per-point memo placed in the region (cover.balls_holding).
-    Builds a path graph on these nodes, routes each weighted point to its
-    component root along a spanning tree, and retries one depth deeper,
-    up to MAX_FILL_DEPTH, while some component carries nonzero total
-    weight.
+    each depth are the region's sample vertices in sample order, filtered
+    by the cover's membership table of that depth (cover.members), then
+    the chain points that are not among them, which the cover's per-point
+    memo placed in the region (cover.balls_holding).  Builds a path graph
+    on these nodes, routes each weighted point to its component root
+    along a spanning tree, and retries one depth deeper, up to
+    MAX_FILL_DEPTH, while some component carries nonzero total weight.
     """
     if chain.degree != 0:
         raise InputError("only zero-chains are filled by paths")
@@ -258,12 +257,11 @@ def fill_zero_chain(complex_, chain, region, start_depth=SAMPLE_DEPTH,
 
     last_err = "no admissible depth"
     for depth in range(start_depth, MAX_FILL_DEPTH + 1):
-        if cover is None:
-            nodes = complex_.sample_vertices(depth)
-            known = set(nodes)
-        else:
-            known = cover.region(balls, depth)
-            nodes = list(known)
+        nodes = complex_.sample_vertices(depth)
+        if cover is not None:
+            table = cover.members(depth).values()
+            nodes = [v for v, inside in zip(nodes, table) if balls <= inside]
+        known = set(nodes)
         # sample vertices come sorted, so each point that is not one of
         # them is inserted in place: nodes are numbered in point order, and
         # sorted numbers are sorted points

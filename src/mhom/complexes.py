@@ -30,9 +30,6 @@ from .rational import dist2, dot, frac, integer_form, point, sqrt_lower
 # The per-point location memos of MetricComplex and BallCover start over
 # when they hold this many points, as rational.coord's table does.
 LOCATE_LIMIT = 1 << 14
-# A BallCover keeps the node list of each fill region (balls, depth) it is
-# asked for, and starts that table over when it holds this many regions.
-REGIONS_LIMIT = 1 << 10
 
 
 def _remember(memo, p, value):
@@ -530,8 +527,7 @@ class BallCover:
     contains(), simplex_inside() and first_ball_containing() (a simplex is
     inside a ball when all its vertices are, by convexity), and the
     members() table of each sample depth.  That memo starts over when it
-    holds LOCATE_LIMIT points.  region() filters a members() table once
-    per fill region and keeps the result.
+    holds LOCATE_LIMIT points.
     """
 
     def __init__(self, complex_: MetricComplex, balls):
@@ -570,7 +566,6 @@ class BallCover:
         self._near = None
         self._inside = {}   # point -> balls holding it
         self._members = {}  # depth -> {sample vertex: balls holding it}
-        self._regions = {}  # (balls, depth) -> {sample vertex: None}
 
     def __len__(self):
         return len(self.centers)
@@ -584,23 +579,6 @@ class BallCover:
                      for p in self.complex._sample_list(depth)}
             self._members[depth] = table
         return MappingProxyType(table)
-
-    def region(self, balls, depth: int):
-        """Read-only ordered set (a dict keys view) of the vertices of
-        complex.sample_vertices(depth), in that order, that every ball of
-        the frozenset balls holds strictly.  Filtered from members(depth)
-        on the first ask and kept; the table starts over when it holds
-        REGIONS_LIMIT regions."""
-        key = (balls, depth)
-        nodes = self._regions.get(key)
-        if nodes is None:
-            table = self.members(depth)
-            nodes = dict.fromkeys(p for p, inside in table.items()
-                                  if balls <= inside)
-            if len(self._regions) >= REGIONS_LIMIT:
-                self._regions.clear()
-            self._regions[key] = nodes
-        return nodes.keys()
 
     def balls_holding(self, p):
         """Frozenset of the balls holding the point p strictly."""

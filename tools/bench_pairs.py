@@ -5,7 +5,10 @@
 
 The base revision is exported with `git archive` into a temporary
 directory; the change is this checkout as it stands, uncommitted edits
-included.  Each side runs its own perfbench/run.py with the given --trace,
+included.  An uncommitted change is labelled by the head commit and the
+first 12 hex digits of the SHA-256 of its `git diff HEAD` (the BENCH_*.json
+lists left out), so entries of different trees never share a label.  Each
+side runs its own perfbench/run.py with the given --trace,
 one process at a time, for the benchmark's run_seconds, in PAIRS pairs
 (ten, the fewest on which a gain may be claimed).  Pair i uses seed
 first-seed + i on both sides, and the side that goes first alternates from
@@ -13,13 +16,17 @@ pair to pair, so a drift in the machine's speed falls on both.  Every
 run's metrics are printed as they come; at the end one entry is appended
 to a JSON list: per workload and metric, the median of each side and the
 number of pairs in which the change was better, with the failed
-operations of each side.  With --trace 0 (the default) the metrics are the
+operations of each side.  A metric that reads 0 in every run of one side
+and in no run of the other is not compared: its pair count is null and a
+note says so, since a counter that stops reading is more often a counter
+that lost its hook than work that is gone.  With --trace 0 (the default) the metrics are the
 end-to-end ones and the list is BENCH_e2e.json; with --trace 1 they are
 the per-layer ones of a traced run and the list is BENCH_layers.json.
 Workloads, metrics and their directions come from BENCHMARK.json.
 """
 
 import argparse
+import hashlib
 import io
 import json
 import os
@@ -66,6 +73,12 @@ def better(metric, head, base):
     return head > base if metric["better"] == "higher" else head < base
 
 
+def zero_on_one_side(base, head):
+    zero = [all(v == 0 for v in vs) for vs in (base, head)]
+    return zero[0] != zero[1] and not any(v == 0 for v in
+                                          (head if zero[0] else base))
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", required=True, help="git revision to compare")
@@ -84,10 +97,11 @@ def main(argv=None):
                  else [w["name"] for w in bench["workloads"]])
     base_rev = git("rev-parse", args.base).decode().strip()
     head_rev = git("rev-parse", "HEAD").decode().strip()
-    dirty = bool(git("status", "--porcelain", "--untracked-files=no").strip())
+    diff = git("diff", "HEAD", "--", ".", ":(exclude)BENCH_*.json")
+    if diff.strip():
+        head_rev += "+diff:" + hashlib.sha256(diff).hexdigest()[:12]
 
-    entry = {"base": base_rev,
-             "head": head_rev + ("+uncommitted" if dirty else ""),
+    entry = {"base": base_rev, "head": head_rev,
              "seconds": seconds, "pairs": PAIRS, "trace": args.trace,
              "seeds": [args.first_seed + i for i in range(PAIRS)],
              "python": platform.python_version(), "cpus": os.cpu_count(),
@@ -120,6 +134,9 @@ def main(argv=None):
                     "head_median": statistics.median(head),
                     "head_better_pairs": sum(better(m, h, b)
                                              for h, b in zip(head, base))}
+                if zero_on_one_side(base, head):
+                    summary[name]["head_better_pairs"] = None
+                    summary[name]["note"] = "reads 0 on one side only"
             summary["failed"] = {side: sum(r["failed"] for r in rs)
                                  for side, rs in runs.items()}
             summary["correct"] = all(r["correct"] for rs in runs.values()
