@@ -5,9 +5,10 @@
 
 The base revision is exported with `git archive` into a temporary
 directory; the change is this checkout as it stands, uncommitted edits
-included.  An uncommitted change is labelled by the head commit and the
-first 12 hex digits of the SHA-256 of its `git diff HEAD` (the BENCH_*.json
-lists left out), so entries of different trees never share a label.  Each
+included.  A change whose src/ or perfbench/ (the code the runs execute)
+differs from HEAD is labelled by the head commit and the first 12 hex
+digits of the SHA-256 of that `git diff HEAD`, so entries of different
+code never share a label.  Each
 side runs its own perfbench/run.py with the given --trace,
 one process at a time, for the benchmark's run_seconds, in PAIRS pairs
 (ten, the fewest on which a gain may be claimed).  Pair i uses seed
@@ -97,7 +98,7 @@ def main(argv=None):
                  else [w["name"] for w in bench["workloads"]])
     base_rev = git("rev-parse", args.base).decode().strip()
     head_rev = git("rev-parse", "HEAD").decode().strip()
-    diff = git("diff", "HEAD", "--", ".", ":(exclude)BENCH_*.json")
+    diff = git("diff", "HEAD", "--", "src", "perfbench")
     if diff.strip():
         head_rev += "+diff:" + hashlib.sha256(diff).hexdigest()[:12]
 
