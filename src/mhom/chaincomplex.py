@@ -410,12 +410,10 @@ class RelativePair:
         for k in range(1, len(dims)):
             pos_k = {g: p for p, g in enumerate(idx[k])}
             pos_k1 = {g: p for p, g in enumerate(idx[k - 1])}
-            M = IntMatrix(dims[k - 1], dims[k])
-            d = self.total.boundary(k)
-            for (i, j), v in d.data.items():
-                if j in pos_k and i in pos_k1:
-                    M.set(pos_k1[i], pos_k[j], v)
-            bnds[k] = M
+            bnds[k] = IntMatrix(dims[k - 1], dims[k], {
+                (pos_k1[i], pos_k[j]): v
+                for (i, j), v in self.total.boundary(k).data.items()
+                if j in pos_k and i in pos_k1})
         return ChainComplexZ(dims, bnds)
 
     def include_vector(self, k, a):

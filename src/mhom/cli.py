@@ -24,7 +24,7 @@ from .bracket import (bracket, bracket_inverse_points, brackets_of_generators,
 from .chaincomplex import (connecting_homomorphism, exact_at, homology_data,
                            hom_matrix_columns)
 from .chains import LipschitzChain, chain_from_vector, chain_to_vector
-from .complexes import PLMap, mcshane_extension
+from .complexes import PLMap, check_simplices, mcshane_extension
 from .currents import PolyhedralCurrent
 from .errors import GeometryError, InputError, MhomError
 from .geometry import det_fraction
@@ -562,9 +562,15 @@ def _suite_zigzag(args, rng):
 def _suite_space(args, rng):
     complex_ = spaces.load_space(args.space or "s1")
     depth = _depth(args)
-    checks = [{"check": "metric", "status": "pass",
-               "detail": f"{len(complex_.vertices)} vertices, "
-                         f"{len(complex_.simplices)} simplices"}]
+    # the constructor's face-closure and degeneracy checks, run again
+    try:
+        check_simplices(complex_.vertices, complex_.simplices)
+    except InputError as e:
+        status, detail = "fail", str(e)
+    else:
+        status, detail = "pass", (f"{len(complex_.vertices)} vertices, "
+                                  f"{len(complex_.simplices)} simplices")
+    checks = [{"check": "metric", "status": status, "detail": detail}]
     C, _ = complex_.chain_complex()
     checks.append(_homology_check("homology", C))
     for sub in sorted(complex_.subcomplexes):

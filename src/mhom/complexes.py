@@ -38,13 +38,53 @@ def _remember(memo, p, value):
     memo[p] = value
 
 
+def check_simplices(vertices, simplices):
+    """The top simplices of a complex, in order, after checking it.
+
+    simplices are distinct, nonempty, sorted index tuples in (len, t)
+    order.  One walk over their faces checks the vertex indices and face
+    closure and collects the faces; the simplices that are no face are
+    the tops, and only they are tested by geometry.is_degenerate, since a
+    face of an affinely independent tuple is independent.  If any of that
+    fails, the simplices are scanned again in order and InputError names
+    the first fault, so the message does not depend on which test found
+    it: an invalid index, a missing face or a degenerate simplex.
+    """
+    index = set(simplices)
+    faces = set()
+    for t in simplices:
+        fs = [t[:j] + t[j + 1:] for j in range(len(t))] if len(t) > 1 else ()
+        if t[-1] >= len(vertices) or t[0] < 0 or not index.issuperset(fs):
+            break
+        faces.update(fs)
+    else:
+        tops = [t for t in simplices if t not in faces]
+        if not any(is_degenerate([vertices[i] for i in t]) for t in tops):
+            return tops
+    for t in simplices:
+        if t[-1] >= len(vertices) or t[0] < 0:
+            raise InputError(f"simplex {t} has an invalid vertex index")
+        for j in range(len(t)):
+            f = t[:j] + t[j + 1:]
+            if f and f not in index:
+                raise InputError(f"face {f} of {t} is missing")
+        if is_degenerate([vertices[i] for i in t]):
+            raise InputError(f"simplex {t} is geometrically degenerate")
+    raise AssertionError("the scan missed a fault that the walk found")
+
+
 class MetricComplex:
     """Geometric simplicial complex with interned rational vertices
     (rational.point).
 
     simplices are sorted index tuples, closed under taking faces, each
     geometrically non-degenerate.  Named subcomplexes are lists of simplex
-    indices, themselves face-closed.
+    indices, themselves face-closed.  The constructor checks all of this
+    and raises InputError on the first fault: coordinate counts, empty or
+    repeated-vertex simplices, then check_simplices(): vertex indices and
+    face closure, and degeneracy by integer rank (geometry.is_degenerate)
+    on the top simplices only, since every face of an affinely
+    independent tuple is independent.
 
     The object is immutable after construction, and it owns point
     location.  It caches, each on first use and per depth d: the pieces of
@@ -68,22 +108,17 @@ class MetricComplex:
         self.simplices = []
         for s in simplices:
             t = tuple(sorted(int(i) for i in s))
+            if not t:
+                raise InputError("empty simplex")
             if len(set(t)) != len(t):
                 raise InputError(f"repeated vertex in simplex {s}")
             if t not in seen:
                 seen.add(t)
                 self.simplices.append(t)
+        if not self.simplices:
+            raise InputError("complex has no simplices")
         self.simplices.sort(key=lambda t: (len(t), t))
-        index = set(self.simplices)
-        for t in self.simplices:
-            if t[-1] >= len(self.vertices) or t[0] < 0:
-                raise InputError(f"simplex {t} has an invalid vertex index")
-            for j in range(len(t)):
-                f = t[:j] + t[j + 1:]
-                if f and f not in index:
-                    raise InputError(f"face {f} of {t} is missing")
-            if is_degenerate(self.points_of(t)):
-                raise InputError(f"simplex {t} is geometrically degenerate")
+        self._tops = check_simplices(self.vertices, self.simplices)
         self.subcomplexes = {}
         for name, idxs in (subcomplexes or {}).items():
             self.subcomplexes[name] = sorted(set(int(i) for i in idxs))
@@ -98,7 +133,6 @@ class MetricComplex:
                     f = t[:j] + t[j + 1:]
                     if f and f not in chosen:
                         raise InputError(f"subcomplex {name!r} is not face-closed")
-        self._tops = None
         self._locs = {}     # depth -> [locator per piece]
         self._pieces = {}   # depth -> [(top simplex index, piece)]
         self._samples = {}  # depth -> sorted subdivision vertices
@@ -112,20 +146,9 @@ class MetricComplex:
     def dimension(self):
         return max(len(t) for t in self.simplices) - 1
 
-    def _top_list(self):
-        if self._tops is None:
-            faces = set()
-            for t in self.simplices:
-                for j in range(len(t)):
-                    f = t[:j] + t[j + 1:]
-                    if f:
-                        faces.add(f)
-            self._tops = [t for t in self.simplices if t not in faces]
-        return self._tops
-
     def top_simplices(self):
         """Simplices that are not proper faces of another simplex."""
-        return list(self._top_list())
+        return list(self._tops)
 
     # -- point location ----------------------------------------------------
 
@@ -162,7 +185,7 @@ class MetricComplex:
         them too, so the first such top simplex is returned.
         """
         held = [self.tops_holding(p) for p in points]
-        first = held[0] if held else range(len(self._top_list()))
+        first = held[0] if held else range(len(self._tops))
         j = next((j for j in first if all(j in h for h in held)), None)
         return None if j is None else self._subdivision(0)[j][0]
 
@@ -173,7 +196,7 @@ class MetricComplex:
         if pieces is None:
             if depth <= 0:
                 pieces = [(self._index[t], self.points_of(t))
-                          for t in self._top_list()]
+                          for t in self._tops]
             else:
                 pieces = [(ti, sub) for ti, tup in self._subdivision(depth - 1)
                           for _, sub in barycentric_subdivide(tup)]
@@ -214,16 +237,13 @@ class MetricComplex:
         basis = self.chain_basis()
         top = max(basis)
         dims = [len(basis[k]) for k in range(top + 1)]
-        pos = {k: {t: i for i, t in enumerate(basis[k])} for k in basis}
         bnds = {}
         for k in range(1, top + 1):
-            M = IntMatrix(dims[k - 1], dims[k])
-            for t in basis[k]:
-                j = pos[k][t]
-                for d in range(k + 1):
-                    f = t[:d] + t[d + 1:]
-                    M.set(pos[k - 1][f], j, M.get(pos[k - 1][f], j) + (-1) ** d)
-            bnds[k] = M
+            row = {t: i for i, t in enumerate(basis[k - 1])}
+            signs = [(d, -1 if d % 2 else 1) for d in range(k + 1)]
+            bnds[k] = IntMatrix(dims[k - 1], dims[k], {
+                (row[t[:d] + t[d + 1:]], j): sign
+                for j, t in enumerate(basis[k]) for d, sign in signs})
         return ChainComplexZ(dims, bnds), basis
 
     def relative_pair(self, name: str) -> RelativePair:

@@ -11,7 +11,7 @@ with vertex order and permutation parity.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from .rational import centroid, dist2, dot, frac, lerp, vsub
 
@@ -118,8 +118,36 @@ def gram_det(verts) -> Fraction:
 
 
 def is_degenerate(verts) -> bool:
-    """Affinely dependent vertex tuple (repeats included)."""
-    return gram_det(verts) == 0
+    """Affinely dependent vertex tuple (repeats included).
+
+    The edge vectors v_i - v_0, scaled to integers over one common
+    denominator of the vertices, have rank below their count.  The rank
+    comes from fraction-free (Bareiss) elimination: each new entry is a
+    2x2 cross product over the previous pivot, a division that is exact,
+    so no Fraction is made and entries stay minors of the edge matrix.
+    """
+    q = lcm(*[x._denominator for v in verts for x in v])
+    rows = [[x._numerator * (q // x._denominator) for x in v] for v in verts]
+    v0 = rows[0]
+    E = [[a - b for a, b in zip(row, v0)] for row in rows[1:]]
+    k = len(E)
+    prev, r = 1, 0
+    for c in range(len(v0)):
+        if r == k:
+            break
+        piv = next((i for i in range(r, k) if E[i][c]), None)
+        if piv is None:
+            continue
+        E[r], E[piv] = E[piv], E[r]
+        top = E[r]
+        p = top[c]
+        for i in range(r + 1, k):
+            row = E[i]
+            f = row[c]
+            E[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        prev = p
+        r += 1
+    return r < k
 
 
 def simplex_boundary_terms(tup: Simplex):

@@ -8,6 +8,7 @@ import pytest
 
 from mhom import cli, spaces
 from mhom.chaincomplex import HomologyGroup
+from mhom.rational import point
 
 CMD = [sys.executable, "-m", "mhom.cli"]
 S1_FILE = Path(__file__).parent / "data" / "s1.json"
@@ -110,6 +111,30 @@ def test_space_file_not_json_exits_two(tmp_path, capsys):
     path.write_text(S1_FILE.read_text()[:-3])
     argv = ["homology", "--space", str(path)]
     assert input_error(capsys, argv, path) == 2
+
+
+@pytest.mark.parametrize("simplices", [[[0], []], []])
+def test_space_file_with_an_empty_simplex_or_none_exits_two(tmp_path, capsys,
+                                                           simplices):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"ambient_dim": 1, "vertices": [[0]],
+                                "simplices": simplices}))
+    argv = ["homology", "--space", str(path)]
+    assert input_error(capsys, argv, path) == 2
+
+
+def test_space_metric_check_fails_on_a_degenerate_simplex(monkeypatch,
+                                                          capsys):
+    # vertex 4, (3, 1), moved onto the line through vertices 0 and 1
+    complex_ = spaces.load_space("annulus_pair")
+    complex_.vertices[4] = point((3, 0))
+    monkeypatch.setattr(spaces, "load_space", lambda name: complex_)
+    assert cli.main(["verify", "space", "--space", "annulus_pair"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert checks[0] == {"check": "metric", "status": "fail",
+                         "detail": "simplex (0, 1, 4) is geometrically "
+                                   "degenerate"}
+    assert [c["status"] for c in checks[1:]] == ["pass", "pass"]
 
 
 @pytest.mark.parametrize("simplex", [99, -1])

@@ -220,6 +220,83 @@ def test_complex_rejects_a_degenerate_simplex():
                                 (0, 1, 2)])
 
 
+# Each input with the InputError text the complex constructor gave when it
+# tested every simplex in (len, t) order with a Gram determinant.
+FLAT_TRIANGLE = [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
+REJECTED = [
+    ("degenerate top", [(0, 0), (1, 1), (2, 2)], FLAT_TRIANGLE,
+     "simplex (0, 1, 2) is geometrically degenerate"),
+    ("degenerate edge under a degenerate top", [(0, 0), (0, 0), (1, 0)],
+     FLAT_TRIANGLE, "simplex (0, 1) is geometrically degenerate"),
+    ("repeated vertex", [(0, 0), (1, 0), (0, 1)],
+     [(0,), (1,), (2,), (0, 1), [1, 2, 2]],
+     "repeated vertex in simplex [1, 2, 2]"),
+    ("degenerate edge before a missing face",
+     [(0, 0), (0, 0), (1, 0), (0, 1)],
+     [(0,), (1,), (2,), (3,), (0, 1), (2, 3), (0, 2, 3)],
+     "simplex (0, 1) is geometrically degenerate"),
+    ("degenerate top before a missing face",
+     [(0, 0), (1, 0), (2, 0), (0, 1)],
+     [(0,), (1,), (2,), (3,), (0, 1), (0, 2), (1, 2), (0, 3), (0, 1, 2),
+      (0, 1, 3)],
+     "simplex (0, 1, 2) is geometrically degenerate"),
+    ("invalid index before a degenerate top", [(0, 0), (1, 1), (2, 2)],
+     FLAT_TRIANGLE + [(5,)], "simplex (5,) has an invalid vertex index"),
+    ("empty simplex", [(0,)], [(0,), ()], "empty simplex"),
+    ("no simplices", [(0,)], [], "complex has no simplices"),
+]
+
+
+@pytest.mark.parametrize("name, verts, sims, text", REJECTED,
+                         ids=[r[0] for r in REJECTED])
+def test_complex_rejects_with_the_first_fault_in_order(name, verts, sims,
+                                                       text):
+    with pytest.raises(InputError) as err:
+        MetricComplex(len(verts[0]), verts, sims)
+    assert str(err.value) == text
+
+
+def _polygon(n):
+    verts = [(Fraction(t), Fraction(t * t)) for t in range(n)]
+    edges = [tuple(sorted((i, (i + 1) % n))) for i in range(n)]
+    return MetricComplex(2, verts, [(i,) for i in range(n)] + edges)
+
+
+def test_construction_tests_only_tops_and_makes_no_gram_determinant(
+        monkeypatch):
+    """Building every bundled space and the 11-gon x 11-gon product (726
+    simplices) tests each top simplex of each complex built once for
+    degeneracy, and no face, and never forms a Gram matrix or a Fraction
+    determinant."""
+    gram_calls = []
+    for mod, name in [(geometry, "gram_det"), (geometry, "gram_matrix"),
+                      (geometry, "det_fraction"), (complexes, "gram_matrix")]:
+        monkeypatch.setattr(mod, name,
+                            lambda *a, name=name: gram_calls.append(name))
+    tested, built = [], []
+    real_test, real_init = complexes.is_degenerate, MetricComplex.__init__
+
+    def counting_test(verts):
+        tested.append(tuple(verts))
+        return real_test(verts)
+
+    def recording_init(self, *args, **kwargs):
+        tested.clear()
+        real_init(self, *args, **kwargs)
+        built.append((self, sorted(tested)))
+
+    monkeypatch.setattr(complexes, "is_degenerate", counting_test)
+    monkeypatch.setattr(MetricComplex, "__init__", recording_init)
+    for name in spaces.builtin_spaces():
+        spaces.load_space(name)
+    factor = _polygon(11)
+    assert len(spaces.graph_product_surface(factor, factor).simplices) == 726
+    assert len(built) > len(spaces.builtin_spaces()) + 1
+    for c, verts in built:
+        assert verts == sorted(c.points_of(t) for t in c.top_simplices())
+    assert gram_calls == []
+
+
 def test_mcshane_two_point_interpolation():
     c = segment(2)
     data = [((Fraction(0), Fraction(0)), Fraction(0)),

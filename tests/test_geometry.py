@@ -4,8 +4,8 @@ from math import lcm
 
 from mhom import spaces
 from mhom.geometry import (canonical_orientation, cut_simplex_by_values,
-                           det_fraction, edge_matrix, gram_matrix,
-                           is_degenerate, point_simplex_dist2,
+                           det_fraction, edge_matrix, gram_det,
+                           gram_matrix, is_degenerate, point_simplex_dist2,
                            solve_fraction_system)
 from mhom.rational import coord, dot
 
@@ -112,6 +112,40 @@ def test_point_simplex_dist2_matches_reference():
         assert point_simplex_dist2(p, verts) == ref_dist2(p, verts)
         degenerate += is_degenerate(verts)
     assert degenerate > 50
+
+
+def test_is_degenerate_agrees_with_the_gram_determinant():
+    """The integer rank test gives the verdict of gram_det == 0 on seeded
+    tuples of 1 to 5 vertices in R^1 to R^5: free ones, ones with a vertex
+    replaced by an affine combination of the others, and ones with a
+    vertex repeated."""
+    rng = random.Random(71)
+    kinds = {"free": 0, "dependent": 0, "coincident": 0}
+    degenerate = 0
+    for _ in range(3000):
+        n, k = rng.randrange(1, 6), rng.randrange(0, 5)
+        verts = [tuple(F(rng.randrange(-4, 5), rng.randrange(1, 4))
+                       for _ in range(n)) for _ in range(k + 1)]
+        kind = rng.choice(list(kinds)) if k else "free"
+        if kind == "dependent":
+            # the last vertex becomes sum w_i v_i over the others, with
+            # weights summing to 1
+            ws = [F(rng.randrange(-3, 4), rng.randrange(1, 3))
+                  for _ in range(k - 1)]
+            ws.append(1 - sum(ws, F(0)))
+            verts[-1] = tuple(sum(w * v[d] for w, v in zip(ws, verts))
+                              for d in range(n))
+            rng.shuffle(verts)
+        elif kind == "coincident":
+            i, j = rng.sample(range(k + 1), 2)
+            verts[i] = verts[j]
+        kinds[kind] += 1
+        verts = tuple(verts)
+        assert is_degenerate(verts) == (gram_det(verts) == 0), verts
+        assert kind == "free" or is_degenerate(verts)
+        degenerate += is_degenerate(verts)
+    assert min(kinds.values()) > 500, kinds
+    assert 1200 < degenerate < 2000, degenerate
 
 
 def test_segment_orientation_matches_the_stable_sort():
