@@ -277,42 +277,46 @@ def fill_zero_chain(complex_, chain, region, start_depth=SAMPLE_DEPTH,
         for v in nodes:
             for j in complex_.tops_holding(v):
                 by_top.setdefault(j, []).append(num[v])
-        adj = [set() for _ in order]
-        for home in by_top.values():
-            for k in home:
-                adj[k].update(home)
         node_weight = {num[p]: c for p, c in weights.items()}
         # one sorted traversal from the first node of each component records
-        # its spanning tree; the first unbalanced component ends this depth
+        # its spanning tree, until every weighted node is in a tree; the
+        # first unbalanced component ends this depth
         parent = {}
+        unreached = len(node_weight)
         for root in (num[v] for v in nodes):
             if root in parent:
                 continue
             parent[root] = None
             total = node_weight.get(root, 0)
+            unreached -= root in node_weight
             stack = [root]
-            while stack:
+            while stack and unreached:
                 x = stack.pop()
-                for y in sorted(adj[x]):
+                near = set()
+                for j in complex_.tops_holding(order[x]):
+                    near.update(by_top[j])
+                for y in sorted(near):
                     if y not in parent:
                         parent[y] = x
-                        total += node_weight.get(y, 0)
+                        if y in node_weight:
+                            total += node_weight[y]
+                            unreached -= 1
                         stack.append(y)
             if total != 0:
                 last_err = (f"component of {order[root]} carries net weight "
                             f"{total}")
                 break
-        else:
-            # all components balanced: route each weight to its root
-            terms = {}
-            for x, c in node_weight.items():
-                while parent[x] is not None:
-                    seg = (parent[x], x)
-                    terms[seg] = terms.get(seg, 0) + c
-                    x = parent[x]
-            terms = {(order[a], order[b]): c
-                     for (a, b), c in terms.items() if c}
-            return LipschitzChain(complex_, 1, terms, 0)
+            if not unreached:
+                # all components balanced: route each weight to its root
+                terms = {}
+                for x, c in node_weight.items():
+                    while parent[x] is not None:
+                        seg = (parent[x], x)
+                        terms[seg] = terms.get(seg, 0) + c
+                        x = parent[x]
+                terms = {(order[a], order[b]): c
+                         for (a, b), c in terms.items() if c}
+                return LipschitzChain(complex_, 1, terms, 0)
         # fall through: retry deeper
     raise LocalityError(f"zero-chain fill failed {context}: {last_err}")
 

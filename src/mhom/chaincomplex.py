@@ -156,20 +156,17 @@ class _Coreduction:
     are applied once each, in removal order, to tabulate the flow of every
     k-cell onto the critical k-cells (`proj`).  Degree-(k-1) chains flow
     through the pairs ((k-1)-cell, k-cell) by `_sweep`, latest pair first.
+
+    `face_lists` buckets each boundary's entries by column in one pass,
+    sorts each column's few entries by face, then appends each cell to
+    its faces' cofaces in ascending cell order; no global sort.
     """
 
     def __init__(self, dk: IntMatrix, dk1: IntMatrix):
         mid = dk.nrows
         top = mid + dk.ncols
-        n = top + dk1.ncols
-        faces = [[] for _ in range(n)]
-        cofaces = [[] for _ in range(n)]
-        for (i, j), v in sorted(dk.data.items()):
-            faces[mid + j].append((i, v))
-            cofaces[i].append(mid + j)
-        for (i, j), v in sorted(dk1.data.items()):
-            faces[top + j].append((mid + i, v))
-            cofaces[mid + i].append(top + j)
+        faces, cofaces = self.face_lists(dk, dk1)
+        n = len(faces)
         self.mid, self.top, self.faces = mid, top, faces
         # pairs (a, b, eps) with a of degree k-1, in removal order, and the
         # position of each such a in that list
@@ -184,32 +181,51 @@ class _Coreduction:
         live = list(map(len, faces))
         alive = [True] * n
         queue = deque(c for c, m in enumerate(live) if m == 1)
-
-        def remove(c):
-            alive[c] = False
-            for b in cofaces[c]:
-                if alive[b]:
-                    live[b] -= 1
-                    if live[b] == 1:
-                        queue.append(b)
-
+        pop, push = queue.popleft, queue.append
         lowest = 0
         while True:
-            while queue:
-                b = queue.popleft()
+            if queue:
+                b = pop()
                 if not alive[b] or live[b] != 1:
                     continue
-                a, eps = next((f, v) for f, v in faces[b] if alive[f])
-                if eps == 1 or eps == -1:
-                    self._pair(a, b, eps)
-                    remove(b)
-                    remove(a)
-            while lowest < n and not alive[lowest]:
-                lowest += 1
-            if lowest == n:
-                break
-            self._make_critical(lowest)
-            remove(lowest)
+                for a, eps in faces[b]:
+                    if alive[a]:
+                        break
+                if eps != 1 and eps != -1:
+                    continue
+                self._pair(a, b, eps)
+                removed = (b, a)
+            else:
+                while lowest < n and not alive[lowest]:
+                    lowest += 1
+                if lowest == n:
+                    break
+                self._make_critical(lowest)
+                removed = (lowest,)
+            for c in removed:
+                alive[c] = False
+                for b in cofaces[c]:
+                    if alive[b]:
+                        live[b] -= 1
+                        if live[b] == 1:
+                            push(b)
+
+    @staticmethod
+    def face_lists(dk, dk1):
+        """Each window cell's faces [(face, coefficient)] and cofaces, both
+        ascending, whatever order the boundaries' dicts were filled in."""
+        mid, top = dk.nrows, dk.nrows + dk.ncols
+        faces = [[] for _ in range(top + dk1.ncols)]
+        for (i, j), v in dk.data.items():
+            faces[mid + j].append((i, v))
+        for (i, j), v in dk1.data.items():
+            faces[top + j].append((mid + i, v))
+        cofaces = [[] for _ in faces]
+        for c in range(mid, len(faces)):
+            faces[c].sort()
+            for f, _ in faces[c]:
+                cofaces[f].append(c)
+        return faces, cofaces
 
     def _pair(self, a, b, eps):
         if a < self.mid:

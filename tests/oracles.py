@@ -6,12 +6,14 @@ elimination over Q and over prime fields for ranks.  Slow but obviously
 correct on the small inputs the tests use.
 """
 
+from bisect import insort
 from fractions import Fraction
 from itertools import combinations
 from math import factorial, gcd
 
+from mhom.cech import MAX_FILL_DEPTH, SAMPLE_DEPTH
 from mhom.chains import LipschitzChain
-from mhom.errors import InputError
+from mhom.errors import GeometryError, InputError, LocalityError
 from mhom.geometry import cut_simplex_by_values, gram_det, integrate_affine
 from mhom.rational import RadicalSum, dist2, dot, frac, vsub
 
@@ -624,3 +626,117 @@ def _difference_map(pa, pb):
             return pa.affine_on(pts) and pb.affine_on(pts)
 
     return _Diff()
+
+
+# ---- reference fill and coreduction face lists ----
+
+def full_traversal_fill(complex_, chain, region, start_depth=SAMPLE_DEPTH,
+                        context=""):
+    """The full-traversal form of cech.fill_zero_chain: the adjacency sets
+    of the whole region are built up front, and every component is
+    traversed before the weights are routed.  Same nodes and the same
+    sorted traversal, so the same terms in the same order.
+
+    region is None for the whole carrier, or a pair (cover, balls) for the
+    intersection of the listed open balls of the cover; such a region is
+    closed under segments inside single carrier simplices.  The nodes at
+    each depth are the region's sample vertices in sample order, filtered
+    by the cover's membership table of that depth (cover.members), then
+    the chain points that are not among them, which the cover's per-point
+    memo placed in the region (cover.balls_holding).  Builds a path graph
+    on these nodes, routes each weighted point to its component root
+    along a spanning tree, and retries one depth deeper, up to
+    MAX_FILL_DEPTH, while some component carries nonzero total weight.
+    """
+    if chain.degree != 0:
+        raise InputError("only zero-chains are filled by paths")
+    cover, balls = region if region is not None else (None, ())
+    balls = frozenset(balls)
+    weights = {}
+    for tup, c in chain.terms.items():
+        p = tup[0]
+        if cover is not None and not balls <= cover.balls_holding(p):
+            raise GeometryError(f"chain point {p} escapes the region {context}")
+        weights[p] = weights.get(p, 0) + c
+    weights = {p: c for p, c in weights.items() if c}
+    if not weights:
+        return LipschitzChain(complex_, 1, {}, chain.level)
+
+    last_err = "no admissible depth"
+    for depth in range(start_depth, MAX_FILL_DEPTH + 1):
+        nodes = complex_.sample_vertices(depth)
+        if cover is not None:
+            table = cover.members(depth).values()
+            nodes = [v for v, inside in zip(nodes, table) if balls <= inside]
+        known = set(nodes)
+        # sample vertices come sorted, so each point that is not one of
+        # them is inserted in place: nodes are numbered in point order, and
+        # sorted numbers are sorted points
+        order = nodes[:]
+        for p in weights:
+            if p not in known:
+                insort(order, p)
+                nodes.append(p)
+        num = {v: k for k, v in enumerate(order)}
+        # edge when two nodes share a containing top simplex; the segment
+        # then stays inside the carrier, and inside the region by convexity
+        by_top = {}
+        for v in nodes:
+            for j in complex_.tops_holding(v):
+                by_top.setdefault(j, []).append(num[v])
+        adj = [set() for _ in order]
+        for home in by_top.values():
+            for k in home:
+                adj[k].update(home)
+        node_weight = {num[p]: c for p, c in weights.items()}
+        # one sorted traversal from the first node of each component records
+        # its spanning tree; the first unbalanced component ends this depth
+        parent = {}
+        for root in (num[v] for v in nodes):
+            if root in parent:
+                continue
+            parent[root] = None
+            total = node_weight.get(root, 0)
+            stack = [root]
+            while stack:
+                x = stack.pop()
+                for y in sorted(adj[x]):
+                    if y not in parent:
+                        parent[y] = x
+                        total += node_weight.get(y, 0)
+                        stack.append(y)
+            if total != 0:
+                last_err = (f"component of {order[root]} carries net weight "
+                            f"{total}")
+                break
+        else:
+            # all components balanced: route each weight to its root
+            terms = {}
+            for x, c in node_weight.items():
+                while parent[x] is not None:
+                    seg = (parent[x], x)
+                    terms[seg] = terms.get(seg, 0) + c
+                    x = parent[x]
+            terms = {(order[a], order[b]): c
+                     for (a, b), c in terms.items() if c}
+            return LipschitzChain(complex_, 1, terms, 0)
+        # fall through: retry deeper
+    raise LocalityError(f"zero-chain fill failed {context}: {last_err}")
+
+
+def sorted_face_lists(dk, dk1):
+    """The coreduction window's face and coface lists as built by walking
+    each boundary's entries in sorted (row, column) order: faces of cell c
+    as [(face, coefficient)], cofaces as ascending cells."""
+    mid = dk.nrows
+    top = mid + dk.ncols
+    n = top + dk1.ncols
+    faces = [[] for _ in range(n)]
+    cofaces = [[] for _ in range(n)]
+    for (i, j), v in sorted(dk.data.items()):
+        faces[mid + j].append((i, v))
+        cofaces[i].append(mid + j)
+    for (i, j), v in sorted(dk1.data.items()):
+        faces[top + j].append((mid + i, v))
+        cofaces[mid + i].append(top + j)
+    return faces, cofaces

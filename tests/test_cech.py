@@ -12,9 +12,10 @@ from mhom.cech import (Nerve, augment, augment_nerve, cech_boundary,
                        zigzag_fill)
 from mhom.chains import LipschitzChain
 from mhom.currents import PolyhedralCurrent
-from mhom.errors import GeometryError, InputError
+from mhom.errors import GeometryError, InputError, LocalityError
 from mhom.intlinalg import IntMatrix, solve_integer
 
+from oracles import full_traversal_fill
 from test_chains import circle_cycle
 
 F = Fraction
@@ -174,6 +175,85 @@ def test_fill_zero_chain_respects_region(s1, arcs2):
     # the two-arc overlap has two components, so both outcomes occur
     assert filled > 0
     assert disconnected > 0
+
+
+def _fill_outcome(fill, complex_, z, region, **kw):
+    """The terms of a fill in dict order, or its error's type and text."""
+    try:
+        return list(fill(complex_, z, region, **kw).terms.items())
+    except GeometryError as e:
+        return type(e), str(e)
+
+
+def _region_points(cover, balls, depth):
+    table = cover.members(depth).values()
+    return [v for v, inside in
+            zip(cover.complex.sample_vertices(depth), table)
+            if set(balls) <= inside]
+
+
+@pytest.mark.parametrize("space,cover", [("s1", "arcs3"),
+                                         ("torus", "torus_balls")])
+def test_fill_matches_full_traversal_reference(space, cover, request):
+    """On seeded single-ball and pair regions, and the whole carrier, the
+    fill that stops at the last weighted node gives the full traversal's
+    terms in the same order.  Points of depth 3 lie off the depth-2 grid
+    the fill starts on."""
+    complex_ = request.getfixturevalue(space)
+    cover = request.getfixturevalue(cover)
+    rng = random.Random(29)
+    nerve = Nerve(cover, max_arity=2)
+    regions = [(cover, K) for K in nerve.tuples(1) + nerve.tuples(2)]
+    compared = 0
+    for region in regions + [None]:
+        for depth in (2, 3):
+            pts = (_region_points(*region, depth) if region
+                   else complex_.sample_vertices(depth))
+            for _ in range(2 if len(pts) > 1 else 0):
+                p, q = rng.sample(pts, 2)
+                z = LipschitzChain(complex_, 0, {(q,): 1, (p,): -1})
+                got = _fill_outcome(fill_zero_chain, complex_, z, region)
+                assert got == _fill_outcome(full_traversal_fill, complex_,
+                                            z, region)
+                assert got and not isinstance(got, tuple)
+                compared += 1
+    assert compared >= 2 * (len(regions) + 1)
+
+
+def test_fill_retrying_deeper_matches_reference(torus, torus_balls,
+                                                monkeypatch):
+    """Started at depth 0, pair fills of the torus whose points are apart
+    at the coarse depths go deeper, to the same terms as the reference."""
+    asked = []
+    real = torus.sample_vertices
+    monkeypatch.setattr(torus, "sample_vertices",
+                        lambda depth: asked.append(depth) or real(depth))
+    region = (torus_balls, (0, 1))
+    pts = _region_points(*region, 3)
+    rng = random.Random(3)
+    deeper = 0
+    for _ in range(6):
+        p, q = rng.sample(pts, 2)
+        z = LipschitzChain(torus, 0, {(q,): 1, (p,): -1})
+        asked.clear()
+        got = _fill_outcome(fill_zero_chain, torus, z, region, start_depth=0)
+        deeper += len(asked) > 1
+        assert got == _fill_outcome(full_traversal_fill, torus, z, region,
+                                    start_depth=0)
+    assert deeper
+
+
+def test_fill_locality_error_matches_reference(s1, arcs2):
+    """Points in the two components of the two-arc overlap raise the same
+    LocalityError, with the same text, as the reference."""
+    region = (arcs2, (0, 1))
+    pts = _region_points(*region, 3)
+    z = LipschitzChain(s1, 0, {(pts[0],): 1, (pts[-1],): -1})
+    got = _fill_outcome(fill_zero_chain, s1, z, region, context="(pair)")
+    assert got[0] is LocalityError
+    assert got[1].startswith("zero-chain fill failed (pair): component of ")
+    assert got == _fill_outcome(full_traversal_fill, s1, z, region,
+                                context="(pair)")
 
 
 def test_descent_circle_frozen(s1, arcs3):

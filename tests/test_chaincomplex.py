@@ -11,7 +11,7 @@ from mhom.complexes import MetricComplex
 from mhom.intlinalg import IntMatrix, kernel_basis
 
 from oracles import (betti_numbers, dense_smith_normal_form, det,
-                     simplicial_boundary_rows)
+                     simplicial_boundary_rows, sorted_face_lists)
 
 GOLDEN = {
     "s1": ["Z", "Z"],
@@ -400,3 +400,67 @@ def test_homology_matches_full_complex_reference(C):
         if bad is not None:
             with pytest.raises(ValueError):
                 new.class_vector([int(j == bad) for j in range(C.dim(k))])
+
+
+@pytest.mark.parametrize("C", _differential_cases())
+def test_face_lists_match_sorted_reference(C):
+    """The bucketed face and coface lists are those of the walk over each
+    boundary's entries in sorted order."""
+    for k in range(len(C.dims)):
+        dk, dk1 = C.boundary(k), C.boundary(k + 1)
+        assert (chaincomplex._Coreduction.face_lists(dk, dk1)
+                == sorted_face_lists(dk, dk1)), k
+
+
+def _shuffled(M, rng):
+    items = list(M.data.items())
+    rng.shuffle(items)
+    return IntMatrix(M.nrows, M.ncols, dict(items))
+
+
+@pytest.mark.parametrize("C", [pytest.param(_polygon_product(5), id="5-gon^2"),
+                               pytest.param(_klein_grid(6), id="klein6")])
+def test_coreduction_ignores_insertion_order(C):
+    """Boundaries whose entries were inserted in shuffled order give the
+    same face lists, matching, flow table and generators."""
+    rng = random.Random(17)
+    shuffled = ChainComplexZ(C.dims, {k: _shuffled(C.boundary(k), rng)
+                                      for k in range(1, len(C.dims))})
+    assert all(list(C.boundary(k).data) != list(shuffled.boundary(k).data)
+               for k in range(1, len(C.dims)))
+    for k in range(len(C.dims)):
+        windows = [(D.boundary(k), D.boundary(k + 1)) for D in (C, shuffled)]
+        a, b = (chaincomplex._Coreduction(*w) for w in windows)
+        assert (chaincomplex._Coreduction.face_lists(*windows[0])
+                == chaincomplex._Coreduction.face_lists(*windows[1]))
+        assert (a.faces, a.pairs, a.critical) == (b.faces, b.pairs, b.critical)
+        assert list(a.proj.items()) == list(b.proj.items())
+        assert (homology_data(C, k).generators()
+                == homology_data(shuffled, k).generators())
+
+
+def test_every_pair_goes_through_pair(monkeypatch):
+    """On the 726-simplex product, each window's cells are its critical
+    cells and two per _pair call, so a loop that pairs cells without
+    calling _pair is caught."""
+    C = _polygon_product(11)
+    windows = []
+
+    class Counted(chaincomplex._Coreduction):
+        def __init__(self, dk, dk1):
+            self.paired = 0
+            super().__init__(dk, dk1)
+            windows.append(self)
+
+        def _pair(self, a, b, eps):
+            self.paired += 1
+            super()._pair(a, b, eps)
+
+    monkeypatch.setattr(chaincomplex, "_Coreduction", Counted)
+    for k in range(len(C.dims)):
+        homology_data(C, k)
+        red = windows[-1]
+        cells = len(red.faces)
+        assert cells == C.dim(k - 1) + C.dim(k) + C.dim(k + 1)
+        assert 2 * red.paired == cells - sum(map(len, red.critical)), k
+        assert red.paired > 0

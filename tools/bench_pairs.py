@@ -7,8 +7,9 @@ The base revision is exported with `git archive` into a temporary
 directory; the change is this checkout as it stands, uncommitted edits
 included.  A change whose src/ or perfbench/ (the code the runs execute)
 differs from HEAD is labelled by the head commit and the first 12 hex
-digits of the SHA-256 of that `git diff HEAD`, so entries of different
-code never share a label.  Each
+digits of the SHA-256 of that `git diff HEAD` followed by the path and
+bytes of each untracked, unignored file there (a new module is in no
+diff), so entries of different code never share a label.  Each
 side runs its own perfbench/run.py with the given --trace,
 one process at a time, for the benchmark's run_seconds, in PAIRS pairs
 (ten, the fewest on which a gain may be claimed).  Pair i uses seed
@@ -70,6 +71,20 @@ def run(root, workload, seed, seconds, trace):
     return json.loads(lines[-1])
 
 
+def change_label():
+    """HEAD's commit, plus a hash of the code that differs from it."""
+    label = git("rev-parse", "HEAD").decode().strip()
+    diff = git("diff", "HEAD", "--", "src", "perfbench")
+    for path in git("ls-files", "--others", "--exclude-standard", "-z",
+                    "--", "src", "perfbench").split(b"\0"):
+        if path:
+            with open(os.path.join(ROOT, os.fsdecode(path)), "rb") as fh:
+                diff += b"\0" + path + b"\0" + fh.read()
+    if diff.strip():
+        label += "+diff:" + hashlib.sha256(diff).hexdigest()[:12]
+    return label
+
+
 def better(metric, head, base):
     return head > base if metric["better"] == "higher" else head < base
 
@@ -97,10 +112,7 @@ def main(argv=None):
     workloads = (args.workloads.split(",") if args.workloads
                  else [w["name"] for w in bench["workloads"]])
     base_rev = git("rev-parse", args.base).decode().strip()
-    head_rev = git("rev-parse", "HEAD").decode().strip()
-    diff = git("diff", "HEAD", "--", "src", "perfbench")
-    if diff.strip():
-        head_rev += "+diff:" + hashlib.sha256(diff).hexdigest()[:12]
+    head_rev = change_label()
 
     entry = {"base": base_rev, "head": head_rev,
              "seconds": seconds, "pairs": PAIRS, "trace": args.trace,
