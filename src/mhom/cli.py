@@ -32,8 +32,6 @@ from .intlinalg import IntMatrix, smith_normal_form
 from .rational import dist2
 
 THEORIES = ("singular", "lipschitz", "current")
-SUITES = ("snf", "stokes", "green", "prism", "mass", "degree0", "mcshane",
-          "cosheaf", "zigzag", "space")
 
 
 def _check_counts(args):
@@ -70,18 +68,34 @@ def _frac_str(x):
     return str(Fraction(x))
 
 
-def _default_cover(space_name):
-    return {"s1": "s1_arcs3", "torus": "torus_balls"}.get(space_name)
+def _check(name, ok, **detail):
+    """One verify check: its name, pass or fail, and any detail fields."""
+    return {"check": name, "status": "pass" if ok else "fail", **detail}
 
 
-def _resolve_cover(complex_, space_name, cover_arg):
-    name = cover_arg or _default_cover(space_name)
+def _resolve(args, cover_needed=True):
+    """(space name, complex, cover name, cover, nerve) for a command.
+
+    The space is --space, s1 when none is given.  The cover is --cover,
+    else the space's bundled one (s1 and torus have one); a name that is
+    no bundled cover is tried with the space's prefix (arcs2 on s1 is
+    s1_arcs2) before it is read as a file.  The nerve is Nerve(cover,
+    max_arity=3).  The last three are None when cover_needed is False, or
+    when it is None and no cover is named or bundled; with cover_needed
+    True that is an input error.
+    """
+    space = args.space or "s1"
+    complex_ = spaces.load_space(space)
+    name = args.cover or {"s1": "s1_arcs3", "torus": "torus_balls"}.get(space)
+    if cover_needed is False or name is None and cover_needed is None:
+        return space, complex_, None, None, None
     if name is None:
-        raise InputError(f"no bundled cover for {space_name!r}; pass --cover")
+        raise InputError(f"no bundled cover for {space!r}; pass --cover")
     builtin = spaces.builtin_covers()
-    if name not in builtin and space_name and f"{space_name}_{name}" in builtin:
-        name = f"{space_name}_{name}"
-    return name, spaces.load_cover(complex_, name)
+    if name not in builtin and f"{space}_{name}" in builtin:
+        name = f"{space}_{name}"
+    cover = spaces.load_cover(complex_, name)
+    return space, complex_, name, cover, cech.Nerve(cover, max_arity=3)
 
 
 # ---- homology ----
@@ -227,7 +241,7 @@ def cmd_compare(args):
     depth = _depth(args)
     if args.degree not in (0, 1):
         raise InputError("compare runs in degrees 0 and 1")
-    complex_ = spaces.load_space(args.space)
+    _, complex_, cover_name, cover, nerve = _resolve(args, args.degree >= 1)
     rng = random.Random(args.seed)
 
     payload = {
@@ -244,12 +258,7 @@ def cmd_compare(args):
         payload["pair"] = args.pair
         payload["les"] = _pair_les_checks(complex_, args.pair)
 
-    cover = None
-    nerve = None
-    cover_name = None
     if args.degree >= 1:
-        cover_name, cover = _resolve_cover(complex_, args.space, args.cover)
-        nerve = cech.Nerve(cover, max_arity=3)
         payload["pairing"] = _pairing_certificate(args.space, complex_)
     payload["cover"] = cover_name
     payload["iota"] = _iota_identification(complex_, args.degree)
@@ -308,7 +317,7 @@ def _suite_snf(args, rng):
         for a, b in zip(diag, diag[1:]):
             if b and (a == 0 or b % a):
                 ok = False
-        checks.append({"check": f"snf[{i}]", "status": "pass" if ok else "fail"})
+        checks.append(_check(f"snf[{i}]", ok))
         if not ok:
             checks[-1]["counterexample"] = M.to_rows()
     return checks
@@ -340,8 +349,7 @@ def _suite_stokes(args, rng):
         ok = lhs.equals(rhs)
         ok = ok and ch.boundary().boundary().is_zero()
         ok = ok and bracket(ch).boundary().boundary().is_zero()
-        checks.append({"check": f"stokes[{i}]:{name}:H{k}",
-                       "status": "pass" if ok else "fail"})
+        checks.append(_check(f"stokes[{i}]:{name}:H{k}", ok))
     return checks
 
 
@@ -355,12 +363,8 @@ def _suite_green(args, rng):
     val = T.boundary().evaluate(y, [x])
     const = PLMap.constant((Fraction(1, 2),))
     loc = T.boundary().evaluate(y, [const])
-    checks = [
-        {"check": "green:value", "status": "pass" if val == -1 else "fail",
-         "detail": _frac_str(val)},
-        {"check": "green:locality", "status": "pass" if loc == 0 else "fail"},
-    ]
-    return checks
+    return [_check("green:value", val == -1, detail=_frac_str(val)),
+            _check("green:locality", loc == 0)]
 
 
 def _random_current(rng, degree):
@@ -384,8 +388,7 @@ def _suite_prism(args, rng):
         if k >= 1:
             rhs = rhs - T.boundary().product_interval()
         ok = lhs.equals(rhs)
-        checks.append({"check": f"prism[{i}]:deg{k}",
-                       "status": "pass" if ok else "fail"})
+        checks.append(_check(f"prism[{i}]:deg{k}", ok))
         if k >= 1:
             Z = _random_current(rng, k)
             cyc = Z.boundary()
@@ -397,8 +400,7 @@ def _suite_prism(args, rng):
             dbase = max((dist2(p, q) for p in base for q in base), default=0)
             dspt = max((dist2(p, q) for p in spt for q in spt), default=0)
             ok2 = ok2 and dspt <= dbase
-            checks.append({"check": f"cone[{i}]:deg{k - 1}",
-                           "status": "pass" if ok2 else "fail"})
+            checks.append(_check(f"cone[{i}]:deg{k - 1}", ok2))
     return checks
 
 
@@ -415,8 +417,7 @@ def _suite_mass(args, rng):
         lip = max(d)
         push = T.pushforward(phi)
         ok = sub and push.mass() <= T.mass().scale(lip ** k)
-        checks.append({"check": f"mass[{i}]:deg{k}",
-                       "status": "pass" if ok else "fail"})
+        checks.append(_check(f"mass[{i}]:deg{k}", ok))
     return checks
 
 
@@ -426,14 +427,11 @@ def _suite_degree0(args, rng):
     for i in range(args.budget):
         complex_ = spaces.load_space(names[i % len(names)])
         items = spaces.random_point_cycle(complex_, rng)
-        if not items:
-            checks.append({"check": f"degree0[{i}]", "status": "pass"})
-            continue
-        z = LipschitzChain.from_simplices(complex_, items)
-        back = bracket_inverse_points(bracket(z), complex_)
-        ok = back == z
-        checks.append({"check": f"degree0[{i}]",
-                       "status": "pass" if ok else "fail"})
+        ok = True
+        if items:
+            z = LipschitzChain.from_simplices(complex_, items)
+            ok = bracket_inverse_points(bracket(z), complex_) == z
+        checks.append(_check(f"degree0[{i}]", ok))
     return checks
 
 
@@ -455,8 +453,7 @@ def _suite_mcshane(args, rng):
                 df = ext.scalar(p) - ext.scalar(q)
                 if df * df > L * L * dist2(p, q):
                     ok = False
-        checks.append({"check": f"mcshane[{i}]",
-                       "status": "pass" if ok else "fail"})
+        checks.append(_check(f"mcshane[{i}]", ok))
     return checks
 
 
@@ -486,9 +483,7 @@ def _overlap_kernel(complex_, cover, nerve, deg, index=0):
 
 
 def _suite_cosheaf(args, rng):
-    complex_ = spaces.load_space(args.space or "s1")
-    name, cover = _resolve_cover(complex_, args.space or "s1", args.cover)
-    nerve = cech.Nerve(cover, max_arity=3)
+    _, complex_, _, cover, nerve = _resolve(args)
     checks = []
     for i in range(args.budget):
         deg = i % 2
@@ -497,38 +492,26 @@ def _suite_cosheaf(args, rng):
         total = cech.augment(parts)
         ok = total is None and ch.is_zero() or \
             total is not None and (total - ch).is_zero()
-        checks.append({"check": f"eps-chain[{i}]:deg{deg}",
-                       "status": "pass" if ok else "fail"})
+        checks.append(_check(f"eps-chain[{i}]:deg{deg}", ok))
 
         cur = bracket(ch)
         if cur.terms:
             cparts = cech.split(cur, cover)
             ok = cech.augment(cparts).equals(cur)
-            checks.append({"check": f"eps-current[{i}]:deg{deg}",
-                           "status": "pass" if ok else "fail"})
+            checks.append(_check(f"eps-current[{i}]:deg{deg}", ok))
 
         # kernel of the augmentation is hit by the facet map: start from
-        # a guaranteed overlap-supported element, and fold in the
-        # difference of two bucketings (first vs last containing ball)
-        # of the refined chain when it is nontrivial
+        # a guaranteed overlap-supported element, and fold in the per-ball
+        # difference of two bucketings of the refined chain, each term to
+        # its first and to its last containing ball
         ker = _overlap_kernel(complex_, cover, nerve, deg, index=i)
         if ker is None:
             continue
-        first = next(iter(parts.values()), ch)
-        diff = {}
+        last = cech.split(ch, cover, range(len(cover) - 1, -1, -1))
         for A, p in parts.items():
-            for tup, c in p.terms.items():
-                holders = [j for j in range(len(cover))
-                           if cover.simplex_inside(j, tup)]
-                B = (holders[-1],)
-                if B == A:
-                    continue
-                for ball, sign in ((A, c), (B, -c)):
-                    t = diff.setdefault(ball, {})
-                    t[tup] = t.get(tup, 0) + sign
-        for A, t in diff.items():
-            extra = first.like(deg, t)
-            ker[A] = ker[A] + extra if A in ker else extra
+            ker[A] = ker[A] + p if A in ker else p
+        for A, p in last.items():
+            ker[A] = ker[A] - p if A in ker else -p
         ker = {A: k for A, k in ker.items() if not k.is_zero()}
         if not ker:
             continue
@@ -537,53 +520,46 @@ def _suite_cosheaf(args, rng):
         zero = LipschitzChain.zero(complex_, deg)
         ok = all((img.get(A, zero) - ker.get(A, zero)).is_zero()
                  for A in set(img) | set(ker))
-        checks.append({"check": f"ker-eps[{i}]:deg{deg}",
-                       "status": "pass" if ok else "fail"})
+        checks.append(_check(f"ker-eps[{i}]:deg{deg}", ok))
     return checks
 
 
 def _suite_zigzag(args, rng):
-    complex_ = spaces.load_space(args.space or "s1")
-    name, cover = _resolve_cover(complex_, args.space or "s1", args.cover)
-    nerve = cech.Nerve(cover, max_arity=3)
+    space, complex_, _, cover, nerve = _resolve(args)
     checks = []
     for i in range(args.budget):
-        items = _compare_cycle(args.space or "s1", complex_, 1, rng)
+        items = _compare_cycle(space, complex_, 1, rng)
         try:
             _zigzag_step(complex_, items, cover, nerve)
         except GeometryError as e:
-            checks.append({"check": f"zigzag[{i}]", "status": "fail",
-                           "detail": str(e)})
-            continue
-        checks.append({"check": f"zigzag[{i}]", "status": "pass"})
+            detail = {"detail": str(e)}
+        else:
+            detail = {}
+        checks.append(_check(f"zigzag[{i}]", not detail, **detail))
     return checks
 
 
 def _suite_space(args, rng):
-    complex_ = spaces.load_space(args.space or "s1")
+    _, complex_, _, cover, nerve = _resolve(args, None)
     depth = _depth(args)
     # the constructor's face-closure and degeneracy checks, run again
     try:
         check_simplices(complex_.vertices, complex_.simplices)
     except InputError as e:
-        status, detail = "fail", str(e)
+        ok, detail = False, str(e)
     else:
-        status, detail = "pass", (f"{len(complex_.vertices)} vertices, "
-                                  f"{len(complex_.simplices)} simplices")
-    checks = [{"check": "metric", "status": status, "detail": detail}]
+        ok, detail = True, (f"{len(complex_.vertices)} vertices, "
+                            f"{len(complex_.simplices)} simplices")
+    checks = [_check("metric", ok, detail=detail)]
     C, _ = complex_.chain_complex()
     checks.append(_homology_check("homology", C))
     for sub in sorted(complex_.subcomplexes):
         pair = complex_.relative_pair(sub)
         checks.append(_homology_check(f"pair:{sub}", pair.quotient_complex))
-    cover_name = args.cover or _default_cover(args.space or "s1")
-    if cover_name:
-        name, cover = _resolve_cover(complex_, args.space or "s1", args.cover)
+    if cover is not None:
         missed = cover.verify_covers(min(depth, 3))
-        status = "pass" if not missed else "fail"
-        checks.append({"check": "coverage", "status": status,
-                       "detail": f"{len(cover)} balls"})
-        nerve = cech.Nerve(cover, max_arity=3)
+        checks.append(_check("coverage", not missed,
+                             detail=f"{len(cover)} balls"))
         # every pair and triple absent from the nerve must be proved empty
         empt, uncertified = 0, []
         for arity in (2, 3):
@@ -594,13 +570,12 @@ def _suite_space(args, rng):
                     empt += arity == 3
                 else:
                     uncertified.append(list(tup))
-        check = {"check": "nerve", "status": "fail" if uncertified else "pass",
-                 "detail": f"{len(nerve.tuples(2))} pairs, "
-                           f"{len(nerve.tuples(3))} triples, "
-                           f"{empt} certified empty"}
+        checks.append(_check("nerve", not uncertified,
+                             detail=f"{len(nerve.tuples(2))} pairs, "
+                                    f"{len(nerve.tuples(3))} triples, "
+                                    f"{empt} certified empty"))
         if uncertified:
-            check["uncertified"] = uncertified[:5]
-        checks.append(check)
+            checks[-1]["uncertified"] = uncertified[:5]
     return checks
 
 
@@ -609,8 +584,7 @@ def _homology_check(name, C):
     characteristic, the alternating sum of the chain ranks."""
     groups = [homology_data(C, k).group for k in range(len(C.dims))]
     euler = sum((-1) ** k * (h.betti - C.dim(k)) for k, h in enumerate(groups))
-    return {"check": name, "status": "fail" if euler else "pass",
-            "detail": ", ".join(str(h) for h in groups)}
+    return _check(name, not euler, detail=", ".join(str(h) for h in groups))
 
 
 _SUITE_FNS = {
@@ -625,6 +599,7 @@ _SUITE_FNS = {
     "zigzag": _suite_zigzag,
     "space": _suite_space,
 }
+SUITES = tuple(_SUITE_FNS)
 
 
 def cmd_verify(args):

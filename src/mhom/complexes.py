@@ -25,17 +25,8 @@ from .geometry import (
 )
 from .intlinalg import IntMatrix
 from .chaincomplex import ChainComplexZ, RelativePair
-from .rational import dist2, dot, frac, integer_form, point, sqrt_lower
-
-# The per-point location memos of MetricComplex and BallCover start over
-# when they hold this many points, as rational.coord's table does.
-LOCATE_LIMIT = 1 << 14
-
-
-def _remember(memo, p, value):
-    if len(memo) >= LOCATE_LIMIT:
-        memo.clear()
-    memo[p] = value
+from .rational import (dist2, dot, frac, integer_form, point, remember,
+                       sqrt_lower)
 
 
 def check_simplices(vertices, simplices):
@@ -94,7 +85,7 @@ class MetricComplex:
     0) and cellwise PLMaps (at their own depth).  tops_holding() keeps
     its answer per point, so the locators see each distinct point once;
     find_containing_simplex() reads those answers.  That memo starts over
-    when it holds LOCATE_LIMIT points.  Methods hand out fresh lists,
+    when it holds rational.MEMO_LIMIT points.  Methods hand out fresh lists,
     tuples or read-only views, never the cached containers.
     """
 
@@ -173,9 +164,8 @@ class MetricComplex:
         tops = self._held.get(p)
         if tops is None:
             q = integer_form(p)
-            tops = tuple(j for j, loc in enumerate(self._locators(0))
-                         if loc.holds(q))
-            _remember(self._held, p, tops)
+            tops = remember(self._held, p, tuple(
+                j for j, loc in enumerate(self._locators(0)) if loc.holds(q)))
         return tops
 
     def find_containing_simplex(self, points):
@@ -547,7 +537,7 @@ class BallCover:
     contains(), simplex_inside() and first_ball_containing() (a simplex is
     inside a ball when all its vertices are, by convexity), and the
     members() table of each sample depth.  That memo starts over when it
-    holds LOCATE_LIMIT points.
+    holds rational.MEMO_LIMIT points.
     """
 
     def __init__(self, complex_: MetricComplex, balls):
@@ -558,6 +548,9 @@ class BallCover:
         for b in balls:
             if "center" in b:
                 c = point(b["center"])
+                if len(c) != complex_.ambient_dim:
+                    raise InputError("ball center coordinate count does not "
+                                     "match ambient_dim")
                 desc = None
             else:
                 si = int(b["center_simplex"])
@@ -605,9 +598,8 @@ class BallCover:
         inside = self._inside.get(p)
         if inside is None:
             form = integer_form(p)
-            inside = frozenset(i for i in range(len(self.centers))
-                               if self._holds(i, form))
-            _remember(self._inside, p, inside)
+            inside = remember(self._inside, p, frozenset(
+                i for i in range(len(self.centers)) if self._holds(i, form)))
         return inside
 
     def contains(self, i, p) -> bool:

@@ -11,7 +11,7 @@ k-flat through a common refinement, each region's multiplicity is summed
 over the pieces that cover it, and each flat is retriangulated
 deterministically.  A flat's chart reads points at the pivot columns of its
 echelon basis, so entering it solves nothing; each simplex's flat is
-charted once, into a memo that starts over at FLATS_LIMIT simplices.  On a
+charted once, into a memo that rational.remember bounds.  On a
 line (k = 1) the refinement is one sweep over the sorted endpoint
 coordinates at the single pivot column, whatever the pieces' order.  In
 higher degree it is the arrangement of the pieces' facet hyperplanes: a
@@ -28,7 +28,7 @@ from .errors import GeometryError, InputError
 from .geometry import (cut_simplex_by_values, canonical_orientation,
                        det_fraction, edge_matrix, gram_det,
                        integrate_affine, rref)
-from .rational import RadicalSum, dot, frac, integer_form, point
+from .rational import RadicalSum, dot, frac, integer_form, point, remember
 from .weighted import WeightedSimplices
 
 # bounds the fragments of one flat's hyperplane arrangement, which only
@@ -37,7 +37,6 @@ MAX_FRAGMENTS = 50000
 
 # simplex -> ((anchor, R), pivots), kept by _flat_chart
 _FLATS = {}
-FLATS_LIMIT = 1 << 14
 
 
 class PolyhedralCurrent(WeightedSimplices):
@@ -185,8 +184,8 @@ def _flat_chart(tup):
     point's chart coordinates are therefore its coordinates at the pivot
     columns, and the anchor is the flat point whose pivot coordinates are 0.
     The anchor and the rows of R are interned Points, so a key hashes
-    from stored hashes.  Each answer is kept in
-    _FLATS, which starts over when it holds FLATS_LIMIT simplices.
+    from stored hashes.  Each answer is kept in _FLATS, which starts over
+    when it holds rational.MEMO_LIMIT simplices.
     """
     hit = _FLATS.get(tup)
     if hit is not None:
@@ -197,11 +196,7 @@ def _flat_chart(tup):
     for j, r in zip(pivots, R):
         c = anchor[j]
         anchor = tuple(u - c * v for u, v in zip(anchor, r))
-    anchor = point(anchor)
-    if len(_FLATS) >= FLATS_LIMIT:
-        _FLATS.clear()
-    _FLATS[tup] = hit = ((anchor, R), pivots)
-    return hit
+    return remember(_FLATS, tup, ((point(anchor), R), pivots))
 
 
 def _from_chart(fkey, x):

@@ -91,54 +91,26 @@ def gram_matrix(verts):
     return [[dot(a, b) for b in E] for a in E]
 
 
-def det_fraction(M) -> Fraction:
-    M = [[frac(x) for x in row] for row in M]
-    n = len(M)
-    det = Fraction(1)
-    for c in range(n):
-        p = next((i for i in range(c, n) if M[i][c]), None)
-        if p is None:
-            return Fraction(0)
-        if p != c:
-            M[c], M[p] = M[p], M[c]
-            det = -det
-        det *= M[c][c]
-        inv = 1 / M[c][c]
-        for i in range(c + 1, n):
-            if M[i][c]:
-                f = M[i][c] * inv
-                M[i] = [x - f * y for x, y in zip(M[i], M[c])]
-    return det
+def _eliminate(E):
+    """Fraction-free (Bareiss) elimination of the integer rows E, in place.
 
-
-def gram_det(verts) -> Fraction:
-    if len(verts) == 1:
-        return Fraction(1)
-    return det_fraction(gram_matrix(verts))
-
-
-def is_degenerate(verts) -> bool:
-    """Affinely dependent vertex tuple (repeats included).
-
-    The edge vectors v_i - v_0, scaled to integers over one common
-    denominator of the vertices, have rank below their count.  The rank
-    comes from fraction-free (Bareiss) elimination: each new entry is a
-    2x2 cross product over the previous pivot, a division that is exact,
-    so no Fraction is made and entries stay minors of the edge matrix.
+    Returns (rank, pivot): the rank, and the last pivot with the sign of
+    the row swaps, which for a square E of full rank is its determinant.
+    Each new entry is a 2x2 cross product over the previous pivot, a
+    division that is exact, so entries stay minors of E and no Fraction is
+    made.
     """
-    q = lcm(*[x._denominator for v in verts for x in v])
-    rows = [[x._numerator * (q // x._denominator) for x in v] for v in verts]
-    v0 = rows[0]
-    E = [[a - b for a, b in zip(row, v0)] for row in rows[1:]]
     k = len(E)
-    prev, r = 1, 0
-    for c in range(len(v0)):
+    prev, sign, r = 1, 1, 0
+    for c in range(len(E[0]) if k else 0):
         if r == k:
             break
         piv = next((i for i in range(r, k) if E[i][c]), None)
         if piv is None:
             continue
-        E[r], E[piv] = E[piv], E[r]
+        if piv != r:
+            E[r], E[piv] = E[piv], E[r]
+            sign = -sign
         top = E[r]
         p = top[c]
         for i in range(r + 1, k):
@@ -147,7 +119,35 @@ def is_degenerate(verts) -> bool:
             E[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
         prev = p
         r += 1
-    return r < k
+    return r, sign * prev
+
+
+def det_fraction(M) -> Fraction:
+    """Determinant of a square matrix of rationals: each row scaled to
+    integers by the lcm of its denominators, then _eliminate."""
+    rows, scale = [], 1
+    for row in M:
+        row = [frac(x) for x in row]
+        q = lcm(*[x.denominator for x in row])
+        rows.append([x.numerator * (q // x.denominator) for x in row])
+        scale *= q
+    rank, det = _eliminate(rows)
+    return Fraction(det, scale) if rank == len(rows) else Fraction(0)
+
+
+def gram_det(verts) -> Fraction:
+    return det_fraction(gram_matrix(verts))
+
+
+def is_degenerate(verts) -> bool:
+    """Affinely dependent vertex tuple (repeats included): the edge vectors
+    v_i - v_0, scaled to integers over one common denominator of the
+    vertices, have rank below their count (_eliminate)."""
+    q = lcm(*[x._denominator for v in verts for x in v])
+    rows = [[x._numerator * (q // x._denominator) for x in v] for v in verts]
+    v0 = rows[0]
+    E = [[a - b for a, b in zip(row, v0)] for row in rows[1:]]
+    return _eliminate(E)[0] < len(E)
 
 
 def simplex_boundary_terms(tup: Simplex):

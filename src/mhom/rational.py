@@ -4,13 +4,13 @@ All trusted-path geometry works over Q.  Every point the algebra builds is
 a Point from point(): a tuple of interned coordinates that stores its
 hash.  coord(x) returns the one Q, a Fraction that stores its hash, for
 each value, and point(xs) the one Point for each tuple of values, each
-from a bounded table.  A dict lookup of a point then makes one call that
-returns a stored hash, equal coordinates are one object, and tuple
-comparison stops at identity.  Q and Point are a Fraction and a tuple in
-value, order, hash and text, so plain tuples of Fractions find them in
-dicts and are found by them; Q arithmetic returns plain Fractions, and
-Point slices and sums are plain tuples.  Scratch values (cut points in
-chart coordinates) stay plain and out of the tables.
+from a table that remember() bounds.  A dict lookup of a point then makes
+one call that returns a stored hash, equal coordinates are one object,
+and tuple comparison stops at identity.  Q and Point are a Fraction and a
+tuple in value, order, hash and text, so plain tuples of Fractions find
+them in dicts and are found by them; Q arithmetic returns plain
+Fractions, and Point slices and sums are plain tuples.  Scratch values
+(cut points in chart coordinates) stay plain and out of the tables.
 
 Square roots never enter comparisons directly: either both sides are
 squared first, or values are kept as exact sums of c*sqrt(n), one key n
@@ -30,7 +30,8 @@ def frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
     if isinstance(x, (list, tuple)):
-        return Fraction(x[0], x[1])
+        num, den = x  # a pair, as files hold it
+        return Fraction(num, den)
     return Fraction(x)
 
 
@@ -65,12 +66,26 @@ class Q(Fraction):
         return self
 
 
+# Every memo of the package starts over when it holds this many entries,
+# so it stays small whatever passes through: the coordinate and point
+# tables here, the location memos of complexes and the flat charts of
+# currents.  What a memo handed out before a restart stays valid, since
+# the new entries equal the old ones by value.
+MEMO_LIMIT = 1 << 14
+
+
+def remember(memo, key, value):
+    """memo[key] = value, emptying memo first when it holds MEMO_LIMIT
+    entries; returns value.  Callers call it on a miss only."""
+    if len(memo) >= MEMO_LIMIT:
+        memo.clear()
+    memo[key] = value
+    return value
+
+
 # (numerator, denominator) -> the Q of that value.  A zig-zag pass leaves a
-# few hundred values here; the table starts over when it reaches
-# COORDS_LIMIT, so it stays small whatever values pass through.  Q objects
-# made before a restart stay valid: they equal the new ones by value.
+# few hundred values here.
 _COORDS = {}
-COORDS_LIMIT = 1 << 14
 
 
 def coord(x) -> Q:
@@ -86,12 +101,10 @@ def _q(num, den) -> Q:
     key = (num, den)
     q = _COORDS.get(key)
     if q is None:
-        if len(_COORDS) >= COORDS_LIMIT:
-            _COORDS.clear()
         q = object.__new__(Q)
         q._numerator, q._denominator = key
         q._h = Fraction.__hash__(q)
-        _COORDS[key] = q
+        remember(_COORDS, key, q)
     return q
 
 
@@ -122,21 +135,17 @@ class Point(tuple):
 
 
 # Every interned Point, keyed by itself, so a plain tuple of equal value
-# finds it; bounded and started over like _COORDS.  A zig-zag pass meets a
-# few hundred points.
+# finds it.  A zig-zag pass meets a few hundred points.
 _POINTS = {}
-POINTS_LIMIT = 1 << 14
 
 
 def _intern(qs) -> Point:
     """The interned Point of a plain tuple of Q."""
     p = _POINTS.get(qs)
     if p is None:
-        if len(_POINTS) >= POINTS_LIMIT:
-            _POINTS.clear()
         p = tuple.__new__(Point, qs)
         p._h = hash(qs)
-        _POINTS[p] = p
+        remember(_POINTS, p, p)
     return p
 
 

@@ -388,8 +388,10 @@ def load_cover(complex_: MetricComplex, name_or_path: str) -> BallCover:
 
 def _load_file(kind, path, names, build):
     """build() on the JSON object in the file at path.  A missing file, one
-    that holds no JSON object, a missing key and content that build()
-    rejects are input errors that name the file."""
+    that holds no JSON object, a missing key, a value of the wrong type or
+    shape (a list for a dict, text, a zero denominator or no pair for a
+    number) and content that build() rejects are input errors that name
+    the file."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -404,5 +406,7 @@ def _load_file(kind, path, names, build):
         return build(data)
     except KeyError as e:
         raise InputError(f"{kind} file {path!r} lacks key {e}") from None
+    except (AttributeError, TypeError, ValueError, ZeroDivisionError) as e:
+        raise InputError(f"{kind} file {path!r} is malformed: {e}") from None
     except InputError as e:
         raise InputError(f"{kind} file {path!r}: {e}") from None

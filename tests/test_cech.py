@@ -684,7 +684,7 @@ def test_zigzag_terms_survive_table_restarts(s1, torus, monkeypatch):
     want = [_zigzag_terms(X, spaces.load_cover(X, name), items)
             for X, name, items in loops]
     monkeypatch.setattr(rational, "_POINTS", {})
-    monkeypatch.setattr(rational, "POINTS_LIMIT", 8)
+    monkeypatch.setattr(rational, "MEMO_LIMIT", 8)
     for (X, name, items), terms in zip(loops, want):
         cover = spaces.load_cover(X, name)
         assert _zigzag_terms(X, cover, items) == terms

@@ -9,7 +9,7 @@ from mhom.errors import GeometryError, InputError
 from mhom.geometry import (edge_matrix, gram_matrix, point_in_simplex,
                            solve_fraction_system)
 from mhom.rational import centroid, dist2
-from mhom import complexes, geometry, spaces
+from mhom import complexes, geometry, rational, spaces
 
 
 def segment(length=2):
@@ -96,7 +96,7 @@ def test_point_location_matches_reference(name, monkeypatch):
         assert X.find_containing_simplex(points[i:i + 2]) == first
     # a memo that starts over at two points answers the same, and never
     # holds more
-    monkeypatch.setattr(complexes, "LOCATE_LIMIT", 2)
+    monkeypatch.setattr(rational, "MEMO_LIMIT", 2)
     Y = spaces.load_space(name)
     for p, home in zip(points, homes):
         assert Y.tops_holding(p) == tuple(sorted(home))
@@ -414,6 +414,14 @@ def test_non_covering_family_reports_witness(s1):
 def test_empty_intersection_certificate(arcs3):
     assert arcs3.intersection_empty_certificate((0, 1, 2))
     assert not arcs3.intersection_empty_certificate((0, 1))
+
+
+@pytest.mark.parametrize("center", [[1], [1, 0, 0, 0]])
+def test_ball_center_needs_one_coordinate_per_axis(s1, center):
+    # membership zips a point's coordinates with the center's, so a short
+    # center would test only its own axes
+    with pytest.raises(InputError, match="coordinate count"):
+        BallCover(s1, [{"center": center, "radius": 2}])
 
 
 def test_relative_pair_unknown_name():

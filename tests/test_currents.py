@@ -169,7 +169,7 @@ def test_flat_memo_stays_within_its_limit(monkeypatch):
     cases.append(PolyhedralCurrent.from_tuples(3, line_pieces(rng, 2, 20)))
     want = [list(T.reduce().terms.items()) for T in cases]
     monkeypatch.setattr(currents, "_FLATS", {})
-    monkeypatch.setattr(currents, "FLATS_LIMIT", 2)
+    monkeypatch.setattr(rational, "MEMO_LIMIT", 2)
     sizes = []
     real = currents._flat_chart
 

@@ -9,6 +9,7 @@ from mhom.geometry import (canonical_orientation, cut_simplex_by_values,
                            solve_fraction_system)
 from mhom.rational import coord, dot
 
+from oracles import det as ref_det
 from oracles import point_simplex_dist2 as ref_dist2
 from oracles import solve_fraction_system as ref_solve
 
@@ -167,3 +168,36 @@ def test_segment_orientation_matches_the_stable_sort():
             assert type(key) is tuple
             assert all(a is tup[i] for a, i in zip(key, order))
             assert sign == (1 if order == [0, 1] else -1)
+
+
+def test_det_fraction_matches_the_cofactor_expansion():
+    """det_fraction gives the cofactor expansion's determinant on seeded
+    square Fraction matrices of sizes 1 to 5: free ones, ones with a row
+    replaced by a combination of the others, and ones with a zero column.
+    The empty matrix has determinant 1."""
+    rng = random.Random(72)
+    kinds = {"free": 0, "dependent": 0, "zero column": 0}
+    singular = 0
+    for _ in range(600):
+        n = rng.randrange(1, 6)
+        M = [[F(rng.randrange(-5, 6), rng.randrange(1, 5)) for _ in range(n)]
+             for _ in range(n)]
+        kind = rng.choice(list(kinds)) if n > 1 else "free"
+        if kind == "dependent":
+            ws = [F(rng.randrange(-3, 4), rng.randrange(1, 3))
+                  for _ in range(n - 1)]
+            M[-1] = [sum(w * row[j] for w, row in zip(ws, M))
+                     for j in range(n)]
+            rng.shuffle(M)
+        elif kind == "zero column":
+            j = rng.randrange(n)
+            for row in M:
+                row[j] = F(0)
+        kinds[kind] += 1
+        d = det_fraction(M)
+        assert type(d) is F and d == ref_det(M), M
+        assert kind == "free" or d == 0
+        singular += d == 0
+    assert min(kinds.values()) > 100, kinds
+    assert 250 < singular < 450, singular
+    assert det_fraction([]) == 1

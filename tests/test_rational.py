@@ -105,7 +105,7 @@ def test_built_points_hold_interned_coordinates(torus):
 
 def test_intern_table_starts_over_at_its_limit(monkeypatch):
     monkeypatch.setattr(rational, "_COORDS", {})
-    monkeypatch.setattr(rational, "COORDS_LIMIT", 50)
+    monkeypatch.setattr(rational, "MEMO_LIMIT", 50)
     vals = seeded_values(random.Random(66), 400)
     first = [coord(a) for a in vals]
     assert 0 < len(rational._COORDS) <= 50
@@ -117,7 +117,7 @@ def test_intern_table_starts_over_at_its_limit(monkeypatch):
 
 def test_point_table_starts_over_at_its_limit(monkeypatch):
     monkeypatch.setattr(rational, "_POINTS", {})
-    monkeypatch.setattr(rational, "POINTS_LIMIT", 8)
+    monkeypatch.setattr(rational, "MEMO_LIMIT", 8)
     rng = random.Random(67)
     vals = seeded_values(rng, 40)
     plain = [tuple(rng.choice(vals) for _ in range(3)) for _ in range(60)]

@@ -4,8 +4,11 @@
                                  [--trace 0|1]
 
 The base revision is exported with `git archive` into a temporary
-directory; the change is this checkout as it stands, uncommitted edits
-included.  A change whose src/ or perfbench/ (the code the runs execute)
+directory.  The change is this checkout as it stands, copied into another
+one: its tracked files with their uncommitted edits, and its untracked,
+unignored files under src/ and perfbench/.  Neither copy holds a
+__pycache__, so both sides import alike whether or not Python may write
+bytecode.  A change whose src/ or perfbench/ (the code the runs execute)
 differs from HEAD is labelled by the head commit and the first 12 hex
 digits of the SHA-256 of that `git diff HEAD` followed by the path and
 bytes of each untracked, unignored file there (a new module is in no
@@ -33,6 +36,7 @@ import io
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -57,6 +61,26 @@ def export(rev, dest):
         tar.extractall(dest)
 
 
+def untracked():
+    """Untracked, unignored files under src/ and perfbench/, as bytes."""
+    return [path for path in git("ls-files", "--others", "--exclude-standard",
+                                 "-z", "--", "src", "perfbench").split(b"\0")
+            if path]
+
+
+def copy_tree(dest):
+    """This checkout's tracked files as they stand and its untracked()
+    files, copied under dest; tracked files deleted in the tree are left
+    out."""
+    for path in git("ls-files", "-z").split(b"\0") + untracked():
+        src = os.path.join(ROOT, os.fsdecode(path))
+        if not path or not os.path.isfile(src):
+            continue
+        dst = os.path.join(dest, os.fsdecode(path))
+        os.makedirs(os.path.dirname(dst), exist_ok=True)
+        shutil.copyfile(src, dst)
+
+
 def run(root, workload, seed, seconds, trace):
     """The last JSON line of perfbench/run.py in the checkout at root."""
     res = subprocess.run(
@@ -75,11 +99,9 @@ def change_label():
     """HEAD's commit, plus a hash of the code that differs from it."""
     label = git("rev-parse", "HEAD").decode().strip()
     diff = git("diff", "HEAD", "--", "src", "perfbench")
-    for path in git("ls-files", "--others", "--exclude-standard", "-z",
-                    "--", "src", "perfbench").split(b"\0"):
-        if path:
-            with open(os.path.join(ROOT, os.fsdecode(path)), "rb") as fh:
-                diff += b"\0" + path + b"\0" + fh.read()
+    for path in untracked():
+        with open(os.path.join(ROOT, os.fsdecode(path)), "rb") as fh:
+            diff += b"\0" + path + b"\0" + fh.read()
     if diff.strip():
         label += "+diff:" + hashlib.sha256(diff).hexdigest()[:12]
     return label
@@ -120,8 +142,9 @@ def main(argv=None):
              "python": platform.python_version(), "cpus": os.cpu_count(),
              "workloads": {}}
     with tempfile.TemporaryDirectory() as tmp:
-        export(base_rev, tmp)
-        roots = {"base": tmp, "head": ROOT}
+        roots = {side: os.path.join(tmp, side) for side in ("base", "head")}
+        export(base_rev, roots["base"])
+        copy_tree(roots["head"])
         for workload in workloads:
             runs = {"base": [], "head": []}
             for i, seed in enumerate(entry["seeds"]):
