@@ -8,7 +8,7 @@ along piecewise-affine maps and with barycentric refinement, and on degree
 zero it is a bijection onto point currents.
 """
 
-from .chains import LipschitzChain
+from .chains import LipschitzChain, chain_from_vector
 from .currents import PolyhedralCurrent
 from .errors import InputError
 
@@ -43,10 +43,8 @@ def brackets_of_generators(complex_, degree, homology):
     """Currents of the simplicial generator cycles in one degree.
 
     homology is the HomologyData for that degree; returns the currents of
-    its free generators.
+    all its generators, the free ones first and then the torsion ones.
     """
-    from .chains import chain_from_vector
-
     out = []
     for vec in homology.generators():
         chain = chain_from_vector(complex_, degree, vec)

@@ -64,10 +64,6 @@ class Nerve:
     def tuples(self, arity):
         return sorted(t for t in self.witnesses if len(t) == arity)
 
-    def certified_empty(self, tup) -> bool:
-        """Exact emptiness proof for a tuple absent from the nerve."""
-        return self.cover.intersection_empty_certificate(tuple(sorted(tup)))
-
 
 def cech_boundary(components):
     """Alternating index-deletion map from arity p+1 to arity p.

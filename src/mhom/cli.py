@@ -12,7 +12,6 @@ geometric verification, 2 bad input or usage.
 
 import argparse
 import json
-import os
 import random
 import sys
 from fractions import Fraction
@@ -37,22 +36,8 @@ THEORIES = ("singular", "lipschitz", "current")
 def _check_counts(args):
     """--budget and --depth take nonnegative integers."""
     for flag, value in (("--budget", args.budget), ("--depth", args.depth)):
-        if value is not None and value < 0:
+        if value < 0:
             raise InputError(f"{flag} must be nonnegative, got {value}")
-
-
-def _depth(args):
-    """--depth, else MHOM_DEPTH, else 3."""
-    if args.depth is not None:
-        return args.depth
-    raw = os.environ.get("MHOM_DEPTH", "3")
-    try:
-        depth = int(raw)
-    except ValueError:
-        raise InputError(f"MHOM_DEPTH must be an integer, got {raw!r}")
-    if depth < 0:
-        raise InputError(f"MHOM_DEPTH must be nonnegative, got {depth}")
-    return depth
 
 
 def _emit(payload, out):
@@ -77,7 +62,7 @@ def _resolve(args, cover_needed=True):
     """(space name, complex, cover name, cover, nerve) for a command.
 
     The space is --space, s1 when none is given.  The cover is --cover,
-    else the space's bundled one (s1 and torus have one); a name that is
+    else the one spaces.COMPARED bundles for the space; a name that is
     no bundled cover is tried with the space's prefix (arcs2 on s1 is
     s1_arcs2) before it is read as a file.  The nerve is Nerve(cover,
     max_arity=3).  The last three are None when cover_needed is False, or
@@ -86,7 +71,8 @@ def _resolve(args, cover_needed=True):
     """
     space = args.space or "s1"
     complex_ = spaces.load_space(space)
-    name = args.cover or {"s1": "s1_arcs3", "torus": "torus_balls"}.get(space)
+    compared = spaces.COMPARED.get(space)
+    name = args.cover or compared and compared.cover
     if cover_needed is False or name is None and cover_needed is None:
         return space, complex_, None, None, None
     if name is None:
@@ -148,7 +134,7 @@ def cmd_homology(args):
     }
     if not args.pair:
         payload["generators"] = generators
-        if args.theory == "current" and args.space in ("s1", "torus"):
+        if args.theory == "current" and args.space in spaces.COMPARED:
             payload["pairing"] = _pairing_certificate(args.space, complex_)
     _emit(payload, args.out)
     return 0
@@ -176,13 +162,11 @@ def _pairing_certificate(space_name, complex_):
 def _compare_cycle(space_name, complex_, degree, rng):
     if degree == 0:
         return spaces.random_point_cycle(complex_, rng)
-    if space_name == "s1":
-        return spaces.random_circle_cycle(complex_, rng)
-    if space_name == "torus":
-        return spaces.random_torus_cycle(complex_, rng)
-    raise InputError(
-        f"compare in degree {degree} is bundled for s1 and torus; "
-        f"got {space_name!r}")
+    if space_name not in spaces.COMPARED:
+        raise InputError(
+            f"compare in degree {degree} is bundled for "
+            f"{' and '.join(spaces.COMPARED)}; got {space_name!r}")
+    return spaces.COMPARED[space_name].cycle(complex_, rng)
 
 
 def _iota_identification(complex_, degree):
@@ -238,7 +222,6 @@ def _zigzag_step(complex_, items, cover, nerve):
 
 def cmd_compare(args):
     _check_counts(args)
-    depth = _depth(args)
     if args.degree not in (0, 1):
         raise InputError("compare runs in degrees 0 and 1")
     _, complex_, cover_name, cover, nerve = _resolve(args, args.degree >= 1)
@@ -250,7 +233,7 @@ def cmd_compare(args):
         "degree": args.degree,
         "seed": args.seed,
         "budget": args.budget,
-        "depth": depth,
+        "depth": args.depth,
         "status": "ok",
     }
 
@@ -273,7 +256,7 @@ def cmd_compare(args):
             if not (back == z):
                 raise GeometryError("degree-zero roundtrip failed")
             w = cech.fill_zero_chain(complex_, z, None,
-                                     start_depth=max(1, depth - 2),
+                                     start_depth=max(1, args.depth - 2),
                                      context="(global)")
             if not (w.boundary() == z):
                 raise GeometryError("degree-zero filling failed")
@@ -541,7 +524,6 @@ def _suite_zigzag(args, rng):
 
 def _suite_space(args, rng):
     _, complex_, _, cover, nerve = _resolve(args, None)
-    depth = _depth(args)
     # the constructor's face-closure and degeneracy checks, run again
     try:
         check_simplices(complex_.vertices, complex_.simplices)
@@ -557,7 +539,7 @@ def _suite_space(args, rng):
         pair = complex_.relative_pair(sub)
         checks.append(_homology_check(f"pair:{sub}", pair.quotient_complex))
     if cover is not None:
-        missed = cover.verify_covers(min(depth, 3))
+        missed = cover.verify_covers(min(args.depth, 3))
         checks.append(_check("coverage", not missed,
                              detail=f"{len(cover)} balls"))
         # every pair and triple absent from the nerve must be proved empty
@@ -566,7 +548,7 @@ def _suite_space(args, rng):
             for tup in combinations(range(len(cover)), arity):
                 if nerve.has(tup):
                     continue
-                if nerve.certified_empty(tup):
+                if cover.intersection_empty_certificate(tup):
                     empt += arity == 3
                 else:
                     uncertified.append(list(tup))
@@ -647,8 +629,8 @@ def build_parser():
     pc.add_argument("--pair", help="also run long-exact-sequence checks")
     pc.add_argument("--degree", type=int, default=1)
     pc.add_argument("--cover", help="bundled cover name or JSON file path")
-    pc.add_argument("--depth", type=int, default=None,
-                    help="sampling depth (default MHOM_DEPTH or 3)")
+    pc.add_argument("--depth", type=int, default=3,
+                    help="sampling depth (default 3)")
     pc.add_argument("--seed", type=int, default=0)
     pc.add_argument("--budget", type=int, default=3,
                     help="number of seeded runs")
@@ -659,7 +641,8 @@ def build_parser():
     pv.add_argument("suite", help=f"one of: {', '.join(SUITES)}")
     pv.add_argument("--space")
     pv.add_argument("--cover")
-    pv.add_argument("--depth", type=int, default=None)
+    pv.add_argument("--depth", type=int, default=3,
+                    help="sampling depth (default 3)")
     pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--budget", type=int, default=20)
     pv.add_argument("--out", help="write the report to this file")

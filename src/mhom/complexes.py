@@ -340,6 +340,11 @@ class PLMap:
             self.offset = tuple(frac(x) for x in (offset or [0] * self.target_dim))
             if len(self.matrix) != self.target_dim:
                 raise InputError("affine matrix has wrong number of rows")
+            if len(self.offset) != self.target_dim:
+                raise InputError("affine offset length differs from the "
+                                 "number of rows")
+            if len({len(row) for row in self.matrix}) > 1:
+                raise InputError("affine matrix rows differ in length")
         else:
             self.values = {p: tuple(frac(x) for x in v)
                            for p, v in values.items()}

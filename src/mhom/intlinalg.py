@@ -23,30 +23,24 @@ class IntMatrix:
     __slots__ = ("nrows", "ncols", "data")
 
     def __init__(self, nrows: int, ncols: int, data=None):
+        """Takes ownership of data, a fresh {(row, col): int} dict of
+        nonzero entries that the caller built and does not keep; nothing
+        is checked or copied.  from_rows converts values and drops zeros.
+        """
         self.nrows = nrows
         self.ncols = ncols
-        self.data = {}
-        if data:
-            for (i, j), v in data.items():
-                if v:
-                    self.data[(i, j)] = int(v)
+        self.data = {} if data is None else data
 
     @staticmethod
     def from_rows(rows) -> "IntMatrix":
         rows = [list(r) for r in rows]
-        m = IntMatrix(len(rows), len(rows[0]) if rows else 0)
-        for i, r in enumerate(rows):
-            for j, v in enumerate(r):
-                if v:
-                    m.data[(i, j)] = int(v)
-        return m
+        return IntMatrix(len(rows), len(rows[0]) if rows else 0,
+                         {(i, j): int(v) for i, r in enumerate(rows)
+                          for j, v in enumerate(r) if v})
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
-        m = IntMatrix(n, n)
-        for i in range(n):
-            m.data[(i, i)] = 1
-        return m
+        return IntMatrix(n, n, {(i, i): 1 for i in range(n)})
 
     @staticmethod
     def zeros(nrows: int, ncols: int) -> "IntMatrix":
@@ -79,7 +73,6 @@ class IntMatrix:
         if isinstance(other, IntMatrix):
             if self.ncols != other.nrows:
                 raise ValueError("shape mismatch")
-            out = IntMatrix(self.nrows, other.ncols)
             # group other's entries by row for sparse product
             by_row = {}
             for (k, j), v in other.data.items():
@@ -88,8 +81,8 @@ class IntMatrix:
             for (i, k), a in self.data.items():
                 for j, b in by_row.get(k, ()):
                     acc[(i, j)] = acc.get((i, j), 0) + a * b
-            out.data = {k: v for k, v in acc.items() if v}
-            return out
+            return IntMatrix(self.nrows, other.ncols,
+                             {k: v for k, v in acc.items() if v})
         return NotImplemented
 
     def apply(self, v):
@@ -142,14 +135,9 @@ def _add_row(rows, i, k, c):
 def _from_row_dicts(rows, transpose=False) -> IntMatrix:
     """Square IntMatrix whose row i, or column i if transpose, is the
     dict rows[i]."""
-    m = IntMatrix(len(rows), len(rows))
-    if transpose:
-        m.data = {(j, i): v for i, row in enumerate(rows)
-                  for j, v in row.items()}
-    else:
-        m.data = {(i, j): v for i, row in enumerate(rows)
-                  for j, v in row.items()}
-    return m
+    return IntMatrix(len(rows), len(rows), {
+        (j, i) if transpose else (i, j): v
+        for i, row in enumerate(rows) for j, v in row.items()})
 
 
 def smith_normal_form(M: IntMatrix):
@@ -305,8 +293,7 @@ def smith_normal_form(M: IntMatrix):
                 if A[i + 1][i + 1] < 0:
                     row_negate(i + 1)
 
-    D = IntMatrix(nr, nc)
-    D.data = {(i, i): A[i][i] for i in range(rank)}
+    D = IntMatrix(nr, nc, {(i, i): A[i][i] for i in range(rank)})
     return (_from_row_dicts(U), D, _from_row_dicts(V_t, transpose=True),
             _from_row_dicts(U_inv_t, transpose=True), _from_row_dicts(V_inv))
 

@@ -9,6 +9,7 @@ barycentric coordinates inside a named simplex.
 """
 
 import json
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 
@@ -22,7 +23,7 @@ __all__ = [
     "klein_bottle_space", "disc_pair_space", "annulus_pair_space",
     "wedge_space", "builtin_spaces", "builtin_covers",
     "circle_cover_three_arcs", "circle_cover_two_arcs", "torus_cover",
-    "graph_product_surface",
+    "graph_product_surface", "COMPARED",
 ]
 
 
@@ -234,44 +235,26 @@ def torus_cover(torus: MetricComplex) -> BallCover:
     return BallCover(torus, balls)
 
 
-def circle_pairing_forms(s1: MetricComplex):
-    """One (weight, differential) form pair detecting winding number.
-
-    Both entries are hat functions; the pairing of a cycle with the pair
-    equals half its winding, and vanishes on boundaries because the two
-    gradients are parallel on every cell.
-    """
-    def hat(v):
-        return PLMap.scalar_from_vertex_values(
-            s1, 0, lambda p: 1 if p == v else 0)
-
-    return [(hat(s1.vertices[0]), [hat(s1.vertices[1])])]
-
-
-def torus_pairing_forms(torus: MetricComplex):
-    """Two form pairs detecting the two factor windings."""
-    tri = circle_space()
-
-    def hat(factor, v):
-        def val(p):
-            part = p[:3] if factor == 0 else p[3:]
-            return 1 if part == v else 0
-        return PLMap.scalar_from_vertex_values(torus, 0, val)
-
-    out = []
-    for factor in (0, 1):
-        f = hat(factor, tri.vertices[0])
-        pi = hat(factor, tri.vertices[1])
-        out.append((f, [pi]))
-    return out
-
-
 def pairing_forms(name: str, complex_: MetricComplex):
-    if name == "s1":
-        return circle_pairing_forms(complex_)
-    if name == "torus":
-        return torus_pairing_forms(complex_)
-    raise InputError(f"no bundled pairing forms for {name!r}")
+    """One (weight, differential) form pair per circle factor of a
+    compared space, detecting that factor's winding.
+
+    Both entries are hat functions of the factor's coordinates, at the
+    first and the second vertex of the triangle circle; the pairing of a
+    cycle with the pair equals half its winding in that factor, and
+    vanishes on boundaries because the two gradients are parallel on
+    every cell.
+    """
+    if name not in COMPARED:
+        raise InputError(f"no bundled pairing forms for {name!r}")
+    ring = circle_space().vertices
+
+    def hat(a, b, v):
+        return PLMap.scalar_from_vertex_values(
+            complex_, 0, lambda p: 1 if p[a:b] == v else 0)
+
+    return [(hat(a, b, ring[0]), [hat(a, b, ring[1])])
+            for a, b in COMPARED[name].factors]
 
 
 def random_circle_cycle(s1: MetricComplex, rng):
@@ -357,6 +340,15 @@ _COVER_BUILDERS = {
     "s1_arcs2": circle_cover_two_arcs,
     "s1_arcs3": circle_cover_three_arcs,
     "torus_balls": torus_cover,
+}
+
+# the spaces whose degree-one comparison is bundled, each with the name of
+# its cover, the coordinate blocks (start, stop) of its triangle-circle
+# factors, and its seeded cycle generator
+Compared = namedtuple("Compared", "cover factors cycle")
+COMPARED = {
+    "s1": Compared("s1_arcs3", ((0, 3),), random_circle_cycle),
+    "torus": Compared("torus_balls", ((0, 3), (3, 6)), random_torus_cycle),
 }
 
 

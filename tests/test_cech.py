@@ -28,7 +28,7 @@ def test_nerve_three_arcs(arcs3):
     assert nerve.tuples(1) == [(0,), (1,), (2,)]
     assert nerve.tuples(2) == [(0, 1), (0, 2), (1, 2)]
     assert nerve.tuples(3) == []
-    assert nerve.certified_empty((0, 1, 2))
+    assert arcs3.intersection_empty_certificate((0, 1, 2))
     for tup in nerve.tuples(2):
         w = nerve.witnesses[tup]
         assert all(arcs3.contains(i, w) for i in tup)

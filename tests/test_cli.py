@@ -10,6 +10,7 @@ import pytest
 
 from mhom import cech, cli, spaces
 from mhom.chaincomplex import HomologyGroup
+from mhom.complexes import BallCover
 from mhom.rational import point
 
 CMD = [sys.executable, "-m", "mhom.cli"]
@@ -65,17 +66,12 @@ def test_budget_zero_is_vacuous():
     assert payload["status"] == "ok"
 
 
-def test_negative_counts_exit_two(monkeypatch, capsys):
-    for argv, depth_env in (
-            (["verify", "zigzag", "--space", "s1", "--budget", "-3"], None),
-            (["verify", "space", "--space", "torus", "--depth", "-2"], None),
-            (["compare", "--space", "s1", "--budget", "-1"], None),
-            (["compare", "--space", "s1", "--budget", "1"], "-1"),
-            (["verify", "space", "--space", "s1"], "-4")):
-        if depth_env is None:
-            monkeypatch.delenv("MHOM_DEPTH", raising=False)
-        else:
-            monkeypatch.setenv("MHOM_DEPTH", depth_env)
+def test_negative_counts_exit_two(capsys):
+    for argv in (["verify", "zigzag", "--space", "s1", "--budget", "-3"],
+                 ["verify", "space", "--space", "torus", "--depth", "-2"],
+                 ["compare", "--space", "s1", "--budget", "-1"],
+                 ["compare", "--space", "s1", "--budget", "1", "--depth",
+                  "-1"]):
         assert cli.main(argv) == 2, argv
         out = capsys.readouterr()
         assert out.out == ""
@@ -268,14 +264,39 @@ def test_homology_check_tests_euler_characteristic(monkeypatch):
                      "detail": "Z, Z, Z"}
 
 
-def test_depth_env_is_honored():
+def test_depth_defaults_to_three_whatever_the_environment():
     res = run_cli("compare", "--space", "s1", "--budget", "1",
                   env_extra={"MHOM_DEPTH": "2"})
     assert res.returncode == 0
-    assert json.loads(res.stdout)["depth"] == 2
+    assert json.loads(res.stdout)["depth"] == 3
     res = run_cli("compare", "--space", "s1", "--budget", "1", "--depth", "4",
                   env_extra={"MHOM_DEPTH": "2"})
     assert json.loads(res.stdout)["depth"] == 4
+
+
+def _s2_cover_file(tmp_path):
+    """A one-ball cover of s2 saved to a file: s2 has no bundled cover."""
+    s2 = spaces.load_space("s2")
+    path = tmp_path / "s2_ball.json"
+    spaces.save_cover(BallCover(s2, [{"center_simplex": 0, "barycentric": [1],
+                                      "radius": 4}]), path)
+    return str(path)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["compare"], "no bundled pairing forms for 's2'"),
+    (["verify", "zigzag"],
+     "compare in degree 1 is bundled for s1 and torus; got 's2'"),
+])
+def test_uncompared_space_exits_two(tmp_path, capsys, argv, message):
+    """A space outside spaces.COMPARED is refused before any report is
+    written, even with a cover of its own."""
+    argv = argv + ["--space", "s2", "--cover", _s2_cover_file(tmp_path),
+                   "--budget", "1"]
+    assert cli.main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert message in out.err
 
 
 def test_compare_circle_certificates():

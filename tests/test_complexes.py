@@ -153,6 +153,16 @@ def test_plmap_affine_identity_constant():
     assert PLMap.coordinate(2, 1).scalar(p) == Fraction(2, 7)
 
 
+@pytest.mark.parametrize("matrix, offset", [
+    ([[1, 0], [0, 1]], [1]),
+    ([[1, 0], [0, 1]], [1, 2, 3]),
+    ([[1], [0, 1]], None),
+])
+def test_plmap_affine_rejects_mismatched_shapes(matrix, offset):
+    with pytest.raises(InputError):
+        PLMap.affine(matrix, offset=offset)
+
+
 def test_plmap_lipschitz_exact():
     stretch = PLMap.affine([[2, 0], [0, 1]])
     assert stretch.lipschitz_at_most(2)

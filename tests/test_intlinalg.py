@@ -31,6 +31,14 @@ def test_snf_identity_and_zero():
     assert D.is_zero()
 
 
+def test_constructor_takes_its_dict_and_from_rows_drops_zeros():
+    d = {(0, 0): 5}
+    assert IntMatrix(1, 1, d).data is d
+    M = IntMatrix.from_rows([[0, 2], [0, 0], [-1, 0]])
+    assert M.data == {(0, 1): 2, (2, 0): -1}
+    assert (M.nrows, M.ncols) == (3, 2)
+
+
 small_matrix = st.lists(
     st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=4),
     min_size=1, max_size=4,

@@ -148,3 +148,16 @@ def test_public_names_are_used():
     unused = set(mhom.__all__) - used
     assert sorted(unused - UNUSED_PUBLIC) == []
     assert UNUSED_PUBLIC <= unused
+
+
+def test_no_module_reads_the_environment():
+    # every input comes in through the command line: a report depends on
+    # its arguments alone
+    root = Path(__file__).parents[1] / "src" / "mhom"
+    readers = []
+    for path in sorted(root.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in (
+                    "environ", "getenv"):
+                readers.append(f"{path.name}:{node.lineno}")
+    assert readers == []
