@@ -19,11 +19,10 @@ from .chains import LipschitzChain, chain_from_vector, chain_to_vector
 from .currents import PolyhedralCurrent
 from .bracket import (bracket, bracket_inverse_points,
                       brackets_of_generators, pairing_matrix)
-from .cech import (FillResult, Nerve, Staircase, augment, augment_nerve,
-                   cech_boundary, conforming, cone_fill_chain,
-                   cone_fill_current, fill_zero_chain,
-                   solve_phi, split, zigzag_cancel, zigzag_descend,
-                   zigzag_fill)
+from .cech import (FillResult, Nerve, augment, augment_nerve, cech_boundary,
+                   conforming, cone_fill_chain, cone_fill_current,
+                   fill_zero_chain, solve_phi, split, zigzag_cancel,
+                   zigzag_descend, zigzag_fill)
 from .spaces import (builtin_covers, builtin_spaces, load_cover, load_space,
                      pairing_forms, save_cover, save_space)
 
@@ -33,7 +32,7 @@ __all__ = [
     "BallCover", "ChainComplexZ", "FillResult", "GeometryError",
     "HomologyGroup", "InputError", "LipschitzChain", "LocalityError",
     "MetricComplex", "MhomError", "Nerve", "PLMap", "PolyhedralCurrent",
-    "RadicalSum", "RelativePair", "Staircase", "WeightedSimplices", "augment",
+    "RadicalSum", "RelativePair", "WeightedSimplices", "augment",
     "augment_nerve", "bracket", "bracket_inverse_points",
     "brackets_of_generators", "builtin_covers",
     "builtin_spaces", "cech_boundary", "chain_from_vector", "chain_to_vector",

@@ -25,6 +25,7 @@ split part in ball i sits at (i,) and a pair component at (i, j).
 
 import heapq
 from bisect import insort
+from collections import namedtuple
 from itertools import combinations
 
 from .bracket import bracket, bracket_inverse_points
@@ -99,11 +100,15 @@ def _merge(first, second, sign):
     return out
 
 
-def augment(components):
-    """Sum of the single-ball components (the global object)."""
-    total = None
+def augment(components, zero):
+    """Sum of the single-ball components (the global object), from zero.
+
+    zero is the zero of the components' kind (x.scale(0) for an x of that
+    kind), so an empty dict sums to it.
+    """
+    total = zero
     for A in sorted(components):
-        total = components[A] if total is None else total + components[A]
+        total = total + components[A]
     return total
 
 
@@ -113,12 +118,8 @@ def augment_nerve(components):
     components: dict sorted-tuple (module docstring) -> degree-zero chain
     or current.  Returns dict sorted-tuple -> int with zero entries dropped.
     """
-    out = {}
-    for tup, val in components.items():
-        w = sum(val.terms.values())
-        if w:
-            out[tup] = out.get(tup, 0) + w
-    return {t: w for t, w in out.items() if w}
+    return {tup: w for tup, val in components.items()
+            if (w := sum(val.terms.values()))}
 
 
 # ---- support-certified splitting and elimination ----
@@ -341,6 +342,24 @@ def cone_fill_current(R, apex, complex_, context=""):
 
 # ---- the walk through the double complex ----
 
+def _check_input(x, cover, name, degrees, cycle=True):
+    """The input check every entry of the walk shares; returns x's degree.
+
+    x needs one of the degrees, a zero boundary unless cycle is False, and,
+    as a current, the conforming representation the cones need.
+    """
+    if x.degree not in degrees:
+        raise InputError(f"{name} implemented in degree "
+                         f"{', '.join(map(str, degrees))}, not {x.degree}")
+    if cycle and not x.boundary().is_zero():
+        raise InputError(f"{name} needs a cycle")
+    if isinstance(x, PolyhedralCurrent) and not conforming(x, cover.complex):
+        raise InputError(
+            f"{name} needs a conforming representation: every piece "
+            "inside a single complex simplex")
+    return x.degree
+
+
 def _descend(x, cover, nerve, contexts, lower=()):
     """Columns 0..degree of a cycle's descent; see the module docstring.
 
@@ -357,15 +376,16 @@ def _descend(x, cover, nerve, contexts, lower=()):
     return columns
 
 
-def _ascend(bottom, top, lower, cover, name):
-    """Chain column 0 of the climb from point currents at column top.
+def _ascend(columns, lower, cover, name):
+    """Chain column 0 of the climb from the point currents of the last of
+    the descended columns.
 
     See the module docstring; name labels the local fills.
     """
     complex_ = cover.complex
     col = {K: bracket_inverse_points(cur, complex_)
-           for K, cur in bottom.items()}
-    for p in reversed(range(top)):
+           for K, cur in columns[-1].items()}
+    for p in reversed(range(len(columns) - 1)):
         img = _merge(cech_boundary(col), lower[p] if p < len(lower) else {},
                      (-1) ** p)
         col = {}
@@ -384,99 +404,62 @@ def _ascend(bottom, top, lower, cover, name):
     return col
 
 
-class Staircase:
-    """Cover components of a descended cycle, keyed by (column, degree).
-
-    `layers[(p, q)]` holds the components over nerve tuples of arity p+1
-    with coefficients of degree q; `nerve_class` is the integer nerve
-    chain of total multiplicities once the coefficients reach degree zero.
-    """
-
-    def __init__(self, layers, nerve_class):
-        self.layers = layers
-        self.nerve_class = nerve_class
-
-
 def zigzag_descend(c, cover, nerve=None):
-    """Resolve a global cycle into components over the cover.
+    """The integer nerve cycle of a global cycle c of degree m.
 
-    The descent of the module docstring, down to degree-zero
-    coefficients, whose total multiplicities form an integer cycle on the
-    nerve.  Implemented for degrees 0..2.  Certifies that column 0 sums
-    back to c and that each column p >= 1 maps onto column p-1's boundaries.
+    The descent of the module docstring, down to column m's degree-zero
+    coefficients over tuples of arity m+1, whose total multiplicities form
+    the returned cycle on the nerve (augment_nerve).  Implemented for
+    degrees 0..2.  Certifies that column 0 sums back to c and that each
+    column p >= 1 maps onto column p-1's boundaries.
     """
-    m = c.degree
-    if m > 2:
-        raise InputError("descent implemented for degrees 0, 1 and 2")
+    m = _check_input(c, cover, "descent", range(3))
     if nerve is None:
         nerve = Nerve(cover, max_arity=m + 1)
-    if isinstance(c, PolyhedralCurrent) and not conforming(c, cover.complex):
-        raise InputError(
-            "descent needs a conforming representation: every piece "
-            "inside a single complex simplex")
-    if m >= 1 and not c.boundary().is_zero():
-        raise InputError("descent expects a cycle")
 
     columns = _descend(c, cover, nerve, ("(descent)",) * m)
 
-    back = augment(columns[0])
-    if back is None or not back.equals(c):
+    if not augment(columns[0], c.scale(0)).equals(c):
         raise GeometryError("descent components do not sum back")
     for p in range(1, m + 1):
         want = {K: comp.boundary() for K, comp in columns[p - 1].items()}
         for K, gap in _merge(cech_boundary(columns[p]), want, -1).items():
             if not gap.is_zero():
                 raise GeometryError(f"descent step {p} mismatched at {K!r}")
-
-    layers = {(p, m - p): col for p, col in enumerate(columns)}
-    return Staircase(layers, augment_nerve(columns[m]))
+    return augment_nerve(columns[m])
 
 
-# ---- the zig-zag in degree one ----
+# ---- fill and cancel ----
 
-class FillResult:
-    """Outcome of matching a cycle current by a cycle chain."""
-
-    def __init__(self, chain, filling):
-        self.chain = chain
-        self.filling = filling
+# Outcome of matching a cycle current by a cycle chain.
+FillResult = namedtuple("FillResult", "chain filling")
 
 
 def zigzag_fill(T, cover, nerve=None):
-    """Cycle current of degree one -> cycle chain c and current S with
-    boundary(S) = [c] - T, all certificates exact.
+    """Cycle current T of degree m -> cycle chain c and current S of degree
+    m+1 with boundary(S) = [c] - T, all certificates exact.
 
     The walk of the module docstring descends T to point currents over
-    pairs and climbs back to a chain in each ball; the local defects
-    [c] - T, which are cycles, are coned to the ball centers.
+    nerve tuples of arity m+1 and climbs back to a chain in each ball; the
+    local defects [c] - T, which are cycles, are coned to the ball centers.
+    Implemented in degree one (ROADMAP item 3 lifts the guard).
     """
     complex_ = cover.complex
-    if T.degree != 1:
-        raise InputError("fill implemented in degree one")
-    if not T.boundary().is_zero():
-        raise InputError("fill needs a cycle current")
-    if not conforming(T, complex_):
-        raise InputError(
-            "fill needs a conforming representation: every piece inside "
-            "a single complex simplex")
+    m = _check_input(T, cover, "fill", (1,))
     if nerve is None:
-        nerve = Nerve(cover, max_arity=2)
+        nerve = Nerve(cover, max_arity=m + 1)
 
-    T01, T10 = _descend(T, cover, nerve, ("(fill)",))
-    c01 = _ascend(T10, 1, (), cover, "fill")
+    columns = _descend(T, cover, nerve, ("(fill)",) * m)
+    c_parts = _ascend(columns, (), cover, "fill")
 
-    defects = _merge({A: bracket(ch) for A, ch in c01.items()}, T01, -1)
+    defects = _merge({A: bracket(ch) for A, ch in c_parts.items()},
+                     columns[0], -1)
     S_parts = {A: cone_fill_current(R, cover.centers[A[0]], complex_,
                                     context=f"(fill, over {A})")
                for A, R in defects.items() if R.terms}
 
-    c = augment(c01)
-    if c is None:
-        c = LipschitzChain(complex_, 1, {}, 0)
-    S = augment(S_parts)
-    if S is None:
-        S = PolyhedralCurrent.zero(T.ambient_dim, 2)
-
+    c = augment(c_parts, LipschitzChain.zero(complex_, m))
+    S = augment(S_parts, PolyhedralCurrent.zero(T.ambient_dim, m + 1))
     if not c.boundary().is_zero():
         raise GeometryError("fill produced a non-cycle chain")
     if not S.boundary().equals(bracket(c) - T):
@@ -485,33 +468,28 @@ def zigzag_fill(T, cover, nerve=None):
 
 
 def zigzag_cancel(z, S, cover, nerve=None):
-    """Cycle chain z with boundary(S) = [z] -> chain w with b(w) = z after
-    refinement.
+    """Cycle chain z of degree m with boundary(S) = [z] -> chain w of
+    degree m+1 with b(w) = z after refinement.
 
     The walk of the module docstring descends z, then S relative to z's
-    columns down to point currents over triples, and climbs back: paths
-    inside pairwise intersections, then cones to the ball centers.
+    columns down to point currents over nerve tuples of arity m+2, and
+    climbs back: paths inside the intersections of m+1 balls, then cones
+    to the ball centers.  Implemented in degree one (ROADMAP item 3 lifts
+    the guard).
     """
-    complex_ = cover.complex
-    if z.degree != 1 or S.degree != 2:
-        raise InputError("cancel implemented in degree one")
-    if not z.boundary().is_zero():
-        raise InputError("cancel needs a cycle chain")
-    if not conforming(S, complex_):
-        raise InputError(
-            "cancel needs a conforming representation: every piece inside "
-            "a single complex simplex")
-    if nerve is None:
-        nerve = Nerve(cover, max_arity=3)
+    m = _check_input(z, cover, "cancel", (1,))
+    _check_input(S, cover, "cancel", (m + 1,), cycle=False)
     if not S.boundary().equals(bracket(z)):
         raise InputError("cancel needs boundary(S) = [z]")
+    if nerve is None:
+        nerve = Nerve(cover, max_arity=m + 2)
 
-    zc = _descend(z, cover, nerve, ("(cancel, chain)",))
-    Sc = _descend(S, cover, nerve, ("(cancel, current)", "(cancel, triples)"),
+    zc = _descend(z, cover, nerve, ("(cancel, chain)",) * m)
+    Sc = _descend(S, cover, nerve,
+                  ("(cancel, current)",) * m + ("(cancel, triples)",),
                   lower=zc)
-    w = augment(_ascend(Sc[2], 2, zc, cover, "cancel"))
-    if w is None:
-        w = LipschitzChain(complex_, 2, {}, 0)
+    w = augment(_ascend(Sc, zc, cover, "cancel"),
+                LipschitzChain.zero(cover.complex, m + 1))
     if not (w.boundary() == z):
         raise GeometryError("cancel verification failed: b(w) != z")
     return w

@@ -201,7 +201,11 @@ def circle_cover_three_arcs(s1: MetricComplex) -> BallCover:
 
 def circle_cover_two_arcs(s1: MetricComplex) -> BallCover:
     """One ball at an edge midpoint, one at the opposite vertex; the overlap
-    is a pair of disjoint arcs."""
+    is a pair of disjoint arcs.
+
+    The cover is bundled for `verify cosheaf`.  It is not good, so
+    `compare` and `verify zigzag` on it fail the cone certificate.
+    """
     edge01 = s1.simplices.index((0, 1))
     return BallCover(s1, [
         {"center_simplex": edge01,

@@ -257,9 +257,9 @@ def test_acceptance_cosheaf_suite():
             cur = bracket(ch)
             # every global element is a sum of ball-supported pieces
             parts = split(ch, cover)
-            ok = ok and augment(parts) == ch
+            ok = ok and augment(parts, ch.scale(0)) == ch
             cparts = split(cur, cover)
-            total = augment(cparts)
+            total = augment(cparts, cur.scale(0))
             ok = ok and total is not None and total.equals(cur)
             surj += 2
             # augmentation kernels come from pairwise overlaps

@@ -63,7 +63,7 @@ def test_augmentation_kills_image(s1):
     y = LipschitzChain.from_simplices(s1, [(2, (b, c))])
     W = {(0, 1): x, (1, 2): y, (0, 2): x - y}
     img = cech_boundary(W)
-    assert augment(img).is_zero()
+    assert augment(img, x.scale(0)).is_zero()
 
 
 def test_multiplicity_commutes_with_deletion(s1):
@@ -258,19 +258,16 @@ def test_fill_locality_error_matches_reference(s1, arcs2):
 
 def test_descent_circle_frozen(s1, arcs3):
     z = circle_cycle(s1)
-    stair = zigzag_descend(z, arcs3)
-    assert stair.nerve_class == CIRCLE_CLASS
-    assert set(cech_boundary(stair.nerve_class).values()) <= {0}
-    assert set(stair.layers) == {(0, 1), (1, 0)}
-    cur = zigzag_descend(bracket(z), arcs3)
-    assert cur.nerve_class == CIRCLE_CLASS
+    cls = zigzag_descend(z, arcs3)
+    assert cls == CIRCLE_CLASS
+    assert set(cech_boundary(cls).values()) <= {0}
+    assert zigzag_descend(bracket(z), arcs3) == CIRCLE_CLASS
 
 
 def test_descent_degree_zero_boundary(s1, arcs3):
     path = LipschitzChain.from_simplices(
         s1, [(1, (s1.vertices[0], s1.vertices[1]))])
-    stair = zigzag_descend(path.boundary(), arcs3)
-    cls = stair.nerve_class
+    cls = zigzag_descend(path.boundary(), arcs3)
     assert sum(cls.values()) == 0
     # a weight-zero class bounds on the connected nerve
     nerve = Nerve(arcs3, max_arity=2)
@@ -290,10 +287,9 @@ def test_descent_torus_class(torus, torus_balls):
     from mhom.chains import chain_from_vector
     vec = homology_data(C, 2).generators()[0]
     z = chain_from_vector(torus, 2, vec)
-    stair = zigzag_descend(z, torus_balls)
-    assert set(cech_boundary(stair.nerve_class).values()) <= {0}
-    assert stair.nerve_class
-    assert set(stair.layers) == {(0, 2), (1, 1), (2, 0)}
+    cls = zigzag_descend(z, torus_balls)
+    assert set(cech_boundary(cls).values()) <= {0}
+    assert cls
 
 
 def test_descent_preconditions(s1, arcs3):
@@ -347,6 +343,43 @@ def test_zigzag_cancel_rejects_mismatch(s1, arcs3):
     z = circle_cycle(s1)
     with pytest.raises(InputError):
         zigzag_cancel(z, PolyhedralCurrent.zero(3, 2), arcs3)
+
+
+@pytest.mark.parametrize("case, message", [
+    ("fill, non-cycle", "fill needs a cycle"),
+    ("fill, wrong degree", "fill implemented in degree 1, not 0"),
+    ("fill, non-conforming", "fill needs a conforming representation"),
+    ("cancel, non-cycle", "cancel needs a cycle"),
+    ("cancel, wrong degree", "cancel implemented in degree 1, not 0"),
+    ("cancel, non-conforming", "cancel needs a conforming representation"),
+    ("cancel, S of wrong degree", "cancel implemented in degree 2, not 1"),
+])
+def test_zigzag_rejects_bad_input(s1, arcs3, case, message):
+    a, b, c = s1.vertices
+    centroid = tuple(sum(xs) / 3 for xs in zip(a, b, c))
+    points = LipschitzChain(s1, 0, {(a,): 1, (b,): -1})
+    edge = LipschitzChain.from_simplices(s1, [(1, (a, b))])
+    z = circle_cycle(s1)
+    # a cycle through the centroid, which no simplex of the circle holds
+    chord = PolyhedralCurrent.from_tuples(3, [
+        (1, (a, centroid)), (1, (centroid, b)), (1, (b, c)), (1, (c, a))])
+    # the solid triangle bounds [z] exactly, but leaves the carrier
+    disk = PolyhedralCurrent.from_tuples(3, [(1, (a, b, c))])
+    calls = {
+        "fill, non-cycle": lambda: zigzag_fill(bracket(edge), arcs3),
+        "fill, wrong degree": lambda: zigzag_fill(bracket(points), arcs3),
+        "fill, non-conforming": lambda: zigzag_fill(chord, arcs3),
+        "cancel, non-cycle":
+            lambda: zigzag_cancel(edge, PolyhedralCurrent.zero(3, 2), arcs3),
+        "cancel, wrong degree":
+            lambda: zigzag_cancel(points, PolyhedralCurrent.zero(3, 1), arcs3),
+        "cancel, non-conforming": lambda: zigzag_cancel(z, disk, arcs3),
+        "cancel, S of wrong degree":
+            lambda: zigzag_cancel(z, bracket(z), arcs3),
+    }
+    assert disk.boundary().equals(bracket(z))
+    with pytest.raises(InputError, match=message):
+        calls[case]()
 
 
 def test_degree_zero_roundtrip(s1):

@@ -309,6 +309,17 @@ def test_compare_circle_certificates():
     assert len(payload["runs"]) == 2
 
 
+def test_compare_degree_zero_empty_draw(capsys):
+    # seed 13 draws the same point twice in both pairs, so no points remain
+    assert spaces.random_point_cycle(spaces.load_space("s1"),
+                                     random.Random(13)) == []
+    argv = ["compare", "--space", "s1", "--degree", "0", "--seed", "13",
+            "--budget", "1"]
+    assert cli.main(argv) == 0
+    run, = json.loads(capsys.readouterr().out)["runs"]
+    assert run["cycle_points"] == 0 and run["filling_terms"] == 0
+
+
 def test_compare_pair_exactness():
     res = run_cli("compare", "--space", "annulus_pair", "--pair", "outer",
                   "--degree", "0", "--budget", "1")
