@@ -14,9 +14,10 @@ from .errors import InputError
 
 
 def bracket(chain: LipschitzChain) -> PolyhedralCurrent:
-    """Current with the same weighted tuples as the chain."""
-    return PolyhedralCurrent(chain.complex.ambient_dim, chain.degree,
-                             dict(chain.terms))
+    """Current with the same weighted tuples as the chain: a copy of its
+    valid terms, adopted without a second check."""
+    empty = PolyhedralCurrent(chain.complex.ambient_dim, chain.degree)
+    return empty.like(chain.degree, dict(chain.terms))
 
 
 def bracket_inverse_points(current: PolyhedralCurrent, complex_) -> LipschitzChain:

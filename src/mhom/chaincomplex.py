@@ -451,14 +451,16 @@ class RelativePair:
         return out
 
 
-def connecting_homomorphism(pair: RelativePair, k: int):
+def connecting_homomorphism(pair: RelativePair, k: int, HA=None):
     """Snake-lemma map H_k(C/A) -> H_{k-1}(A) on combined generators.
 
     Returns (matrix_columns, source_data, target_data): column i is the
     target class vector of the i-th combined generator of the source.
+    HA, when given, is homology_data(pair.sub_complex, k - 1), solved.
     """
     HQ = homology_data(pair.quotient_complex, k)
-    HA = homology_data(pair.sub_complex, k - 1)
+    if HA is None:
+        HA = homology_data(pair.sub_complex, k - 1)
     d = pair.total.boundary(k)
     cols = []
     for g in HQ.generators():

@@ -7,6 +7,12 @@ WeightedSimplices; a chain adds the carrier checks and a subdivision level:
 two chains are considered the same element when they agree after refining
 both to a common level, so addition first aligns levels by subdividing the
 coarser operand.
+
+A chain keeps its one-round refinement, built on first use, in a slot:
+a cancel's cover split and its final boundary check refine one chain,
+and the second reads the first's result.  Chains are never mutated, so
+it stays valid, and it dies with its chain, where a module memo would
+outlive the operation.
 """
 
 from .errors import GeometryError, InputError
@@ -17,11 +23,12 @@ from .weighted import WeightedSimplices
 class LipschitzChain(WeightedSimplices):
     """Integer combination of affine simplices inside a fixed carrier."""
 
-    __slots__ = ("complex", "level")
+    __slots__ = ("complex", "level", "_refined")
 
     def __init__(self, complex_, degree, terms=None, level=0):
         self.complex = complex_
         self.level = level
+        self._refined = None
         super().__init__(degree, terms)
         self.check_carrier()
 
@@ -33,6 +40,7 @@ class LipschitzChain(WeightedSimplices):
         out = LipschitzChain.__new__(LipschitzChain)
         out.complex = self.complex
         out.level = self.level
+        out._refined = None
         out._adopt(degree, terms)
         return out
 
@@ -77,9 +85,14 @@ class LipschitzChain(WeightedSimplices):
         return a.terms == b.terms
 
     def subdivide(self, times=1):
-        """Barycentric refinement; raises the level tag with each round."""
-        out = super().subdivide(times)
-        out.level = self.level + times
+        """Barycentric refinement; raises the level tag with each round.
+        Each round is built once per chain (see the module docstring)."""
+        out = self
+        for _ in range(times):
+            if out._refined is None:
+                out._refined = out.like(out.degree, out._refine())
+                out._refined.level = out.level + 1
+            out = out._refined
         return out
 
     def canonical(self):

@@ -189,11 +189,10 @@ def _pair_les_checks(complex_, name):
     pair = complex_.relative_pair(name)
     A, X = pair.sub_complex, pair.total
     checks = []
+    ha1, hx1 = homology_data(A, 0), homology_data(X, 0)
     for k in range(1, len(X.dims)):
-        ha = homology_data(A, k)
-        hx = homology_data(X, k)
-        conn, hq, ha1 = connecting_homomorphism(pair, k)
-        hx1 = homology_data(X, k - 1)
+        ha, hx = homology_data(A, k), homology_data(X, k)
+        conn, hq, _ = connecting_homomorphism(pair, k, ha1)
         incl = hom_matrix_columns(ha, hx, lambda v: pair.include_vector(k, v))
         proj = hom_matrix_columns(hx, hq, lambda v: pair.project_vector(k, v))
         incl1 = hom_matrix_columns(ha1, hx1,
@@ -202,6 +201,7 @@ def _pair_les_checks(complex_, name):
               and exact_at(proj, hx.moduli, hq.moduli, conn, ha1.moduli)
               and exact_at(conn, hq.moduli, ha1.moduli, incl1, hx1.moduli))
         checks.append({"degree": k, "exact": ok})
+        ha1, hx1 = ha, hx
     return checks
 
 

@@ -175,9 +175,14 @@ class MetricComplex:
         them too, so the first such top simplex is returned.
         """
         held = [self.tops_holding(p) for p in points]
-        first = held[0] if held else range(len(self._tops))
-        j = next((j for j in first if all(j in h for h in held)), None)
-        return None if j is None else self._subdivision(0)[j][0]
+        first, *rest = held or [range(len(self._tops))]
+        for j in first:
+            for h in rest:
+                if j not in h:
+                    break
+            else:
+                return self._subdivision(0)[j][0]
+        return None
 
     # -- barycentric subdivision -------------------------------------------
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import ge, gt, le, lt
 
 Vec = tuple  # tuple of Fraction; every point the algebra builds is a Point
 
@@ -35,13 +36,27 @@ def frac(x) -> Fraction:
     return Fraction(x)
 
 
+def _q_order(cmp):
+    """Q's comparison cmp: on integers against a Q, else Fraction's."""
+    fallback = getattr(Fraction, f"__{cmp.__name__}__")
+
+    def compare(a, b):
+        if type(b) is Q:
+            return cmp(a._numerator * b._denominator,
+                       b._numerator * a._denominator)
+        return fallback(a, b)
+    return compare
+
+
 class Q(Fraction):
     """A point coordinate: a Fraction that computed its hash once.
 
     Build them with coord(), which keeps one Q per value, so equal
     coordinates are the same object.  Equality, order and hash are those
     of Fraction, arithmetic returns plain Fractions, and str and repr print
-    what Fraction prints.
+    what Fraction prints.  Two Q order by cross-multiplying their integer
+    parts (denominators are positive), which sorting points by their
+    coordinates does all the time; any other operand goes to Fraction.
     """
 
     __slots__ = ("_h",)
@@ -52,6 +67,8 @@ class Q(Fraction):
 
     def __hash__(self):
         return self._h
+
+    __lt__, __le__, __gt__, __ge__ = map(_q_order, (lt, le, gt, ge))
 
     def __repr__(self):
         return f"Fraction({self._numerator}, {self._denominator})"

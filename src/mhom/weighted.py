@@ -14,18 +14,19 @@ from outside (every point becomes an interned rational.Point, a tuple of
 interned coordinates that stores its hash, and every tuple has degree + 1
 points of the ambient dimension) and build a dict of their own.
 Everything the algebra derives from valid terms (sums, multiples,
-boundaries, subdivisions, cones, cover splits, canonical forms) goes
-through like(), which takes the fresh dict it is given as the new terms
-without checking or copying it.  Derived tuples hold the same Points, so
-keying a term reads one stored hash per point and hashes no coordinate.
-A terms dict belongs to one object and is never mutated after that
-object is built.
+boundaries, subdivisions, cones, cover splits, canonical forms, and the
+bracket, whose current adopts a copy of its chain's terms) goes through
+like(), which takes the fresh dict it is given as the new terms without
+checking or copying it.  Derived tuples hold the same Points, so keying
+a term reads one stored hash per point and hashes no coordinate.  A
+terms dict belongs to one object and is never mutated after that object
+is built.
 """
 
 from .errors import GeometryError, InputError
 from .geometry import (barycentric_subdivide, simplex_boundary_terms,
                        staircase_prism)
-from .rational import point
+from .rational import centroid, point
 
 MAX_SPLIT_ROUNDS = 8
 
@@ -62,8 +63,9 @@ class WeightedSimplices:
 
     def _adopt(self, degree, terms):
         """Set the degree and adopt terms, deleting its zero weights."""
-        for tup in [t for t, w in terms.items() if not w]:
-            del terms[tup]
+        if 0 in terms.values():
+            for tup in [t for t, w in terms.items() if not w]:
+                del terms[tup]
         self.degree = degree
         self.terms = terms
 
@@ -158,17 +160,46 @@ class WeightedSimplices:
                          {t: n * w for t, w in self.terms.items() if n * w})
 
     def boundary(self):
-        """Alternating sum of facets of every term."""
-        if self.degree == 0:
+        """Alternating sum of facets of every term; degrees 1 and 2 write
+        them in the order and with the signs of simplex_boundary_terms."""
+        k = self.degree
+        if k == 0:
             return self.like(0, {})
-        return self.like(self.degree - 1, self._expand(simplex_boundary_terms))
+        if k > 2:
+            return self.like(k - 1, self._expand(simplex_boundary_terms))
+        terms = {}
+        if k == 1:
+            for (a, b), w in self.terms.items():
+                terms[b,] = terms.get((b,), 0) + w
+                terms[a,] = terms.get((a,), 0) - w
+        else:
+            for (a, b, c), w in self.terms.items():
+                terms[b, c] = terms.get((b, c), 0) + w
+                terms[a, c] = terms.get((a, c), 0) - w
+                terms[a, b] = terms.get((a, b), 0) + w
+        return self.like(k - 1, terms)
 
     def subdivide(self, times=1):
         """Barycentric refinement of every term; the sum is unchanged."""
         out = self
         for _ in range(times):
-            out = out.like(out.degree, out._expand(barycentric_subdivide))
+            out = out.like(out.degree, out._refine())
         return out
+
+    def _refine(self):
+        """Terms of one barycentric round.  Points stay as they are and
+        edges halve in place, in the order and with the signs of
+        barycentric_subdivide."""
+        if self.degree == 0:
+            return dict(self.terms)
+        if self.degree > 1:
+            return self._expand(barycentric_subdivide)
+        terms = {}
+        for (a, b), w in self.terms.items():
+            m = centroid((a, b))
+            terms[m, b] = terms.get((m, b), 0) + w
+            terms[m, a] = terms.get((m, a), 0) - w
+        return terms
 
     def refine_until_affine(self, maps):
         """Subdivide until every map in maps is affine on every term."""

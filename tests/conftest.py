@@ -54,3 +54,26 @@ def validations(monkeypatch):
 
     monkeypatch.setattr(WeightedSimplices, "__init__", counted)
     return seen
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls(owner, name) wraps owner.name, and the same function
+    wherever an mhom module imported it, until the test ends; returns the
+    list that each call appends to."""
+    def wrap(owner, name):
+        real = getattr(owner, name)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+        for mod in list(sys.modules.values()):
+            if (getattr(mod, "__name__", "").startswith("mhom.")
+                    and vars(mod).get(name) is real):
+                monkeypatch.setattr(mod, name, counted)
+        return calls
+
+    return wrap

@@ -259,8 +259,11 @@ def test_acceptance_cosheaf_suite():
             parts = split(ch, cover)
             ok = ok and augment(parts, ch.scale(0)) == ch
             cparts = split(cur, cover)
-            total = augment(cparts, cur.scale(0))
-            ok = ok and total is not None and total.equals(cur)
+            ok = ok and augment(cparts, cur.scale(0)).equals(cur)
+            # an empty split sums to the zero it starts from
+            empty = augment({}, cur.scale(0))
+            ok = (ok and type(empty) is PolyhedralCurrent and empty.is_zero()
+                  and empty.degree == cur.degree)
             surj += 2
             # augmentation kernels come from pairwise overlaps
             deg = i % 2

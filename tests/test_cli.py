@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from mhom import cech, cli, spaces
+from mhom import cech, chaincomplex, cli, spaces
 from mhom.chaincomplex import HomologyGroup
 from mhom.complexes import BallCover
 from mhom.rational import point
@@ -327,6 +327,15 @@ def test_compare_pair_exactness():
     payload = json.loads(res.stdout)
     assert payload["les"]
     assert all(c["exact"] for c in payload["les"])
+
+
+def test_pair_checks_solve_each_window_once(count_calls):
+    """The exact-sequence checks of disc_pair read 8 distinct (complex,
+    degree) windows; degree k reuses degree k - 1's solves."""
+    calls = count_calls(chaincomplex, "homology_data")
+    checks = cli._pair_les_checks(spaces.load_space("disc_pair"), "boundary")
+    assert all(c["exact"] for c in checks)
+    assert len(calls) == 8
 
 
 @pytest.mark.parametrize("extra", [

@@ -161,6 +161,20 @@ def test_line_sweep_ignores_member_order():
             assert list(got.terms.items()) == want
 
 
+def test_reduce_orders_points_on_integers(count_calls):
+    """reduce sorts and sweeps the interned points of pieces of degree 0
+    and 1 without a Fraction comparison: Q order is integer order.  (In
+    degree 2 it cuts in chart coordinates, which are plain Fractions.)"""
+    rng = random.Random(53)
+    cases = [PolyhedralCurrent.from_tuples(3, line_pieces(rng, 2, 12))
+             for _ in range(5)]
+    cases += [random_current(rng, k) for k in (0, 1) for _ in range(5)]
+    calls = count_calls(Fraction, "_richcmp")
+    for T in cases:
+        T.reduce()
+    assert calls == []
+
+
 def test_flat_memo_stays_within_its_limit(monkeypatch):
     """With the flat memo's limit at 2, reduce gives the same terms in the
     same order, and the memo never holds more than 2 simplices."""

@@ -1,9 +1,13 @@
 import copy
+import operator
 import os
 import pickle
 import random
 import sys
 from fractions import Fraction
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mhom import rational, spaces
 from mhom.cech import Nerve, zigzag_cancel, zigzag_fill
@@ -59,6 +63,27 @@ def test_coordinates_agree_with_fraction():
     assert coord(2) is coord(F(4, 2)) is coord("2") is coord((6, 3))
     assert coord(2) == 2 and hash(coord(2)) == hash(2)
     assert Q(3, 4) is coord(F(3, 4))
+
+
+small_fractions = st.fractions(-3, 3, max_denominator=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_fractions, small_fractions)
+@example(F(0), F(0))
+@example(F(-1, 2), F(-1, 2))
+@example(F(-1, 3), F(1, 3))
+@example(F(-2), F(0))
+def test_q_order_is_fraction_order(a, b):
+    """Q against Q compares on integers; against a Fraction or an int it
+    keeps Fraction's order, on either side."""
+    qa, qb = coord(a), coord(b)
+    for op in (operator.lt, operator.le, operator.gt, operator.ge):
+        assert op(qa, qb) == op(a, b)
+        assert op(qa, b) == op(a, qb) == op(a, b)
+        assert op(qa, qa) == op(a, a)
+        for n in (-1, 0, 1):
+            assert op(qa, n) == op(a, n) and op(n, qa) == op(n, a)
 
 
 def test_points_find_each_other_in_dicts():
