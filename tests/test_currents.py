@@ -10,6 +10,7 @@ from mhom.currents import (PolyhedralCurrent, _flat_chart, _reduce_in_chart,
                            _reduce_on_line)
 from mhom.errors import InputError
 from mhom.rational import RadicalSum, dist2
+from mhom.weighted import WeightedSimplices
 
 from oracles import (equicontinuity_gap, integral_of_product,
                      reduce_at_witness_points)
@@ -356,7 +357,7 @@ def test_reduce_solves_no_linear_system(monkeypatch):
     assert calls == []
 
 
-def test_algebra_keeps_the_dicts_it_builds(torus, torus_balls, validations):
+def test_algebra_keeps_the_dicts_it_builds(torus, torus_balls, count_calls):
     rng = random.Random(48)
     edges = torus.chain_basis()[1]
 
@@ -366,7 +367,7 @@ def test_algebra_keeps_the_dicts_it_builds(torus, torus_balls, validations):
             for s in rng.sample(edges, 6)], degree=1)
 
     assert_algebra_adopts_terms(current(), current(), torus_balls,
-                                validations)
+                                count_calls(WeightedSimplices, "__init__"))
 
 
 def test_support_pieces_inside_originals():
