@@ -340,6 +340,23 @@ def cone_fill_current(R, apex, complex_, context=""):
     return R.cone(apex)
 
 
+def _cone_in_ball(cone_fill, x, cover, i, context):
+    """cone_fill of x to the center of ball i.  When its certificate fails
+    and ball i meets a top simplex that does not hold its center, the
+    cover is at fault, not the walk, so the error is an InputError naming
+    the ball and those simplices."""
+    try:
+        return cone_fill(x, cover.centers[i], cover.complex, context=context)
+    except GeometryError:
+        far = cover.tops_missing_center(i)
+        if not far:
+            raise
+        raise InputError(
+            f"cone to the center of ball {i} failed {context}: the ball "
+            f"meets top simplices {', '.join(map(str, far))}, which do not "
+            "hold its center") from None
+
+
 # ---- the walk through the double complex ----
 
 def _check_input(x, cover, name, degrees, cycle=True):
@@ -399,8 +416,8 @@ def _ascend(columns, lower, cover, name):
             else:
                 # cycles reach here only at column 0: cones inside ball
                 # intersections, which degree two needs, are not built yet
-                col[K] = cone_fill_chain(val, cover.centers[K[0]], complex_,
-                                         context=context)
+                col[K] = _cone_in_ball(cone_fill_chain, val, cover, K[0],
+                                       context)
     return col
 
 
@@ -454,8 +471,8 @@ def zigzag_fill(T, cover, nerve=None):
 
     defects = _merge({A: bracket(ch) for A, ch in c_parts.items()},
                      columns[0], -1)
-    S_parts = {A: cone_fill_current(R, cover.centers[A[0]], complex_,
-                                    context=f"(fill, over {A})")
+    S_parts = {A: _cone_in_ball(cone_fill_current, R, cover, A[0],
+                                f"(fill, over {A})")
                for A, R in defects.items() if R.terms}
 
     c = augment(c_parts, LipschitzChain.zero(complex_, m))

@@ -117,33 +117,29 @@ def cmd_homology(args):
     else:
         degrees = list(range(top + 1))
 
-    groups = {}
-    generators = {}
-    for k in degrees:
-        data = homology_data(C, k)
-        groups[f"H{k}"] = str(data.group)
-        if not args.pair:
-            generators[f"H{k}"] = _generator_summary(
-                complex_, k, data, args.theory)
+    solved = {k: homology_data(C, k) for k in degrees}
     payload = {
         "command": "homology",
         "space": args.space,
         "pair": args.pair,
         "theory": args.theory,
-        "groups": groups,
+        "groups": {f"H{k}": str(data.group) for k, data in solved.items()},
     }
     if not args.pair:
-        payload["generators"] = generators
+        payload["generators"] = {
+            f"H{k}": _generator_summary(complex_, k, data, args.theory)
+            for k, data in solved.items()}
         if args.theory == "current" and args.space in spaces.COMPARED:
-            payload["pairing"] = _pairing_certificate(args.space, complex_)
+            h1 = solved[1] if 1 in solved else homology_data(C, 1)
+            payload["pairing"] = _pairing_certificate(args.space, complex_,
+                                                      h1)
     _emit(payload, args.out)
     return 0
 
 
-def _pairing_certificate(space_name, complex_):
-    """Winding matrix of the bracketed degree-one generators."""
-    C, _ = complex_.chain_complex()
-    data = homology_data(C, 1)
+def _pairing_certificate(space_name, complex_, data):
+    """Winding matrix of the bracketed generators of data, the degree-one
+    homology of complex_."""
     gens = brackets_of_generators(complex_, 1, data)
     forms = spaces.pairing_forms(space_name, complex_)
     M = pairing_matrix(gens, forms)
@@ -169,10 +165,9 @@ def _compare_cycle(space_name, complex_, degree, rng):
     return spaces.COMPARED[space_name].cycle(complex_, rng)
 
 
-def _iota_identification(complex_, degree):
-    """Simplicial generators realized as affine chains and read back."""
-    C, _ = complex_.chain_complex()
-    data = homology_data(C, degree)
+def _iota_identification(complex_, degree, data):
+    """The generators of data, complex_'s homology in the degree, realized
+    as affine chains and read back."""
     out = []
     for vec in data.generators():
         ch = chain_from_vector(complex_, degree, vec)
@@ -239,10 +234,11 @@ def cmd_compare(args):
         payload["pair"] = args.pair
         payload["les"] = _pair_les_checks(complex_, args.pair)
 
+    data = homology_data(complex_.chain_complex()[0], args.degree)
     if args.degree >= 1:
-        payload["pairing"] = _pairing_certificate(args.space, complex_)
+        payload["pairing"] = _pairing_certificate(args.space, complex_, data)
     payload["cover"] = cover_name
-    payload["iota"] = _iota_identification(complex_, args.degree)
+    payload["iota"] = _iota_identification(complex_, args.degree, data)
 
     runs = []
     for i in range(args.budget):

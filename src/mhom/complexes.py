@@ -659,6 +659,14 @@ class BallCover:
                 for c, r2 in zip(self.centers, self._radii2)]
         return self._near
 
+    def tops_missing_center(self, i):
+        """The top simplices, as vertex tuples, that ball i meets although
+        they do not hold its center."""
+        held = self.complex.tops_holding(self.centers[i])
+        tops = self.complex.top_simplices()
+        return [tops[j] for j in sorted(self._near_tops()[i])
+                if j not in held]
+
     def intersection_empty_certificate(self, indices) -> bool:
         """Exact proof that the listed balls share no carrier point.
 

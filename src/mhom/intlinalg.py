@@ -1,17 +1,16 @@
 """Sparse integer matrices and Smith normal form over Z.
 
 Plain Python ints carry arbitrary precision, so no overflow is possible.
-Homology runs the normal form only on the small Morse complex that a
-coreduction leaves (chaincomplex.homology_data); the subgroup questions
-about induced maps run it on class matrices.  It returns both transforms
-together with their inverses, so that one factorization answers every
-kernel, image and coordinate question about its matrix.
-It works on sparse rows ({col: value} dicts) plus, for the matrix being
-reduced, an index of the rows holding a nonzero in each column, so an
-operation costs in proportion to the entries it touches.  The pivot rule
-and the order of the row and column operations are fixed, so the
-transforms, and the homology generators built from them, do not depend on
-how a matrix's entries are stored or ordered.
+IntMatrix keeps only its nonzero entries, which boundaries, products and
+apply() need.  Homology runs the normal form only on the small Morse
+complex that a coreduction leaves (chaincomplex.homology_data); the
+subgroup questions about induced maps run it on class matrices.  It
+returns both transforms together with their inverses, so that one
+factorization answers every kernel, image and coordinate question about
+its matrix.  The pivot rule and the order of the row and column
+operations are fixed, so the transforms, and the homology generators
+built from them, do not depend on how a matrix's entries are stored or
+ordered.
 """
 
 from __future__ import annotations
@@ -102,44 +101,6 @@ class IntMatrix:
         return f"IntMatrix({self.nrows}x{self.ncols}, {len(self.data)} entries)"
 
 
-def _pivot(A, t):
-    """(|v|, i, j) of the first entry of least absolute value, in row-major
-    order, of the block of A from (t, t); None if the block is zero.
-
-    Rows t.. of A hold no entry left of column t, so a row's entries all
-    lie in the block.  The scan stops at the first row holding a unit.
-    """
-    best = None
-    for i in range(t, len(A)):
-        row = A[i]
-        if row:
-            a, j = min((abs(v), j) for j, v in row.items())
-            if best is None or a < best[0]:
-                best = (a, i, j)
-                if a == 1:
-                    break
-    return best
-
-
-def _add_row(rows, i, k, c):
-    """rows[i] += c * rows[k] on sparse row dicts {col: value}, c != 0."""
-    ri = rows[i]
-    for j, v in rows[k].items():
-        x = ri.get(j, 0) + c * v
-        if x:
-            ri[j] = x
-        else:
-            del ri[j]
-
-
-def _from_row_dicts(rows, transpose=False) -> IntMatrix:
-    """Square IntMatrix whose row i, or column i if transpose, is the
-    dict rows[i]."""
-    return IntMatrix(len(rows), len(rows), {
-        (j, i) if transpose else (i, j): v
-        for i, row in enumerate(rows) for j, v in row.items()})
-
-
 def smith_normal_form(M: IntMatrix):
     """Returns (U, D, V, U_inv, V_inv) with U*M*V = D, U and V unimodular.
 
@@ -149,116 +110,97 @@ def smith_normal_form(M: IntMatrix):
     operation on U acts on U_inv as the inverse column operation, a column
     operation on V acts on V_inv as the inverse row operation.
 
-    Every matrix is held as sparse rows, one {col: value} dict per row, and
-    the working copy of M also keeps, per column, the set of rows holding a
-    nonzero there, so a column operation touches only those rows.  The
-    operations and their order are fixed: the pivot is the first entry of
-    least absolute value in row-major order of the remaining block (the
+    The operations and their order are fixed: the pivot is the first entry
+    of least absolute value in row-major order of the remaining block (the
     scan stops at a unit), the pivot's column is cleared top to bottom and
     its row left to right, a nonzero remainder is swapped into the pivot
     position, and a final pass enforces the divisibility chain.  So the
-    five matrices do not depend on the storage or on the order of M's
-    entries.
+    five matrices do not depend on how M's entries are stored or ordered.
+
+    All five are worked on as dense rows, since the inputs are small:
+    homology passes only the critical cells a coreduction leaves, at most
+    3 on the bundled spaces and 6 on the benchmark's polygon, wedge and
+    Klein grid products, and class matrices are as large as the class
+    lists.  At these sizes an index of the nonzero entries costs more than
+    the zeros it would skip.
     """
     nr, nc = M.nrows, M.ncols
-    A = [{} for _ in range(nr)]
-    cols = [set() for _ in range(nc)]
-    for (i, j), v in M.data.items():
-        A[i][j] = v
-        cols[j].add(i)
-    # U and V_inv are held as rows, U_inv and V as rows of their
-    # transposes, so every mirrored operation is a row operation
-    U, U_inv_t, V_t, V_inv = ([{i: 1} for i in range(n)]
-                              for n in (nr, nr, nc, nc))
+    A = M.to_rows()
+    U, U_inv, V, V_inv = (IntMatrix.identity(n).to_rows()
+                          for n in (nr, nr, nc, nc))
+
+    def add_rows(R, i, k, c):
+        R[i] = [a + c * b for a, b in zip(R[i], R[k])]
+
+    def add_cols(R, j, k, c):
+        for r in R:
+            r[j] += c * r[k]
+
+    def swap_cols(R, j, k):
+        for r in R:
+            r[j], r[k] = r[k], r[j]
 
     def row_swap(i, k):
-        Ai = A[i]
-        for j in Ai.keys() ^ A[k].keys():
-            rows = cols[j]
-            if j in Ai:
-                rows.remove(i)
-                rows.add(k)
-            else:
-                rows.remove(k)
-                rows.add(i)
-        for R in (A, U, U_inv_t):
+        for R in (A, U):
             R[i], R[k] = R[k], R[i]
+        swap_cols(U_inv, i, k)
 
     def row_add(i, k, c):
         # row i += c * row k; column k of U_inv -= c * column i
-        if not c:
-            return
-        Ai = A[i]
-        for j, v in A[k].items():
-            x = Ai.get(j, 0) + c * v
-            if x:
-                Ai[j] = x
-                cols[j].add(i)
-            else:
-                del Ai[j]
-                cols[j].remove(i)
-        _add_row(U, i, k, c)
-        _add_row(U_inv_t, k, i, -c)
+        if c:
+            add_rows(A, i, k, c)
+            add_rows(U, i, k, c)
+            add_cols(U_inv, k, i, -c)
 
     def row_negate(i):
-        for R in (A, U, U_inv_t):
-            R[i] = {j: -v for j, v in R[i].items()}
+        for R in (A, U):
+            R[i] = [-x for x in R[i]]
+        for r in U_inv:
+            r[i] = -r[i]
 
     def col_swap(j, k):
-        for r in cols[j] | cols[k]:
-            Ar = A[r]
-            a, b = Ar.pop(j, 0), Ar.pop(k, 0)
-            if b:
-                Ar[j] = b
-            if a:
-                Ar[k] = a
-        cols[j], cols[k] = cols[k], cols[j]
-        for R in (V_t, V_inv):
-            R[j], R[k] = R[k], R[j]
+        swap_cols(A, j, k)
+        swap_cols(V, j, k)
+        V_inv[j], V_inv[k] = V_inv[k], V_inv[j]
 
     def col_add(j, k, c):
         # col j += c * col k; row k of V_inv -= c * row j
-        if not c:
-            return
-        rows = cols[j]
-        for r in cols[k]:
-            Ar = A[r]
-            x = Ar.get(j, 0) + c * Ar[k]
-            if x:
-                Ar[j] = x
-                rows.add(r)
-            else:
-                del Ar[j]
-                rows.remove(r)
-        _add_row(V_t, j, k, c)
-        _add_row(V_inv, k, j, -c)
+        if c:
+            add_cols(A, j, k, c)
+            add_cols(V, j, k, c)
+            add_rows(V_inv, k, j, -c)
 
     t = 0
     while True:
-        piv = _pivot(A, t)
+        piv = None
+        for e in ((abs(v), i, j) for i in range(t, nr)
+                  for j, v in enumerate(A[i][t:], t) if v):
+            if piv is None or e[0] < piv[0]:
+                piv = e
+                if piv[0] == 1:
+                    break
         if piv is None:
             break
-        _, i, j = piv
-        row_swap(t, i)
-        col_swap(t, j)
+        row_swap(t, piv[1])
+        col_swap(t, piv[2])
         while True:
             # clear column t below the pivot, then row t right of it.  An
             # operation on row i or column j changes no later entry of the
             # pivot's column or row, and a pass without a swap leaves both
             # clear.
             done = True
-            for i in sorted(i for i in cols[t] if i > t):
-                q = A[i][t] // A[t][t]
-                row_add(i, t, -q)
-                if t in A[i]:  # remainder smaller than pivot: swap up
-                    row_swap(t, i)
-                    done = False
-            for j in sorted(j for j in A[t] if j > t):
-                q = A[t][j] // A[t][t]
-                col_add(j, t, -q)
-                if j in A[t]:
-                    col_swap(t, j)
-                    done = False
+            for i in range(t + 1, nr):
+                if A[i][t]:
+                    row_add(i, t, -(A[i][t] // A[t][t]))
+                    if A[i][t]:  # remainder smaller than pivot: swap up
+                        row_swap(t, i)
+                        done = False
+            for j in range(t + 1, nc):
+                if A[t][j]:
+                    col_add(j, t, -(A[t][j] // A[t][t]))
+                    if A[t][j]:
+                        col_swap(t, j)
+                        done = False
             if done:
                 break
         if A[t][t] < 0:
@@ -277,15 +219,13 @@ def smith_normal_form(M: IntMatrix):
                 # bring b into position via col add, then re-clear the 2x2 block
                 col_add(i, i + 1, 1)
                 while True:
-                    q = A[i + 1].get(i, 0) // A[i][i]
-                    row_add(i + 1, i, -q)
-                    if i not in A[i + 1]:
+                    row_add(i + 1, i, -(A[i + 1][i] // A[i][i]))
+                    if not A[i + 1][i]:
                         break
                     row_swap(i, i + 1)
                 while True:
-                    q = A[i].get(i + 1, 0) // A[i][i]
-                    col_add(i + 1, i, -q)
-                    if i + 1 not in A[i]:
+                    col_add(i + 1, i, -(A[i][i + 1] // A[i][i]))
+                    if not A[i][i + 1]:
                         break
                     col_swap(i, i + 1)
                 if A[i][i] < 0:
@@ -294,8 +234,8 @@ def smith_normal_form(M: IntMatrix):
                     row_negate(i + 1)
 
     D = IntMatrix(nr, nc, {(i, i): A[i][i] for i in range(rank)})
-    return (_from_row_dicts(U), D, _from_row_dicts(V_t, transpose=True),
-            _from_row_dicts(U_inv_t, transpose=True), _from_row_dicts(V_inv))
+    return (IntMatrix.from_rows(U), D, IntMatrix.from_rows(V),
+            IntMatrix.from_rows(U_inv), IntMatrix.from_rows(V_inv))
 
 
 def kernel_basis(M: IntMatrix):

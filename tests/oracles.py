@@ -352,9 +352,11 @@ def reduce_at_witness_points(current):
     return {t: w for t, w in out.items() if w}
 
 
-# The Smith normal form as mhom.intlinalg computed it on dense row lists,
-# kept as the reference for the sparse-row code: both run the same
-# operations in the same order, so all five returned matrices must agree.
+# A separately written Smith normal form on dense row lists, kept as the
+# reference for mhom.intlinalg: both run the same operations in the same
+# order, so all five returned matrices must agree.  This copy holds U_inv
+# and V as rows of their transposes, so every mirrored operation is a row
+# operation; intlinalg holds all four transforms as they are.
 
 def _nonzero_in_block(rows, t, nr, nc):
     best = None

@@ -11,6 +11,7 @@ import pytest
 from mhom import cech, chaincomplex, cli, spaces
 from mhom.chaincomplex import HomologyGroup
 from mhom.complexes import BallCover
+from mhom.errors import GeometryError
 from mhom.rational import point
 
 CMD = [sys.executable, "-m", "mhom.cli"]
@@ -336,6 +337,49 @@ def test_pair_checks_solve_each_window_once(count_calls):
     checks = cli._pair_les_checks(spaces.load_space("disc_pair"), "boundary")
     assert all(c["exact"] for c in checks)
     assert len(calls) == 8
+
+
+@pytest.mark.parametrize("argv, solves", [
+    (["compare", "--space", "torus", "--budget", "0"], 1),
+    (["homology", "--space", "torus", "--theory", "current"], 3),
+    (["homology", "--space", "torus", "--theory", "current",
+      "--degree", "2"], 2),
+])
+def test_commands_solve_each_window_once(argv, solves, count_calls, capsys):
+    """The pairing reads the degree-one solve that the iota check or the
+    group listing made, and solves H1 itself only when --degree skips it."""
+    calls = count_calls(chaincomplex, "homology_data")
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["command"] == argv[0]
+    assert len(calls) == solves
+
+
+ZIGZAG_RUNS = [["compare", "--space", "s1", "--budget", "2"],
+               ["verify", "zigzag", "--space", "s1", "--budget", "2"]]
+
+
+@pytest.mark.parametrize("argv", ZIGZAG_RUNS, ids=["compare", "verify"])
+def test_cone_out_of_a_bad_ball_is_an_input_error(argv, capsys):
+    """The two arcs of s1_arcs2 overlap in two pieces, and ball 0 meets
+    the edges (0, 2) and (1, 2) without holding its center in them, so its
+    cone leaves the circle: the cover is rejected, exit 2."""
+    assert cli.main(argv + ["--cover", "arcs2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: cone to the center of ball 0 failed")
+    assert "top simplices (0, 2), (1, 2)," in err
+
+
+@pytest.mark.parametrize("argv", ZIGZAG_RUNS, ids=["compare", "verify"])
+def test_cone_failure_on_a_good_cover_exits_one(argv, monkeypatch, capsys):
+    """On s1_arcs3 no ball meets a top simplex that misses its center, so
+    a refuted cone certificate stays a failed verification."""
+    def refuted(x, apex, complex_, context):
+        raise GeometryError(f"cone certificate failed {context}: refuted")
+
+    monkeypatch.setattr(cech, "_certify_cone", refuted)
+    assert cli.main(argv + ["--cover", "arcs3"]) == 1
+    out, err = capsys.readouterr()
+    assert "cone certificate failed" in out + err
 
 
 @pytest.mark.parametrize("extra", [

@@ -105,8 +105,9 @@ def test_snf_diagonal_shortcut():
 
 
 def test_snf_matches_dense_reference_on_random_matrices():
-    """The sparse-row code runs the dense reference's operations in the
-    same order, so all five matrices agree, transforms included."""
+    """smith_normal_form and the separately written reference run the
+    same operations in the same order, so all five matrices agree,
+    transforms included."""
     rng = random.Random(11)
     for _ in range(300):
         n, m = rng.randint(1, 5), rng.randint(1, 5)

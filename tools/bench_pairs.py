@@ -19,18 +19,21 @@ one process at a time, for the benchmark's run_seconds, in PAIRS pairs
 first-seed + i on both sides, and the side that goes first alternates from
 pair to pair, so a drift in the machine's speed falls on both.  Every
 run's metrics are printed as they come; at the end one entry is appended
-to a JSON list: per workload and metric, the median of each side and the
-number of pairs in which the change was better, with the failed
-operations of each side.  A metric that reads 0 in every run of one side
-and in no run of the other is not compared: its pair count is null and a
-note says so, since a counter that stops reading is more often a counter
-that lost its hook than work that is gone.  With --trace 0 (the default) the metrics are the
+to a JSON list: per workload and metric, the median and quartiles of
+each side (the parent's quartiles are the spread a gain must exceed) and
+the number of pairs in which the change was better, with the failed
+operations of each side, and for each side the `wc -l` of src/mhom/*.py.
+A metric that reads 0 in every run of one side and in no run of the
+other is not compared: its pair count is null and a note says so, since
+a counter that stops reading is more often a counter that lost its hook
+than work that is gone.  With --trace 0 (the default) the metrics are the
 end-to-end ones and the list is BENCH_e2e.json; with --trace 1 they are
 the per-layer ones of a traced run and the list is BENCH_layers.json.
 Workloads, metrics and their directions come from BENCHMARK.json.
 """
 
 import argparse
+import glob
 import hashlib
 import io
 import json
@@ -95,6 +98,15 @@ def run(root, workload, seed, seconds, trace):
     return json.loads(lines[-1])
 
 
+def src_lines(root):
+    """`wc -l` of src/mhom/*.py in the checkout at root."""
+    total = 0
+    for path in glob.glob(os.path.join(root, "src", "mhom", "*.py")):
+        with open(path, "rb") as fh:
+            total += fh.read().count(b"\n")
+    return total
+
+
 def change_label():
     """HEAD's commit, plus a hash of the code that differs from it."""
     label = git("rev-parse", "HEAD").decode().strip()
@@ -145,6 +157,8 @@ def main(argv=None):
         roots = {side: os.path.join(tmp, side) for side in ("base", "head")}
         export(base_rev, roots["base"])
         copy_tree(roots["head"])
+        entry["src_lines"] = {side: src_lines(root)
+                              for side, root in roots.items()}
         for workload in workloads:
             runs = {"base": [], "head": []}
             for i, seed in enumerate(entry["seeds"]):
@@ -168,6 +182,8 @@ def main(argv=None):
                     "unit": m["unit"], "better": m["better"],
                     "base_median": statistics.median(base),
                     "head_median": statistics.median(head),
+                    "base_quartiles": statistics.quantiles(base, n=4),
+                    "head_quartiles": statistics.quantiles(head, n=4),
                     "head_better_pairs": sum(better(m, h, b)
                                              for h, b in zip(head, base))}
                 if zero_on_one_side(base, head):
